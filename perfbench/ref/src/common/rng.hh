@@ -1,0 +1,87 @@
+/**
+ * @file
+ * Deterministic pseudo-random number generation.
+ *
+ * All stochastic behaviour in the simulator (retention-time sampling, VRT
+ * switching, TRR sampler decisions, ...) flows through Rng so that every
+ * experiment is exactly reproducible from a seed. The generator is
+ * xoshiro256** (Blackman & Vigna), seeded via splitmix64.
+ */
+
+#ifndef UTRR_COMMON_RNG_HH
+#define UTRR_COMMON_RNG_HH
+
+#include <array>
+#include <cstdint>
+#include <string_view>
+
+namespace utrr
+{
+
+/**
+ * Deterministic 64-bit PRNG (xoshiro256**) with convenience samplers.
+ */
+class Rng
+{
+  public:
+    /** Construct from a 64-bit seed (expanded via splitmix64). */
+    explicit Rng(std::uint64_t seed = 0x5eed);
+
+    /** Next raw 64-bit value. */
+    std::uint64_t next();
+
+    /** Uniform double in [0, 1). */
+    double uniform();
+
+    /** Uniform integer in [lo, hi] (inclusive). Requires lo <= hi. */
+    std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
+
+    /** Uniform double in [lo, hi). */
+    double uniformReal(double lo, double hi);
+
+    /** Bernoulli trial with success probability p. */
+    bool chance(double p);
+
+    /** Standard normal via Box-Muller (deterministic, no cached spare). */
+    double gaussian();
+
+    /** Normal with given mean and standard deviation. */
+    double gaussian(double mean, double sigma);
+
+    /** Log-normal: exp(N(mu, sigma)). */
+    double logNormal(double mu, double sigma);
+
+    /** Exponential with given mean (mean > 0). */
+    double exponential(double mean);
+
+    /**
+     * Derive an independent child generator; used to give each DRAM row
+     * its own deterministic stream regardless of evaluation order.
+     */
+    Rng fork(std::uint64_t stream);
+
+    /**
+     * Derive an independent *named* sub-stream ("fault.vrt",
+     * "fault.noise", ...). Subsystems that draw from their own named
+     * stream cannot perturb anyone else's sequence, so enabling such a
+     * subsystem with all its rates at zero stays bit-identical to not
+     * having it at all.
+     */
+    Rng fork(std::string_view name);
+
+  private:
+    std::array<std::uint64_t, 4> s;
+};
+
+/** splitmix64 step; exposed for seeding/hashing helpers. */
+std::uint64_t splitmix64(std::uint64_t &state);
+
+/** Stateless 64-bit mix (useful to hash coordinates into seeds). */
+std::uint64_t hashMix(std::uint64_t x);
+
+/** FNV-1a 64-bit string hash (names -> RNG stream ids). */
+std::uint64_t hashString(std::string_view text);
+
+} // namespace utrr
+
+#endif // UTRR_COMMON_RNG_HH

@@ -1,0 +1,365 @@
+#include "core/row_scout.hh"
+
+#include <algorithm>
+#include <set>
+
+#include "common/logging.hh"
+#include "obs/profiler.hh"
+#include "obs/timer.hh"
+
+namespace utrr
+{
+
+RowScout::RowScout(SoftMcHost &host, DiscoveredMapping mapping,
+                   RowScoutConfig config)
+    : host(host), mapping(std::move(mapping)), cfg(std::move(config))
+{
+    UTRR_ASSERT(cfg.rowStart >= 0 && cfg.rowEnd > cfg.rowStart,
+                "bad row range");
+    UTRR_ASSERT(cfg.initialT > 0 && cfg.stepT > 0, "bad T schedule");
+    burnedPhys.insert(cfg.excludePhys.begin(), cfg.excludePhys.end());
+}
+
+std::map<Row, int>
+RowScout::scanFailingRows(Time t)
+{
+    // Batch profiling pass: initialize every row in the range, let the
+    // whole range decay for t with refresh disabled, then read back.
+    UTRR_PROF_SCOPE_SIM("row_scout.scan", host.clockPtr());
+    ScopedTimer timer(host.attachedMetrics(), "row_scout.scan");
+    SimPhase phase(&host.trace(), "rs_scan", [this] { return host.now(); });
+    for (Row r = cfg.rowStart; r < cfg.rowEnd; ++r)
+        host.writeRow(cfg.bank, r, cfg.pattern);
+    host.wait(t);
+
+    std::map<Row, int> failing;
+    for (Row r = cfg.rowStart; r < cfg.rowEnd; ++r) {
+        const RowReadout readout = host.readRow(cfg.bank, r);
+        const int flips = readout.countFlipsVs(cfg.pattern, r);
+        if (flips > 0)
+            failing[r] = flips;
+    }
+    return failing;
+}
+
+bool
+RowScout::validateRetention(Row logical_row, Time t, int checks)
+{
+    UTRR_PROF_SCOPE_SIM("row_scout.validate", host.clockPtr());
+    ScopedTimer timer(host.attachedMetrics(), "row_scout.validate");
+    for (int i = 0; i < checks; ++i) {
+        ++validations;
+        // Hold check: the row must retain its data strictly longer
+        // than t/2 (0.55*t adds margin for the time an experiment
+        // spends hammering before the mid-point REF). A row that fails
+        // before t/2 could never be saved by a TRR-induced refresh and
+        // would always read as "not refreshed" (paper footnote 4).
+        host.writeRow(cfg.bank, logical_row, cfg.pattern);
+        host.wait(t * 55 / 100);
+        if (host.readRow(cfg.bank, logical_row)
+                .countFlipsVs(cfg.pattern, logical_row) != 0) {
+            return false;
+        }
+        // Fail check: the row must reliably fail after t.
+        host.writeRow(cfg.bank, logical_row, cfg.pattern);
+        host.wait(t);
+        if (host.readRow(cfg.bank, logical_row)
+                .countFlipsVs(cfg.pattern, logical_row) == 0) {
+            return false;
+        }
+    }
+    return true;
+}
+
+std::vector<RowGroup>
+RowScout::formCandidateGroups(const std::map<Row, Time> &first_fail,
+                              Time t) const
+{
+    // Eligible rows: failed first in (t/2, t], so they hold for t/2 and
+    // fail by t — exactly the side-channel requirement.
+    std::set<Row> eligible_phys;
+    for (const auto &[logical, fail_t] : first_fail) {
+        if (fail_t <= t / 2 || fail_t > t)
+            continue;
+        if (mapping.isAnomalous(logical))
+            continue;
+        const Row phys = mapping.toPhysical(logical);
+        if (burnedPhys.count(phys))
+            continue; // evicted by re-validation; never trust it again
+        eligible_phys.insert(phys);
+    }
+
+    std::vector<RowGroup> candidates;
+    const auto &offsets = cfg.layout.profiledOffsets();
+    for (Row base : eligible_phys) {
+        bool ok = true;
+        for (int off : offsets) {
+            if (!eligible_phys.count(base + off)) {
+                ok = false;
+                break;
+            }
+        }
+        if (!ok)
+            continue;
+        // Gap (aggressor) positions must be addressable, in range and
+        // not known-remapped.
+        for (int gap : cfg.layout.gapOffsets()) {
+            const Row gap_logical = mapping.toLogical(base + gap);
+            if (gap_logical < cfg.rowStart || gap_logical >= cfg.rowEnd ||
+                mapping.isAnomalous(gap_logical)) {
+                ok = false;
+                break;
+            }
+        }
+        if (!ok)
+            continue;
+
+        RowGroup group;
+        group.layout = cfg.layout;
+        group.basePhysRow = base;
+        group.bank = cfg.bank;
+        group.retention = t;
+        for (int off : offsets) {
+            ProfiledRow row;
+            row.bank = cfg.bank;
+            row.physRow = base + off;
+            row.logicalRow = mapping.toLogical(base + off);
+            row.retention = t;
+            group.rows.push_back(row);
+        }
+        candidates.push_back(std::move(group));
+    }
+    return candidates;
+}
+
+std::vector<RowGroup>
+RowScout::scout()
+{
+    // All returned groups must share one retention time T (paper §4.1:
+    // "multiple rows that have the same retention times"), so every T
+    // escalation restarts group selection from scratch (Fig. 6).
+    std::map<Row, Time> first_fail;
+    std::vector<RowGroup> best;
+
+    UTRR_PROF_SCOPE_SIM("row_scout.scout", host.clockPtr());
+    ScopedTimer timer(host.attachedMetrics(), "row_scout.scout");
+    SimPhase phase(&host.trace(), "row_scout",
+                   [this] { return host.now(); });
+    for (Time t = cfg.initialT; t <= cfg.maxT; t += cfg.stepT) {
+        UTRR_DEBUG("row scout: scanning at T = ", nsToMs(t), " ms");
+        const std::map<Row, int> failing = scanFailingRows(t);
+        for (const auto &[row, flips] : failing) {
+            if (!first_fail.count(row))
+                first_fail[row] = t;
+        }
+
+        std::vector<RowGroup> groups;
+        std::set<Row> reserved_phys;
+        auto overlaps_reserved = [&](const RowGroup &group) {
+            for (int d = -cfg.groupSeparation;
+                 d < cfg.layout.span() + cfg.groupSeparation; ++d) {
+                if (reserved_phys.count(group.basePhysRow + d))
+                    return true;
+            }
+            return false;
+        };
+
+        for (RowGroup &group : formCandidateGroups(first_fail, t)) {
+            if (overlaps_reserved(group))
+                continue;
+            bool consistent = true;
+            for (const ProfiledRow &row : group.rows) {
+                if (!validateRetention(row.logicalRow, t,
+                                       cfg.consistencyChecks)) {
+                    consistent = false;
+                    UTRR_DEBUG("row ", row.logicalRow,
+                               " failed consistency (VRT?)");
+                    break;
+                }
+            }
+            if (!consistent)
+                continue;
+            for (int d = 0; d < cfg.layout.span(); ++d)
+                reserved_phys.insert(group.basePhysRow + d);
+            groups.push_back(std::move(group));
+            if (static_cast<int>(groups.size()) >= cfg.groupCount)
+                return revalidateAndReplace(std::move(groups));
+        }
+        if (groups.size() > best.size())
+            best = std::move(groups);
+    }
+
+    warn(logFmt("row scout found only ", best.size(), " of ",
+                cfg.groupCount, " requested groups (layout ",
+                cfg.layout.text(), ")"));
+    return revalidateAndReplace(std::move(best));
+}
+
+std::vector<RowGroup>
+RowScout::scoutReplacements(const std::vector<RowGroup> &existing, Time t,
+                            int needed)
+{
+    // Replacement groups must share the survivors' retention T (paper
+    // §4.1), so eligibility is rebuilt at exactly that T: one scan at
+    // the hold point marks early failers ineligible, one scan at T
+    // marks the rest eligible.
+    std::map<Row, Time> first_fail;
+    for (const auto &[row, flips] : scanFailingRows(t / 2))
+        first_fail[row] = t / 2;
+    for (const auto &[row, flips] : scanFailingRows(t)) {
+        if (!first_fail.count(row))
+            first_fail[row] = t;
+    }
+
+    std::set<Row> reserved_phys;
+    for (const RowGroup &group : existing) {
+        for (int d = 0; d < cfg.layout.span(); ++d)
+            reserved_phys.insert(group.basePhysRow + d);
+    }
+    auto overlaps_reserved = [&](const RowGroup &group) {
+        for (int d = -cfg.groupSeparation;
+             d < cfg.layout.span() + cfg.groupSeparation; ++d) {
+            if (reserved_phys.count(group.basePhysRow + d))
+                return true;
+        }
+        return false;
+    };
+
+    std::vector<RowGroup> found;
+    for (RowGroup &group : formCandidateGroups(first_fail, t)) {
+        if (overlaps_reserved(group))
+            continue;
+        bool consistent = true;
+        for (const ProfiledRow &row : group.rows) {
+            if (!validateRetention(row.logicalRow, t,
+                                   cfg.consistencyChecks)) {
+                consistent = false;
+                break;
+            }
+        }
+        if (!consistent)
+            continue;
+        for (int d = 0; d < cfg.layout.span(); ++d)
+            reserved_phys.insert(group.basePhysRow + d);
+        found.push_back(std::move(group));
+        if (static_cast<int>(found.size()) >= needed)
+            break;
+    }
+    return found;
+}
+
+std::vector<RowGroup>
+RowScout::revalidateAndReplace(std::vector<RowGroup> groups)
+{
+    if (cfg.revalidateChecks <= 0)
+        return groups;
+    UTRR_PROF_SCOPE_SIM("row_scout.revalidate", host.clockPtr());
+    ScopedTimer timer(host.attachedMetrics(), "row_scout.revalidate");
+    SimPhase phase(&host.trace(), "rs_revalidate",
+                   [this] { return host.now(); });
+
+    int eviction_budget = cfg.maxEvictions;
+    while (eviction_budget > 0) {
+        // Stability pass: every accepted row must still hold for T/2
+        // and fail at T. A row that stopped failing (VRT flip to the
+        // high-retention mode, upward drift) would make "no flips" an
+        // ambiguous signal in the analyzer, so its group is evicted.
+        std::size_t i = 0;
+        bool evicted_any = false;
+        while (i < groups.size() && eviction_budget > 0) {
+            RowGroup &group = groups[i];
+            bool healthy = true;
+            for (const ProfiledRow &row : group.rows) {
+                if (!validateRetention(row.logicalRow, group.retention,
+                                       cfg.revalidateChecks)) {
+                    UTRR_DEBUG("row scout: evicting group at phys ",
+                               group.basePhysRow, " (row ",
+                               row.logicalRow, " unstable)");
+                    healthy = false;
+                    break;
+                }
+            }
+            if (healthy) {
+                ++i;
+                continue;
+            }
+            for (const ProfiledRow &row : group.rows)
+                burnedPhys.insert(row.physRow);
+            groups.erase(groups.begin() +
+                         static_cast<std::ptrdiff_t>(i));
+            ++evictions;
+            --eviction_budget;
+            evicted_any = true;
+            if (MetricsRegistry *m = host.attachedMetrics())
+                m->counter("row_scout.evictions").inc();
+        }
+        if (!evicted_any)
+            break;
+
+        const int missing =
+            cfg.groupCount - static_cast<int>(groups.size());
+        if (missing <= 0 || groups.empty())
+            break;
+        // Replacements profile at the survivors' shared T; they get the
+        // same stability pass on the next loop iteration.
+        for (RowGroup &fresh :
+             scoutReplacements(groups, groups.front().retention,
+                               missing)) {
+            groups.push_back(std::move(fresh));
+            ++replacements;
+            if (MetricsRegistry *m = host.attachedMetrics())
+                m->counter("row_scout.replacements").inc();
+        }
+    }
+
+    if (static_cast<int>(groups.size()) < cfg.groupCount) {
+        warn(logFmt("row scout re-validation left ", groups.size(),
+                    " of ", cfg.groupCount, " groups after ", evictions,
+                    " evictions"));
+    }
+    return groups;
+}
+
+ExperimentReport
+RowScout::makeReport(const std::vector<RowGroup> &groups) const
+{
+    ExperimentReport report("row_scout");
+    report.setConfig("bank", Json(static_cast<std::int64_t>(cfg.bank)));
+    report.setConfig("row_start",
+                     Json(static_cast<std::int64_t>(cfg.rowStart)));
+    report.setConfig("row_end",
+                     Json(static_cast<std::int64_t>(cfg.rowEnd)));
+    report.setConfig("layout", Json(cfg.layout.text()));
+    report.setConfig("group_count",
+                     Json(static_cast<std::int64_t>(cfg.groupCount)));
+    report.setConfig(
+        "consistency_checks",
+        Json(static_cast<std::int64_t>(cfg.consistencyChecks)));
+    report.setSeed(host.module().seed());
+
+    Json found = Json::array();
+    for (const RowGroup &group : groups) {
+        Json entry = Json::object();
+        entry["base_phys_row"] =
+            Json(static_cast<std::int64_t>(group.basePhysRow));
+        entry["retention_ns"] =
+            Json(static_cast<std::int64_t>(group.retention));
+        Json rows = Json::array();
+        for (const ProfiledRow &row : group.rows)
+            rows.push(Json(static_cast<std::int64_t>(row.physRow)));
+        entry["profiled_phys_rows"] = std::move(rows);
+        found.push(std::move(entry));
+    }
+    report.setResult("groups", std::move(found));
+    report.setResult("groups_found",
+                     Json(static_cast<std::uint64_t>(groups.size())));
+    report.setResult("validations_run",
+                     Json(static_cast<std::uint64_t>(validations)));
+    report.setResult("evictions",
+                     Json(static_cast<std::uint64_t>(evictions)));
+    report.setResult("replacements",
+                     Json(static_cast<std::uint64_t>(replacements)));
+    return report;
+}
+
+} // namespace utrr

@@ -1,0 +1,266 @@
+/**
+ * @file
+ * One DRAM bank, operating entirely in *physical* row space.
+ *
+ * The bank owns the sparse per-row state (rows materialize on first
+ * touch), executes the physical side effects of ACT/PRE/WR/RD/row-refresh
+ * and applies RowHammer disturbance to the physical neighbours of every
+ * activated row. Logical-to-physical translation happens one level up,
+ * in DramModule.
+ *
+ * Row storage is a direct-mapped slot table (`slotOf[phys_row]` indexes
+ * into a deque of RowState), so every lookup — including the contiguous
+ * scan of refreshRange — is O(1) with no tree walks. The deque keeps
+ * references stable while neighbour materialization happens mid-ACT.
+ * Hammer cells stay ungenerated until a row's accumulated charge reaches
+ * its base-threshold lower bound (RowPhysics::hammerBaseThreshold); until
+ * then the cells are inert at any charge the row can hold, so deferring
+ * them is bit-identical and skips the dominant cold-path cost.
+ */
+
+#ifndef UTRR_DRAM_BANK_HH
+#define UTRR_DRAM_BANK_HH
+
+#include <cstdint>
+#include <deque>
+#include <vector>
+
+#include "common/types.hh"
+#include "dram/physics.hh"
+#include "dram/row.hh"
+
+namespace utrr
+{
+
+/**
+ * Physical state of one DRAM bank.
+ */
+class DramBank
+{
+  public:
+    /**
+     * @param id bank index (used to derive per-row physics streams)
+     * @param phys_rows number of physical rows including spares
+     * @param generator shared per-module physics generator (not owned)
+     */
+    DramBank(Bank id, Row phys_rows, const PhysicsGenerator *generator);
+
+    /** Open a row: restore its charge, disturb its neighbours. */
+    void activate(Row phys_row, Time now);
+
+    /** Close the open row. */
+    void precharge(Time now);
+
+    /**
+     * Pre-resolved single-activation work for one aggressor row: the
+     * aggressor's row state and each in-range victim with both possible
+     * disturbance weights pre-multiplied (the repeat/same-data factors
+     * are constant while no WR lands, so only the lastDisturber branch
+     * remains per ACT). Row pointers stay valid while the bank's row
+     * storage does — build plans per burst, never across snapshot
+     * restores.
+     */
+    struct ActPlan
+    {
+        struct PlannedVictim
+        {
+            RowState *state;
+            /** Weight when the victim's last disturber is another row. */
+            double wFirst;
+            /** Weight when this row was also the previous disturber. */
+            double wRepeat;
+        };
+        Row phys = kInvalidRow;
+        RowState *aggr = nullptr;
+        int victimCount = 0;
+        PlannedVictim victims[4];
+    };
+
+    /**
+     * Build an activation plan for @p phys_row. The aggressor and its
+     * victims must not change stored data while the plan is in use.
+     * Materializes any not-yet-touched victim rows at @p now — callers
+     * that need interpreter-exact materialization order must run the
+     * first activation through activate() and build the plan afterwards.
+     */
+    ActPlan buildActPlan(Row phys_row, Time now);
+
+    /**
+     * One ACT(+immediate PRE) worth of physical side effects from a
+     * prebuilt plan: bump the ACT counter, restore the aggressor's
+     * charge, disturb the planned victims. The bank must be (and stays)
+     * precharged.
+     */
+    void activatePlanned(const ActPlan &plan, Time now);
+
+    /**
+     * Execute @p count ACT+PRE cycles of @p phys_row, @p cycle ns apart
+     * starting at @p start, in one call — bit-identical to the same loop
+     * of activate()/precharge(). Cycle 0 runs the standard path (exact
+     * materialization order and hammer-cell attach); the remaining
+     * cycles run off an ActPlan, and when the aggressor's restores are
+     * provably all fast-path its per-cycle bookkeeping collapses to one
+     * fast-forward while each victim's charge still accumulates with
+     * per-ACT floating-point additions.
+     */
+    void applyActivationBurst(Row phys_row, int count, Time start,
+                              Time cycle);
+
+    /**
+     * applyActivationBurst() from a prebuilt plan — the form behind the
+     * host's cross-call plan cache. Every row the plan references is
+     * already materialized (plan building materializes), so cycle 0 is
+     * a plain activatePlanned() and no per-burst row lookups remain.
+     * The plan must still be valid: no WR/wrWord landed in this bank
+     * and no snapshot restore replaced the row storage since it was
+     * built (DramModule::planEpoch() tracks both).
+     */
+    void applyActivationBurstPlanned(const ActPlan &plan, int count,
+                                     Time start, Time cycle);
+
+    /**
+     * True when @p rounds round-robin ACT+PRE passes over the @p n
+     * planned aggressors (all in this bank, in global round order, one
+     * ACT each per pass, consecutive restores of the same aggressor
+     * @p round_gap ns apart) can be applied as one fold by
+     * applyInterleavedRounds(): distinct aggressor rows, and every
+     * aggressor's restores provably fast-path even with the worst-case
+     * charge the other listed aggressors can pump into it per round.
+     * Pure check — mutates nothing.
+     */
+    /** Most aggressors one interleaved fold accepts (stack bounds). */
+    static constexpr int kMaxInterleavedFold = 8;
+
+    bool interleavedRoundsFoldable(const ActPlan *const *plans, int n,
+                                   Time round_gap) const;
+
+    /**
+     * Apply @p rounds round-robin passes over the planned aggressors in
+     * one call — bit-identical to the same actPlanned() loop. Victim
+     * charge accumulates with per-ACT floating-point additions in round
+     * order; each aggressor's restores collapse to one fast-forward at
+     * @p last_times[i] (its final-pass ACT) plus the surviving
+     * final-pass disturbances from later-in-round aggressors. The
+     * caller must have checked interleavedRoundsFoldable().
+     */
+    void applyInterleavedRounds(const ActPlan *const *plans,
+                                const Time *last_times, int n,
+                                int rounds);
+
+    /** Write a whole-row pattern into the open row. */
+    void writeOpenRow(const DataPattern &pattern, Row pattern_row,
+                      Time now);
+
+    /** Write one 64-bit word of the open row. */
+    void writeOpenRowWord(int word_idx, std::uint64_t value);
+
+    /** Read the open row. */
+    RowReadout readOpenRow() const;
+
+    /**
+     * Refresh a single physical row (used by the internal refresh engine
+     * and by TRR-induced refreshes). No disturbance is applied.
+     */
+    void refreshRow(Row phys_row, Time now);
+
+    /** Refresh all materialized rows in [phys_lo, phys_hi). */
+    void refreshRange(Row phys_lo, Row phys_hi, Time now);
+
+    /** Currently open physical row, or kInvalidRow. */
+    Row openRow() const { return open; }
+
+    /** Physical rows in this bank (including spares). */
+    Row physRows() const { return physRowCount; }
+
+    /** Direct row-state access for white-box tests and fast readback. */
+    const RowState *peekRow(Row phys_row) const;
+
+    /** Materialize (if needed) and return a row's state. */
+    RowState &rowAt(Row phys_row, Time now);
+
+    /** Total ACT commands seen by this bank. */
+    std::uint64_t actCount() const { return acts; }
+
+    /** Total single-row refreshes performed in this bank. */
+    std::uint64_t rowRefreshCount() const { return rowRefreshes; }
+
+    /** Number of materialized rows (memory footprint diagnostics). */
+    std::size_t materializedRows() const { return states.size(); }
+
+    /** Fast-path tallies of every row this bank owns. */
+    const RowPerfCounters &perf() const { return perfCounters; }
+
+    /**
+     * Fault-injection hook: multiply one row's retention scale
+     * (materializing the row if needed).
+     */
+    void scaleRowRetention(Row phys_row, double factor, Time now);
+
+    /**
+     * Fault-injection hook: multiply the retention scale of every
+     * materialized row and of all rows materialized later (temperature
+     * drift affects the whole bank).
+     */
+    void scaleAllRetention(double factor);
+
+    // ------------------------------------------------------------------
+    // Snapshot / restore (DESIGN.md §16)
+    // ------------------------------------------------------------------
+
+    /**
+     * Everything a bank needs to be rewound to an earlier point. Row
+     * contents stay copy-on-write: copying a RowState shares its
+     * override map and flip list behind shared_ptr, and either side
+     * clones at its next mutation (the PR 5 readout COW extended to
+     * snapshots), so the deep-copied part is only the slot table and
+     * the per-row bookkeeping scalars.
+     */
+    struct Snapshot
+    {
+        std::vector<std::int32_t> slotOf;
+        std::deque<RowState> states;
+        Row open = kInvalidRow;
+        std::uint64_t acts = 0;
+        std::uint64_t rowRefreshes = 0;
+        double baseRetentionScale = 1.0;
+        RowPerfCounters perfCounters;
+    };
+
+    /** Capture this bank's mutable state. */
+    Snapshot snapshotState() const;
+
+    /**
+     * Restore a snapshot taken from this bank or from any bank with the
+     * same (id, physRows, generator) — i.e. the same position in a
+     * module built from the same (spec, seed). Re-attaches every row's
+     * perf tallies to this bank.
+     */
+    void restoreState(const Snapshot &snap);
+
+  private:
+    void disturbNeighbours(Row aggressor, Time now);
+    void disturbOne(Row aggressor, std::uint64_t aggr_word0, Row victim,
+                    double weight, Time now);
+    /** Generate and attach hammer cells once charge demands them. */
+    void attachHammerCells(Row phys_row, RowState &state);
+
+    Bank id;
+    Row physRowCount;
+    double baseRetentionScale = 1.0;
+    const PhysicsGenerator *gen;
+    /** phys_row -> index into `states`; -1 = not materialized. */
+    std::vector<std::int32_t> slotOf;
+    /** Materialized rows in first-touch order (stable references). */
+    std::deque<RowState> states;
+    Row open = kInvalidRow;
+    std::uint64_t acts = 0;
+    std::uint64_t rowRefreshes = 0;
+    /** Shared by every RowState in `states` (addresses stay stable as
+     *  long as the bank itself does — banks are built once per module
+     *  and never moved). */
+    RowPerfCounters perfCounters;
+};
+
+} // namespace utrr
+
+#endif // UTRR_DRAM_BANK_HH

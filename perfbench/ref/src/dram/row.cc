@@ -1,0 +1,453 @@
+#include "dram/row.hh"
+
+#include <algorithm>
+#include <cmath>
+
+#include "common/logging.hh"
+
+namespace utrr
+{
+
+namespace
+{
+
+const std::vector<Col> kNoFlips;
+
+} // namespace
+
+RowReadout::RowReadout(
+    DataPattern pattern, Row pattern_row,
+    std::shared_ptr<const std::unordered_map<int, std::uint64_t>>
+        overrides,
+    std::shared_ptr<const std::vector<Col>> flips, int row_bits)
+    : pattern(pattern), patternRow(pattern_row),
+      overrides(std::move(overrides)), flips(std::move(flips)),
+      bits(row_bits)
+{
+}
+
+std::uint64_t
+RowReadout::storedWord(int word_idx) const
+{
+    if (overrides) {
+        const auto it = overrides->find(word_idx);
+        if (it != overrides->end())
+            return it->second;
+    }
+    return pattern.word(patternRow, word_idx);
+}
+
+const std::vector<Col> &
+RowReadout::rawFlips() const
+{
+    return flips ? *flips : kNoFlips;
+}
+
+bool
+RowReadout::bit(Col col) const
+{
+    const std::uint64_t w = storedWord(col / 64);
+    const bool stored = ((w >> (col % 64)) & 1) != 0;
+    const auto &f = rawFlips();
+    const bool is_flipped = std::binary_search(f.begin(), f.end(), col);
+    return stored ^ is_flipped;
+}
+
+std::uint64_t
+RowReadout::word(int word_idx) const
+{
+    std::uint64_t w = storedWord(word_idx);
+    // Apply flips within this word.
+    const auto &f = rawFlips();
+    const Col lo = static_cast<Col>(word_idx) * 64;
+    auto it = std::lower_bound(f.begin(), f.end(), lo);
+    for (; it != f.end() && *it < lo + 64; ++it)
+        w ^= 1ULL << (*it - lo);
+    return w;
+}
+
+void
+RowReadout::injectFlip(Col col)
+{
+    UTRR_ASSERT(col >= 0 && col < bits,
+                logFmt("injected flip column ", col, " out of range"));
+    // The flip list may be shared with the row that produced this
+    // readout: mutate a private copy.
+    auto copy = flips ? std::make_shared<std::vector<Col>>(*flips)
+                      : std::make_shared<std::vector<Col>>();
+    const auto it = std::lower_bound(copy->begin(), copy->end(), col);
+    if (it != copy->end() && *it == col)
+        copy->erase(it); // double fault cancels out
+    else
+        copy->insert(it, col);
+    flips = std::move(copy);
+}
+
+std::vector<Col>
+RowReadout::flipsVs(const DataPattern &expected, Row expected_row) const
+{
+    // Fast path: the expectation is exactly what was last written, so
+    // the committed flips are the answer (modulo word overrides).
+    if (!hasOverrides() && expected == pattern &&
+        expected_row == patternRow) {
+        return rawFlips();
+    }
+    return diffReadout(*this, expected, expected_row);
+}
+
+int
+RowReadout::countFlipsVs(const DataPattern &expected,
+                         Row expected_row) const
+{
+    if (!hasOverrides() && expected == pattern &&
+        expected_row == patternRow) {
+        return static_cast<int>(rawFlips().size());
+    }
+    return diffReadoutCount(*this, expected, expected_row);
+}
+
+std::vector<Col>
+diffReadout(const RowReadout &readout, const DataPattern &expected,
+            Row expected_row)
+{
+    std::vector<Col> result;
+    const int bits = readout.rowBits();
+    const int full = bits / 64;
+    for (int w = 0; w < full; ++w) {
+        std::uint64_t diff =
+            readout.word(w) ^ expected.word(expected_row, w);
+        while (diff != 0) {
+            const int b = __builtin_ctzll(diff);
+            result.push_back(static_cast<Col>(w) * 64 + b);
+            diff &= diff - 1;
+        }
+    }
+    const int tail = bits % 64;
+    if (tail != 0) {
+        const std::uint64_t mask = (1ULL << tail) - 1;
+        std::uint64_t diff =
+            (readout.word(full) ^ expected.word(expected_row, full)) &
+            mask;
+        while (diff != 0) {
+            const int b = __builtin_ctzll(diff);
+            result.push_back(static_cast<Col>(full) * 64 + b);
+            diff &= diff - 1;
+        }
+    }
+    return result;
+}
+
+int
+diffReadoutCount(const RowReadout &readout, const DataPattern &expected,
+                 Row expected_row)
+{
+    int count = 0;
+    const int bits = readout.rowBits();
+    const int full = bits / 64;
+    for (int w = 0; w < full; ++w) {
+        count += __builtin_popcountll(
+            readout.word(w) ^ expected.word(expected_row, w));
+    }
+    const int tail = bits % 64;
+    if (tail != 0) {
+        const std::uint64_t mask = (1ULL << tail) - 1;
+        count += __builtin_popcountll(
+            (readout.word(full) ^ expected.word(expected_row, full)) &
+            mask);
+    }
+    return count;
+}
+
+RowState::RowState(RowPhysics physics, Time now, Rng vrt_rng, int row_bits,
+                   Time vrt_dwell, double vrt_high_factor)
+    : phys(std::move(physics)), lastRestore(now), vrtRng(vrt_rng),
+      lastVrtCheck(now), vrtDwell(vrt_dwell),
+      vrtHighFactor(vrt_high_factor), bits(row_bits)
+{
+    for (const WeakCell &cell : phys.weakCells)
+        vrtRow = vrtRow || cell.vrt;
+    weakSorted = std::is_sorted(
+        phys.weakCells.begin(), phys.weakCells.end(),
+        [](const WeakCell &a, const WeakCell &b) {
+            return a.retention < b.retention;
+        });
+    refreshMinRetention();
+    if (!phys.hammerCells.empty()) {
+        // Hammer cells supplied up front (hand-built physics): behave
+        // exactly as if they had just been attached.
+        hammerAttached = true;
+        hammerFloor = std::numeric_limits<double>::infinity();
+        for (const HammerCell &cell : phys.hammerCells)
+            hammerFloor = std::min(hammerFloor, cell.threshold);
+    } else {
+        hammerFloor = phys.hammerBaseThreshold;
+    }
+}
+
+void
+RowState::refreshMinRetention()
+{
+    if (phys.weakCells.empty()) {
+        minRetCache = std::numeric_limits<Time>::max();
+        return;
+    }
+    Time min_ret = phys.weakCells.front().retention;
+    if (!weakSorted) {
+        for (const WeakCell &cell : phys.weakCells)
+            min_ret = std::min(min_ret, cell.retention);
+    }
+    // Mirror effectiveRetention()'s arithmetic exactly: the scaled value
+    // is monotone in the raw retention, so the weakest cell's scaled
+    // retention bounds every cell's.
+    minRetCache = retScale == 1.0
+        ? min_ret
+        : static_cast<Time>(static_cast<double>(min_ret) * retScale);
+}
+
+std::unordered_map<int, std::uint64_t> &
+RowState::mutableOverrides()
+{
+    if (!overrides) {
+        overrides =
+            std::make_shared<std::unordered_map<int, std::uint64_t>>();
+    } else if (overrides.use_count() > 1) {
+        overrides =
+            std::make_shared<std::unordered_map<int, std::uint64_t>>(
+                *overrides);
+        if (perf != nullptr)
+            ++perf->readoutCowCopies;
+    }
+    return *overrides;
+}
+
+std::vector<Col> &
+RowState::mutableFlips()
+{
+    if (!flips) {
+        flips = std::make_shared<std::vector<Col>>();
+    } else if (flips.use_count() > 1) {
+        flips = std::make_shared<std::vector<Col>>(*flips);
+        if (perf != nullptr)
+            ++perf->readoutCowCopies;
+    }
+    return *flips;
+}
+
+bool
+RowState::storedBit(Col col) const
+{
+    if (overrides) {
+        const auto it = overrides->find(col / 64);
+        if (it != overrides->end())
+            return ((it->second >> (col % 64)) & 1) != 0;
+    }
+    return pattern.bit(patRow, col);
+}
+
+Time
+RowState::effectiveRetention(const WeakCell &cell, Time now)
+{
+    // Injected retention scaling (VRT mode flips, temperature drift).
+    // The scale-1.0 fast path keeps the unfaulted simulation bit-exact.
+    const Time retention = retScale == 1.0
+        ? cell.retention
+        : static_cast<Time>(static_cast<double>(cell.retention) *
+                            retScale);
+    if (!cell.vrt)
+        return retention;
+
+    // Symmetric random-telegraph process: probability the state differs
+    // after dt is (1 - exp(-2 dt / dwell)) / 2.
+    const Time dt = now - lastVrtCheck;
+    if (dt > 0 && vrtDwell > 0) {
+        const double p_switch =
+            0.5 * (1.0 -
+                   std::exp(-2.0 * static_cast<double>(dt) /
+                            static_cast<double>(vrtDwell)));
+        if (vrtRng.chance(p_switch))
+            vrtHigh = !vrtHigh;
+        lastVrtCheck = now;
+    }
+    if (!vrtHigh)
+        return retention;
+    return static_cast<Time>(
+        static_cast<double>(retention) * vrtHighFactor);
+}
+
+void
+RowState::commitFlip(Col col)
+{
+    std::vector<Col> &f = mutableFlips();
+    const auto it = std::lower_bound(f.begin(), f.end(), col);
+    if (it == f.end() || *it != col)
+        f.insert(it, col);
+}
+
+void
+RowState::commitDueFlips(Time now)
+{
+    const Time elapsed = now - lastRestore;
+
+    // Retention failures: a charged cell decays once elapsed exceeds its
+    // (VRT-adjusted) retention time. The cells are sorted by retention,
+    // so on a VRT-free row the first surviving cell ends the scan (a VRT
+    // cell's retention draw is visible state and must always happen).
+    for (const WeakCell &cell : phys.weakCells) {
+        if (elapsed <= effectiveRetention(cell, now)) {
+            if (weakSorted && !vrtRow)
+                break;
+            continue;
+        }
+        if (storedBit(cell.col) != cell.chargedValue)
+            continue; // already in the discharged state
+        commitFlip(cell.col);
+    }
+
+    // RowHammer failures: cells whose threshold has been crossed by the
+    // accumulated disturbance charge flip. hammerCells is sorted by
+    // threshold, so we stop at the first cell that survives.
+    for (const HammerCell &cell : phys.hammerCells) {
+        if (cell.threshold > charge)
+            break;
+        if (storedBit(cell.col) != cell.chargedValue)
+            continue;
+        commitFlip(cell.col);
+    }
+}
+
+bool
+RowState::canSkipCommit(Time now) const
+{
+    if (vrtRow || charge >= hammerFloor)
+        return false;
+    return now - lastRestore <= minRetCache;
+}
+
+void
+RowState::restoreCharge(Time now)
+{
+    UTRR_ASSERT(hammerAttached || charge < phys.hammerBaseThreshold,
+                "hammer cells must be attached before a restore that "
+                "crosses the row's base threshold");
+    if (canSkipCommit(now)) {
+        if (perf != nullptr)
+            ++perf->restoreFastPath;
+    } else {
+        if (perf != nullptr)
+            ++perf->restoreSlowPath;
+        commitDueFlips(now);
+    }
+    lastRestore = now;
+    charge = 0.0;
+    lastAggressor = kInvalidRow;
+}
+
+void
+RowState::addDisturbance(Row aggressor_phys, double added)
+{
+    charge += added;
+    lastAggressor = aggressor_phys;
+}
+
+void
+RowState::addDisturbanceRun(Row aggressor_phys, double added, int n)
+{
+    // n separate additions, not one multiply: FP addition is not
+    // associative and the charge must stay bit-identical to n
+    // interpreter-issued addDisturbance() calls.
+    double c = charge;
+    for (int i = 0; i < n; ++i)
+        c += added;
+    charge = c;
+    lastAggressor = aggressor_phys;
+}
+
+void
+RowState::addDisturbanceRoundRobin(const Row *aggrs, const double *w_first,
+                                   const double *w_repeat, int m,
+                                   int rounds)
+{
+    // Live weight resolution per add: the first pass may still see a
+    // pre-burst lastDisturber, and a single-aggressor victim takes the
+    // repeat weight throughout — both fall out of replaying the branch
+    // rather than precomputing a steady-state schedule.
+    double c = charge;
+    Row last = lastAggressor;
+    for (int k = 0; k < rounds; ++k) {
+        for (int i = 0; i < m; ++i) {
+            c += last == aggrs[i] ? w_repeat[i] : w_first[i];
+            last = aggrs[i];
+        }
+    }
+    charge = c;
+    lastAggressor = last;
+}
+
+void
+RowState::fastForwardRestores(Time last_now, std::uint64_t n)
+{
+    if (perf != nullptr)
+        perf->restoreFastPath += n;
+    lastRestore = last_now;
+    charge = 0.0;
+    lastAggressor = kInvalidRow;
+}
+
+void
+RowState::writePattern(const DataPattern &new_pattern, Row pattern_row,
+                       Time now)
+{
+    pattern = new_pattern;
+    patRow = pattern_row;
+    overrides.reset();
+    flips.reset();
+    lastRestore = now;
+}
+
+void
+RowState::writeWord(int word_idx, std::uint64_t value)
+{
+    mutableOverrides()[word_idx] = value;
+    // Writing a word recharges exactly its cells: drop flips within it.
+    if (!flips || flips->empty())
+        return;
+    const Col lo = static_cast<Col>(word_idx) * 64;
+    auto first = std::lower_bound(flips->begin(), flips->end(), lo);
+    if (first == flips->end() || *first >= lo + 64)
+        return; // nothing to drop: leave the shared list untouched
+    std::vector<Col> &f = mutableFlips();
+    const auto begin = std::lower_bound(f.begin(), f.end(), lo);
+    const auto end = std::lower_bound(begin, f.end(), lo + 64);
+    f.erase(begin, end);
+}
+
+RowReadout
+RowState::read() const
+{
+    if (perf != nullptr)
+        ++perf->readoutShares;
+    return RowReadout(pattern, patRow, overrides, flips, bits);
+}
+
+std::uint64_t
+RowState::storedWord0() const
+{
+    if (overrides) {
+        const auto it = overrides->find(0);
+        if (it != overrides->end())
+            return it->second;
+    }
+    return pattern.word(patRow, 0);
+}
+
+void
+RowState::setHammerCells(std::vector<HammerCell> cells)
+{
+    phys.hammerCells = std::move(cells);
+    hammerAttached = true;
+    hammerFloor = std::numeric_limits<double>::infinity();
+    for (const HammerCell &cell : phys.hammerCells)
+        hammerFloor = std::min(hammerFloor, cell.threshold);
+}
+
+} // namespace utrr

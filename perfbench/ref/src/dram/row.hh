@@ -1,0 +1,352 @@
+/**
+ * @file
+ * Per-row DRAM state: stored data, committed bit flips, charge bookkeeping.
+ *
+ * A row's contents are represented sparsely: a whole-row DataPattern (what
+ * was last written), optional per-word overrides, and the set of columns
+ * whose cells have lost their charge ("committed flips"). Charge
+ * bookkeeping follows real DRAM behaviour:
+ *
+ *  - ACT / REF restores the charge of all cells of the row, but a cell
+ *    that has *already* decayed past its retention time (or flipped due
+ *    to hammering) is sensed wrong and the wrong value is restored — the
+ *    flip is committed until the row is rewritten;
+ *  - between restores, retention flips become due once
+ *    `now - lastRefresh` exceeds a cell's (VRT-state-dependent) retention
+ *    time, and hammer flips become due once accumulated disturbance
+ *    charge exceeds a cell's threshold.
+ *
+ * Two hot-path optimizations keep this cheap without changing semantics:
+ *
+ *  - restoreCharge() skips the cell scan entirely when the elapsed time
+ *    is within the row's cached minimum effective retention and the
+ *    accumulated charge is below the row's hammer floor. VRT rows never
+ *    take the fast path (their telegraph RNG draws are visible state);
+ *    retention scaling recomputes the cache.
+ *  - read() returns a RowReadout that *shares* the overrides map and
+ *    flip list with the row (copy-on-write at every mutation point), so
+ *    a RD is O(1) instead of copying both containers.
+ */
+
+#ifndef UTRR_DRAM_ROW_HH
+#define UTRR_DRAM_ROW_HH
+
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.hh"
+#include "common/types.hh"
+#include "dram/data_pattern.hh"
+#include "dram/physics.hh"
+
+namespace utrr
+{
+
+/**
+ * Always-on tallies of the row-state fast paths (one per bank, see
+ * DramBank). Plain integers bumped through a pointer — deterministic,
+ * cheap enough to leave enabled unconditionally — published into the
+ * metrics registry as dram.restore.*, dram.hammer_cell_attaches and
+ * dram.readout.cow_* so a regression in the PR 5 invariants (fast-path
+ * hit rate collapsing, COW clones exploding) shows up as numbers
+ * instead of silent slowdown.
+ */
+struct RowPerfCounters
+{
+    /** restoreCharge() calls that skipped the cell scan entirely. */
+    std::uint64_t restoreFastPath = 0;
+    /** restoreCharge() calls that ran commitDueFlips(). */
+    std::uint64_t restoreSlowPath = 0;
+    /** Lazy hammer-cell generations (the deferred cold path). */
+    std::uint64_t hammerCellAttaches = 0;
+    /** Copy-on-write clones forced by a live shared readout. */
+    std::uint64_t readoutCowCopies = 0;
+    /** Readouts served zero-copy by sharing the row's containers. */
+    std::uint64_t readoutShares = 0;
+};
+
+/**
+ * Snapshot of a row's contents as seen by a READ burst.
+ *
+ * The snapshot shares immutable state with the RowState it came from:
+ * both containers are held behind shared_ptr-to-const (null meaning
+ * empty) and the row copies-on-write before mutating, so the readout
+ * stays a stable snapshot at zero copy cost.
+ */
+class RowReadout
+{
+  public:
+    /** Empty readout (zero-sized row); useful as a placeholder. */
+    RowReadout() = default;
+
+    RowReadout(
+        DataPattern pattern, Row pattern_row,
+        std::shared_ptr<const std::unordered_map<int, std::uint64_t>>
+            overrides,
+        std::shared_ptr<const std::vector<Col>> flips, int row_bits);
+
+    /** Value of bit @p col. */
+    bool bit(Col col) const;
+
+    /** 64-bit word @p word_idx. */
+    std::uint64_t word(int word_idx) const;
+
+    /** Number of whole 64-bit words in the row. */
+    int words() const { return bits / 64; }
+
+    /** Total number of bits in the row (may not be word-aligned). */
+    int rowBits() const { return bits; }
+
+    /**
+     * Columns whose value differs from @p expected (evaluated at row
+     * address @p expected_row). Fast path when the expectation matches
+     * what was last written.
+     */
+    std::vector<Col> flipsVs(const DataPattern &expected,
+                             Row expected_row) const;
+
+    /** Convenience: number of differing bits vs @p expected. */
+    int countFlipsVs(const DataPattern &expected, Row expected_row) const;
+
+    /** Columns currently flipped relative to the last written data. */
+    const std::vector<Col> &rawFlips() const;
+
+    /**
+     * Fault-injection hook: toggle one bit of this readout in place
+     * (models a transient read-back corruption on the bus, not a change
+     * to the stored row). Copies-on-write, so the originating row is
+     * untouched.
+     */
+    void injectFlip(Col col);
+
+  private:
+    std::uint64_t storedWord(int word_idx) const;
+    bool hasOverrides() const { return overrides && !overrides->empty(); }
+
+    DataPattern pattern{};
+    Row patternRow = 0;
+    std::shared_ptr<const std::unordered_map<int, std::uint64_t>> overrides;
+    std::shared_ptr<const std::vector<Col>> flips;
+    int bits = 0;
+};
+
+/**
+ * Word-at-a-time readback diff: XOR each 64-bit word of @p readout
+ * against @p expected (evaluated at @p expected_row) and extract
+ * differing columns with ctz instead of probing all 64 bit positions.
+ * A non-word-aligned tail is masked and compared too. Shared by
+ * RowReadout::flipsVs and every readback-scanning caller (RowScout,
+ * TRR analyzer, attack evaluator).
+ */
+std::vector<Col> diffReadout(const RowReadout &readout,
+                             const DataPattern &expected, Row expected_row);
+
+/** Popcount-only variant: the number of differing bits, no column list. */
+int diffReadoutCount(const RowReadout &readout, const DataPattern &expected,
+                     Row expected_row);
+
+/**
+ * Mutable state of one physical DRAM row.
+ */
+class RowState
+{
+  public:
+    /**
+     * @param physics immutable retention physics of the row
+     * @param now creation time; the row counts as freshly refreshed
+     * @param vrt_rng per-row RNG stream driving VRT state switches
+     * @param row_bits bits per row
+     * @param vrt_dwell mean dwell time (ns) per VRT state
+     * @param vrt_high_factor retention multiplier in the VRT high state
+     */
+    RowState(RowPhysics physics, Time now, Rng vrt_rng, int row_bits,
+             Time vrt_dwell, double vrt_high_factor);
+
+    /** Restore charge (ACT or REF): commit due flips, reset charge. */
+    void restoreCharge(Time now);
+
+    /** Record disturbance from an aggressor ACT. */
+    void addDisturbance(Row aggressor_phys, double charge);
+
+    /**
+     * Batched equivalent of @p n consecutive
+     * addDisturbance(@p aggressor_phys, @p added) calls. Performs n
+     * separate floating-point additions so the accumulation order — and
+     * therefore the resulting charge, bit for bit — matches n
+     * interpreter-issued ACTs.
+     */
+    void addDisturbanceRun(Row aggressor_phys, double added, int n);
+
+    /**
+     * Batched equivalent of @p rounds round-robin passes over @p m
+     * disturbing aggressors: the add sequence aggrs[0], aggrs[1], ...,
+     * aggrs[m-1] repeated @p rounds times. Each add resolves the
+     * repeat-vs-first weight from the row's live lastDisturber — and
+     * performs one separate floating-point addition — exactly as the
+     * matching interpreter-issued addDisturbance() calls would.
+     */
+    void addDisturbanceRoundRobin(const Row *aggrs, const double *w_first,
+                                  const double *w_repeat, int m,
+                                  int rounds);
+
+    /**
+     * True when restoreCharge() called with a gap of @p gap ns from the
+     * row's current (zero-charge) state is guaranteed to take the
+     * fast path — i.e. a uniform train of restores @p gap apart can be
+     * fast-forwarded without any per-call check. VRT rows never qualify
+     * (their telegraph RNG draws are visible state).
+     */
+    bool restoresFastForwardable(Time gap) const
+    {
+        return !vrtRow && charge < hammerFloor && gap <= minRetCache;
+    }
+
+    /**
+     * Variant for restores with disturbance landing in between: true
+     * when every restore of a uniform train @p gap apart is guaranteed
+     * the fast path even if the row accrues up to @p charge_bound extra
+     * charge between consecutive restores (each restore wipes the
+     * accrual, so the pre-restore charge never exceeds the current
+     * charge plus @p charge_bound).
+     */
+    bool restoresFastForwardable(Time gap, double charge_bound) const
+    {
+        return !vrtRow && charge + charge_bound < hammerFloor &&
+            gap <= minRetCache;
+    }
+
+    /**
+     * Batched equivalent of @p n consecutive fast-path restoreCharge()
+     * calls, the last one at @p last_now. The caller must have verified
+     * restoresFastForwardable() for the uniform step, and that no
+     * disturbance lands on this row between the restores.
+     */
+    void fastForwardRestores(Time last_now, std::uint64_t n);
+
+    /** Overwrite the whole row with a pattern (WR burst sequence). */
+    void writePattern(const DataPattern &pattern, Row pattern_row,
+                      Time now);
+
+    /** Overwrite one 64-bit word. */
+    void writeWord(int word_idx, std::uint64_t value);
+
+    /** Read the row's current contents. Only valid right after ACT. */
+    RowReadout read() const;
+
+    /** The pattern last written (defaults to all-zeros). */
+    const DataPattern &storedPattern() const { return pattern; }
+
+    /** Row address the pattern was evaluated at. */
+    Row patternRow() const { return patRow; }
+
+    /** First stored word; used for cheap aggressor-data coupling. */
+    std::uint64_t storedWord0() const;
+
+    /** Accumulated, uncommitted disturbance charge (units). */
+    double hammerCharge() const { return charge; }
+
+    /** Physical row of the last aggressor that disturbed this row. */
+    Row lastDisturber() const { return lastAggressor; }
+
+    /** Time of last charge restore. */
+    Time lastRefresh() const { return lastRestore; }
+
+    /** Lazily attach hammer cells (generated on first threshold risk). */
+    bool hasHammerCells() const { return !phys.hammerCells.empty(); }
+    void setHammerCells(std::vector<HammerCell> cells);
+
+    /**
+     * True when the accumulated charge has reached the row's hammer
+     * base threshold but the hammer cell list has not been generated
+     * yet. The bank must attach the cells (one generate() call) before
+     * the next restore so the due flips can commit.
+     */
+    bool needsHammerCells() const
+    {
+        return !hammerAttached && charge >= phys.hammerBaseThreshold;
+    }
+
+    /** The row's physics (read-only). */
+    const RowPhysics &physics() const { return phys; }
+
+    /**
+     * Fault-injection hook: scale the effective retention of every weak
+     * cell in this row (1.0 = nominal). A mid-experiment VRT mode flip
+     * multiplies by the VRT high factor (or its inverse); temperature
+     * drift walks the scale of all rows together. Exactly 1.0 is
+     * guaranteed bit-identical to the unscaled physics. Invalidates the
+     * fast-path minimum-retention cache.
+     */
+    void scaleRetention(double factor)
+    {
+        retScale *= factor;
+        refreshMinRetention();
+    }
+    void setRetentionScale(double scale)
+    {
+        retScale = scale;
+        refreshMinRetention();
+    }
+    double retentionScale() const { return retScale; }
+
+    /** Number of committed flips. */
+    std::size_t committedFlipCount() const
+    {
+        return flips ? flips->size() : 0;
+    }
+
+    /** Attach the owning bank's fast-path tallies (nullptr detaches). */
+    void attachPerf(RowPerfCounters *counters) { perf = counters; }
+
+  private:
+    bool storedBit(Col col) const;
+    Time effectiveRetention(const WeakCell &cell, Time now);
+    void commitDueFlips(Time now);
+    void commitFlip(Col col);
+    bool canSkipCommit(Time now) const;
+    void refreshMinRetention();
+
+    /** Copy-on-write accessors: clone when a readout shares the state. */
+    std::unordered_map<int, std::uint64_t> &mutableOverrides();
+    std::vector<Col> &mutableFlips();
+
+    RowPhysics phys;
+    DataPattern pattern = DataPattern::allZeros();
+    Row patRow = 0;
+    /** Null means empty; shared with readouts, copy-on-write. */
+    std::shared_ptr<std::unordered_map<int, std::uint64_t>> overrides;
+    /** Sorted columns; null means empty; shared, copy-on-write. */
+    std::shared_ptr<std::vector<Col>> flips;
+    Time lastRestore;
+    double charge = 0.0;
+    Row lastAggressor = kInvalidRow;
+    Rng vrtRng;
+    bool vrtHigh = false;
+    Time lastVrtCheck;
+    Time vrtDwell;
+    double vrtHighFactor;
+    double retScale = 1.0;
+    int bits;
+    /** Owning bank's fast-path tallies (not owned; may be null). */
+    RowPerfCounters *perf = nullptr;
+
+    // --- restoreCharge fast-path cache ---
+    /** Scaled retention of the weakest cell (Time max if none). */
+    Time minRetCache = std::numeric_limits<Time>::max();
+    /** Minimum hammer threshold to worry about: generated cells' floor
+     *  once attached, else the physics' base-threshold lower bound. */
+    double hammerFloor = std::numeric_limits<double>::infinity();
+    /** Any VRT cell forces the slow path (telegraph draws are state). */
+    bool vrtRow = false;
+    /** weakCells verified sorted: slow path may stop at first survivor. */
+    bool weakSorted = true;
+    /** Hammer cells generated (or supplied at construction). */
+    bool hammerAttached = false;
+};
+
+} // namespace utrr
+
+#endif // UTRR_DRAM_ROW_HH

@@ -1,0 +1,761 @@
+#include "softmc/host.hh"
+
+#include <algorithm>
+
+#include "common/logging.hh"
+#include "fault/fault_injector.hh"
+#include "obs/profiler.hh"
+#include "softmc/compiler.hh"
+
+namespace utrr
+{
+
+namespace
+{
+
+/** Process-wide default tier. Atomic: campaign workers construct hosts
+ *  concurrently; writes happen in CLI setup, before workers spawn. */
+std::atomic<ExecMode> g_defaultExecMode{ExecMode::kCompiled};
+
+} // namespace
+
+void
+SoftMcHost::setDefaultExecMode(ExecMode mode)
+{
+    g_defaultExecMode.store(mode, std::memory_order_relaxed);
+}
+
+ExecMode
+SoftMcHost::defaultExecMode()
+{
+    return g_defaultExecMode.load(std::memory_order_relaxed);
+}
+
+WatchdogTimeout::WatchdogTimeout(Time budget_ns, Time deadline_ns,
+                                 Time now_ns, std::uint64_t acts_issued,
+                                 std::uint64_t refs_issued)
+    : std::runtime_error(logFmt(
+          "watchdog budget of ", budget_ns, "ns exceeded: now=", now_ns,
+          "ns deadline=", deadline_ns, "ns after ", acts_issued,
+          " ACTs / ", refs_issued, " REFs")),
+      budgetNs(budget_ns), deadlineNs(deadline_ns), nowNs(now_ns),
+      actsIssued(acts_issued), refsIssued(refs_issued)
+{
+}
+
+StopRequested::StopRequested(Time now_ns)
+    : std::runtime_error(
+          logFmt("cooperative stop requested at ", now_ns, "ns")),
+      nowNs(now_ns)
+{
+}
+
+SoftMcHost::SoftMcHost(DramModule &module, Timing timing)
+    : dram(module), timingParams(timing), planCache(kPlanCacheSlots)
+{
+}
+
+SoftMcHost::PlanCacheEntry &
+SoftMcHost::planSlotFor(Bank bank, Row row)
+{
+    const std::size_t h =
+        (static_cast<std::size_t>(static_cast<std::uint32_t>(row)) *
+             31u +
+         static_cast<std::size_t>(static_cast<std::uint32_t>(bank))) %
+        kPlanCacheSlots;
+    return planCache[h];
+}
+
+const DramModule::ActPlan &
+SoftMcHost::cachedPlan(Bank bank, Row row)
+{
+    PlanCacheEntry &entry = planSlotFor(bank, row);
+    if (entry.bank != bank || entry.row != row ||
+        entry.epoch != dram.planEpoch()) {
+        entry.plan = dram.buildActPlan(bank, row, clock);
+        entry.bank = bank;
+        entry.row = row;
+        entry.epoch = dram.planEpoch();
+    }
+    return entry.plan;
+}
+
+void
+SoftMcHost::attachMetrics(MetricsRegistry *registry)
+{
+    metrics = registry;
+    dram.attachMetrics(registry);
+    if (fault != nullptr)
+        fault->attachMetrics(registry);
+}
+
+void
+SoftMcHost::publishPerfCounters()
+{
+    dram.publishPerfCounters();
+    if (metrics != nullptr)
+        metrics->counter("trace.dropped_events").value = cmdTrace.dropped();
+}
+
+void
+SoftMcHost::attachFaultInjector(FaultInjector *injector)
+{
+    if (fault != nullptr && fault != injector)
+        fault->attachTrace(nullptr);
+    fault = injector;
+    if (fault != nullptr) {
+        fault->attachTrace(&cmdTrace);
+        if (metrics != nullptr)
+            fault->attachMetrics(metrics);
+    }
+}
+
+void
+SoftMcHost::setWatchdogBudget(Time budget_ns)
+{
+    if (budget_ns <= 0) {
+        clearWatchdog();
+        return;
+    }
+    wdBudget = budget_ns;
+    wdDeadline = clock + budget_ns;
+}
+
+void
+SoftMcHost::clearWatchdog()
+{
+    wdBudget = 0;
+    wdDeadline = -1;
+}
+
+SoftMcHost::Snapshot
+SoftMcHost::snapshotState() const
+{
+    Snapshot snap;
+    snap.clock = clock;
+    snap.acts = acts;
+    snap.refCmds = refCmds;
+    snap.wdBudget = wdBudget;
+    snap.wdDeadline = wdDeadline;
+    snap.trace = cmdTrace;
+    return snap;
+}
+
+void
+SoftMcHost::restoreState(const Snapshot &snap)
+{
+    clock = snap.clock;
+    acts = snap.acts;
+    refCmds = snap.refCmds;
+    wdBudget = snap.wdBudget;
+    wdDeadline = snap.wdDeadline;
+    cmdTrace = snap.trace;
+    // An attached fault injector records into the host's trace through
+    // a cached pointer; the copy assignment above did not move the
+    // object, so the pointer stays valid.
+}
+
+void
+SoftMcHost::checkWatchdog()
+{
+    // The stop flag shares the watchdog's poll point (after every
+    // command); the null check keeps the fault-free hot path to one
+    // predictable branch.
+    if (stopFlag != nullptr &&
+        stopFlag->load(std::memory_order_relaxed)) {
+        throw StopRequested(clock);
+    }
+    if (wdDeadline >= 0 && clock > wdDeadline)
+        throw WatchdogTimeout(wdBudget, wdDeadline, clock, acts, refCmds);
+}
+
+void
+SoftMcHost::applyMitigation(Bank bank, Row row)
+{
+    const MitigationAction action =
+        mitigation->onActivate(bank, row, clock);
+    clock += action.delayNs;
+    // Victim refreshes are real ACT+PRE cycles issued while the bank
+    // is still precharged (before the triggering activation opens it).
+    const Row rows = dram.spec().rowsPerBank;
+    for (Row victim : action.refreshRows) {
+        if (victim < 0 || victim >= rows)
+            continue;
+        dram.act(bank, victim, clock);
+        dram.pre(bank, clock);
+        cmdTrace.record(TraceKind::kAct, bank, victim, clock,
+                        timingParams.tRAS);
+        clock += timingParams.hammerCycle();
+        ++acts;
+    }
+}
+
+void
+SoftMcHost::act(Bank bank, Row row)
+{
+    if (mitigation != nullptr)
+        applyMitigation(bank, row);
+    dram.act(bank, row, clock);
+    cmdTrace.record(TraceKind::kAct, bank, row, clock, timingParams.tRAS);
+    clock += timingParams.tRAS;
+    ++acts;
+    checkWatchdog();
+}
+
+void
+SoftMcHost::pre(Bank bank)
+{
+    dram.pre(bank, clock);
+    cmdTrace.record(TraceKind::kPre, bank, kInvalidRow, clock,
+                    timingParams.tRP);
+    clock += timingParams.tRP;
+}
+
+void
+SoftMcHost::wr(Bank bank, const DataPattern &pattern)
+{
+    // A dropped WR occupies the bus but leaves the row's old contents
+    // in place; the consumer sees it as massive unexpected flips.
+    if (fault == nullptr || !fault->shouldDropWr(bank, clock))
+        dram.wr(bank, pattern, clock);
+    cmdTrace.record(TraceKind::kWr, bank, kInvalidRow, clock,
+                    timingParams.tBURST);
+    clock += timingParams.tBURST;
+}
+
+void
+SoftMcHost::wrWord(Bank bank, int word_idx, std::uint64_t value)
+{
+    dram.wrWord(bank, word_idx, value);
+    cmdTrace.record(TraceKind::kWr, bank, kInvalidRow, clock,
+                    timingParams.tBURST);
+    clock += timingParams.tBURST;
+}
+
+RowReadout
+SoftMcHost::rd(Bank bank)
+{
+    if (fault != nullptr)
+        fault->onRowRead(dram, bank, dram.bankAt(bank).openRow(), clock);
+    RowReadout readout = dram.rd(bank);
+    if (fault != nullptr)
+        fault->corruptReadout(readout, bank, clock);
+    cmdTrace.record(TraceKind::kRd, bank, kInvalidRow, clock,
+                    timingParams.tBURST);
+    clock += timingParams.tBURST;
+    return readout;
+}
+
+void
+SoftMcHost::ref()
+{
+    if (mitigation != nullptr)
+        mitigation->onRefresh(clock);
+    // A dropped REF occupies the bus and counts on the host side, but
+    // the module never performs the refresh sweep.
+    if (fault == nullptr || !fault->shouldDropRef(clock))
+        dram.ref(clock);
+    cmdTrace.record(TraceKind::kRef, 0, kInvalidRow, clock,
+                    timingParams.tRFC);
+    clock += timingParams.tRFC;
+    ++refCmds;
+    checkWatchdog();
+}
+
+void
+SoftMcHost::refBurst(int count)
+{
+    UTRR_PROF_SCOPE_SIM("softmc.ref_burst", &clock);
+    for (int i = 0; i < count; ++i)
+        ref();
+}
+
+void
+SoftMcHost::refAtDefaultRate(int count)
+{
+    UTRR_PROF_SCOPE_SIM("softmc.ref_default_rate", &clock);
+    const Time start = clock;
+    for (int i = 0; i < count; ++i) {
+        ref();
+        Time gap = timingParams.tREFI - timingParams.tRFC;
+        if (fault != nullptr)
+            gap += fault->refJitter(clock);
+        clock += gap;
+    }
+    if (fault != nullptr)
+        fault->onTimeAdvance(dram, start, clock);
+    checkWatchdog();
+}
+
+void
+SoftMcHost::wait(Time ns)
+{
+    UTRR_PROF_SCOPE_SIM("softmc.wait", &clock);
+    UTRR_ASSERT(ns >= 0, "cannot wait negative time");
+    cmdTrace.record(TraceKind::kWait, 0, kInvalidRow, clock, ns);
+    const Time start = clock;
+    clock += ns;
+    if (fault != nullptr)
+        fault->onTimeAdvance(dram, start, clock);
+    checkWatchdog();
+}
+
+void
+SoftMcHost::waitWithRefresh(Time ns)
+{
+    UTRR_PROF_SCOPE_SIM("softmc.wait_refresh", &clock);
+    const Time start = clock;
+    const Time deadline = clock + ns;
+    while (clock + timingParams.tREFI <= deadline) {
+        Time gap = timingParams.tREFI - timingParams.tRFC;
+        if (fault != nullptr)
+            gap += fault->refJitter(clock);
+        clock += gap;
+        ref();
+    }
+    clock = std::max(clock, deadline);
+    if (fault != nullptr)
+        fault->onTimeAdvance(dram, start, clock);
+    checkWatchdog();
+}
+
+void
+SoftMcHost::writeRow(Bank bank, Row row, const DataPattern &pattern)
+{
+    act(bank, row);
+    wr(bank, pattern);
+    pre(bank);
+}
+
+RowReadout
+SoftMcHost::readRow(Bank bank, Row row)
+{
+    act(bank, row);
+    RowReadout readout = rd(bank);
+    pre(bank);
+    return readout;
+}
+
+void
+SoftMcHost::hammerOnce(Bank bank, Row row)
+{
+    if (fault != nullptr && fault->shouldDropHammerAct(bank, row, clock)) {
+        // The cycle burns bus time and counts on the host side, but the
+        // module never sees the activation (no disturbance, no TRR
+        // sampling).
+        cmdTrace.record(TraceKind::kAct, bank, row, clock,
+                        timingParams.tRAS);
+        clock += timingParams.hammerCycle();
+        ++acts;
+        checkWatchdog();
+        return;
+    }
+    act(bank, row);
+    pre(bank);
+}
+
+bool
+SoftMcHost::canBatchHammer(std::int64_t cycles) const
+{
+    if (execModeV != ExecMode::kCompiled || mitigation != nullptr ||
+        fault != nullptr || cycles <= 1) {
+        return false;
+    }
+    // The interpreter's watchdog fires after the ACT that crosses the
+    // deadline (mid-burst, with the bank left open); if any ACT of this
+    // burst could cross it, run the exact per-cycle path instead. The
+    // last ACT's poll point is at start + (cycles-1)*hammerCycle + tRAS.
+    return wdDeadline < 0 ||
+        clock + (cycles - 1) * timingParams.hammerCycle() +
+                timingParams.tRAS <=
+            wdDeadline;
+}
+
+void
+SoftMcHost::hammer(Bank bank, Row row, int count)
+{
+    UTRR_PROF_SCOPE_SIM("softmc.hammer", &clock);
+    if (!canBatchHammer(count)) {
+        for (int i = 0; i < count; ++i)
+            hammerOnce(bank, row);
+        return;
+    }
+    // Fused burst: one substrate call applies every cycle's physical
+    // side effects bit-identically (see DramBank::applyActivationBurst);
+    // the host replays the per-cycle trace records and advances the
+    // clock by the same per-cycle increments, summed. The plan cache
+    // makes back-to-back bursts of the same row (dummy fills hammer the
+    // same handful every REF slot) skip translation and row lookups.
+    const Time cycle = timingParams.hammerCycle();
+    dram.actBurstPlanned(cachedPlan(bank, row), count, clock, cycle);
+    if (cmdTrace.enabled()) {
+        Time t = clock;
+        for (int i = 0; i < count; ++i) {
+            cmdTrace.record(TraceKind::kAct, bank, row, t,
+                            timingParams.tRAS);
+            cmdTrace.record(TraceKind::kPre, bank, kInvalidRow,
+                            t + timingParams.tRAS, timingParams.tRP);
+            t += cycle;
+        }
+    }
+    clock += static_cast<Time>(count) * cycle;
+    acts += static_cast<std::uint64_t>(count);
+    checkWatchdog();
+}
+
+void
+SoftMcHost::hammerInterleaved(
+    const std::vector<std::pair<Bank, Row>> &rows,
+    const std::vector<int> &counts)
+{
+    UTRR_PROF_SCOPE_SIM("softmc.hammer_interleaved", &clock);
+    UTRR_ASSERT(rows.size() == counts.size(),
+                "one count per aggressor row");
+    std::int64_t total = 0;
+    for (int c : counts)
+        total += std::max(c, 0);
+    if (!canBatchHammer(total)) {
+        bool remaining = true;
+        std::vector<int> left(counts);
+        while (remaining) {
+            remaining = false;
+            for (std::size_t i = 0; i < rows.size(); ++i) {
+                if (left[i] <= 0)
+                    continue;
+                hammerOnce(rows[i].first, rows[i].second);
+                if (--left[i] > 0)
+                    remaining = true;
+            }
+        }
+        return;
+    }
+
+    // Batched round-robin: the first activation of each aggressor runs
+    // the standard path (materializing its victim rows at exactly the
+    // interpreter's simulated times), then an ActPlan caches the
+    // resolved addresses, row states and pre-multiplied weights for
+    // every later cycle. Alternating aggressors share victims, so the
+    // per-cycle lastDisturber branch stays live inside actPlanned.
+    const std::size_t n = rows.size();
+    // Scratch stays on the stack for the common small fan-outs; a
+    // heap-allocated vector per call would eat a measurable slice of
+    // the fold's win (the batched path runs once per REF slot).
+    constexpr std::size_t kStackAggr = 16;
+    DramModule::ActPlan plansBuf[kStackAggr];
+    char plannedBuf[kStackAggr];
+    int leftBuf[kStackAggr];
+    std::vector<DramModule::ActPlan> plansHeap;
+    std::vector<char> plannedHeap;
+    std::vector<int> leftHeap;
+    DramModule::ActPlan *plans = plansBuf;
+    char *planned = plannedBuf;
+    int *left = leftBuf;
+    if (n > kStackAggr) {
+        plansHeap.resize(n);
+        plannedHeap.assign(n, 0);
+        leftHeap.assign(counts.begin(), counts.end());
+        plans = plansHeap.data();
+        planned = plannedHeap.data();
+        left = leftHeap.data();
+    } else {
+        for (std::size_t i = 0; i < n; ++i) {
+            planned[i] = 0;
+            left[i] = counts[i];
+        }
+    }
+    const Time ras = timingParams.tRAS;
+    const Time rp = timingParams.tRP;
+
+    // When every aggressor hammers at least once, run the first pass
+    // eagerly (same act/pre/plan order as the lazy loop below) and try
+    // to fold the uniform min(counts)-1 remaining passes into a single
+    // substrate call; stragglers with larger counts — or the whole run
+    // when a bank declines the fold (VRT aggressor, charge too close to
+    // a threshold, duplicate rows) — finish on the per-cycle path.
+    int cmin = counts.empty() ? 0 : counts[0];
+    for (int c : counts)
+        cmin = std::min(cmin, c);
+    if (n > 0 && cmin >= 1) {
+        for (std::size_t i = 0; i < n; ++i) {
+            const Bank bank = rows[i].first;
+            const Row row = rows[i].second;
+            PlanCacheEntry &entry = planSlotFor(bank, row);
+            if (entry.bank == bank && entry.row == row &&
+                entry.epoch == dram.planEpoch()) {
+                // Cache hit: the same actPlanned + trace/clock replay
+                // as the per-cycle planned step below — bit-identical
+                // to act()+pre(), minus the second victim pass and the
+                // plan rebuild.
+                dram.actPlanned(entry.plan, clock);
+                cmdTrace.record(TraceKind::kAct, bank, row, clock, ras);
+                clock += ras;
+                ++acts;
+                if (stopFlag != nullptr &&
+                    stopFlag->load(std::memory_order_relaxed)) {
+                    throw StopRequested(clock);
+                }
+                cmdTrace.record(TraceKind::kPre, bank, kInvalidRow,
+                                clock, rp);
+                clock += rp;
+                plans[i] = entry.plan;
+            } else {
+                act(bank, row);
+                pre(bank);
+                plans[i] = dram.buildActPlan(bank, row, clock);
+                entry.plan = plans[i];
+                entry.bank = bank;
+                entry.row = row;
+                entry.epoch = dram.planEpoch();
+            }
+            planned[i] = 1;
+            --left[i];
+        }
+        const int fold = cmin - 1;
+        if (fold >= 1 &&
+            dram.actInterleavedBurst(plans, static_cast<int>(n),
+                                     fold, clock, ras + rp)) {
+            if (cmdTrace.enabled()) {
+                Time t = clock;
+                for (int k = 0; k < fold; ++k) {
+                    for (std::size_t i = 0; i < n; ++i) {
+                        cmdTrace.record(TraceKind::kAct, rows[i].first,
+                                        rows[i].second, t, ras);
+                        cmdTrace.record(TraceKind::kPre, rows[i].first,
+                                        kInvalidRow, t + ras, rp);
+                        t += ras + rp;
+                    }
+                }
+            }
+            clock += static_cast<Time>(fold) * static_cast<Time>(n) *
+                (ras + rp);
+            acts += static_cast<std::uint64_t>(n) *
+                static_cast<std::uint64_t>(fold);
+            for (std::size_t i = 0; i < n; ++i)
+                left[i] -= fold;
+            // The fused span polls cancellation once instead of per ACT
+            // (the watchdog was pre-checked for the whole run).
+            if (stopFlag != nullptr &&
+                stopFlag->load(std::memory_order_relaxed)) {
+                throw StopRequested(clock);
+            }
+        }
+    }
+
+    bool remaining = false;
+    for (std::size_t i = 0; i < n; ++i)
+        remaining = remaining || left[i] > 0;
+    while (remaining) {
+        remaining = false;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (left[i] <= 0)
+                continue;
+            if (!planned[i]) {
+                act(rows[i].first, rows[i].second);
+                pre(rows[i].first);
+                plans[i] =
+                    dram.buildActPlan(rows[i].first, rows[i].second,
+                                      clock);
+                planned[i] = 1;
+            } else {
+                dram.actPlanned(plans[i], clock);
+                cmdTrace.record(TraceKind::kAct, rows[i].first,
+                                rows[i].second, clock, ras);
+                clock += ras;
+                ++acts;
+                // The interpreter polls the stop flag after every ACT;
+                // keep the same cancellation latency (the watchdog
+                // itself was pre-checked for the whole run).
+                if (stopFlag != nullptr &&
+                    stopFlag->load(std::memory_order_relaxed)) {
+                    throw StopRequested(clock);
+                }
+                cmdTrace.record(TraceKind::kPre, rows[i].first,
+                                kInvalidRow, clock, rp);
+                clock += rp;
+            }
+            if (--left[i] > 0)
+                remaining = true;
+        }
+    }
+}
+
+void
+SoftMcHost::hammerCascaded(const std::vector<std::pair<Bank, Row>> &rows,
+                           const std::vector<int> &counts)
+{
+    UTRR_PROF_SCOPE_SIM("softmc.hammer_cascaded", &clock);
+    UTRR_ASSERT(rows.size() == counts.size(),
+                "one count per aggressor row");
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        hammer(rows[i].first, rows[i].second, counts[i]);
+}
+
+void
+SoftMcHost::hammerMultiBank(
+    const std::vector<std::pair<Bank, Row>> &rows, int count_each)
+{
+    UTRR_PROF_SCOPE_SIM("softmc.hammer_multibank", &clock);
+    // Banks hammer in parallel; throughput is limited by both the
+    // per-bank cycle time and the four-activation window.
+    const auto banks = static_cast<std::int64_t>(rows.size());
+    if (banks == 0 || count_each <= 0)
+        return;
+
+    const Time start = clock;
+    Time penalty = 0;
+    for (int i = 0; i < count_each; ++i) {
+        for (const auto &[bank, row] : rows) {
+            if (mitigation != nullptr) {
+                const Time before = clock;
+                applyMitigation(bank, row);
+                penalty += clock - before;
+                clock = before;
+            }
+            cmdTrace.record(TraceKind::kAct, bank, row, clock,
+                            timingParams.tRAS);
+            ++acts;
+            if (fault != nullptr &&
+                fault->shouldDropHammerAct(bank, row, clock))
+                continue; // bus slot burnt, module never sees the ACT
+            dram.act(bank, row, clock);
+            dram.pre(bank, clock);
+        }
+    }
+    const Time per_bank_bound =
+        static_cast<Time>(count_each) * timingParams.hammerCycle();
+    const Time tfaw_bound = static_cast<Time>(count_each) * banks *
+        timingParams.tFAW / 4;
+    clock = start + std::max(per_bank_bound, tfaw_bound) + penalty;
+    checkWatchdog();
+}
+
+ExecResult
+SoftMcHost::execute(const Program &program)
+{
+    // Mitigation and fault injection hook individual commands (e.g. a
+    // dropped hammer ACT exists only on the immediate API); programs
+    // run under them stay on the interpreter so every per-command hook
+    // fires exactly as recorded.
+    if (execModeV != ExecMode::kCompiled || mitigation != nullptr ||
+        fault != nullptr) {
+        return executeInterpreted(program);
+    }
+    return executeCompiled(ProgramCompiler::compile(program));
+}
+
+ExecResult
+SoftMcHost::executeCompiled(const CompiledProgram &compiled)
+{
+    UTRR_PROF_SCOPE_SIM("softmc.execute", &clock);
+    ExecResult result;
+    result.startTime = clock;
+    result.reads.reserve(compiled.readCount);
+    for (const CompiledOp &op : compiled.ops) {
+        switch (op.kind) {
+          case CompiledOpKind::kHammer:
+            hammer(op.bank, op.row, op.count);
+            break;
+          case CompiledOpKind::kWriteRow:
+            act(op.bank, op.row);
+            wr(op.bank, compiled.patterns[static_cast<std::size_t>(
+                            op.patternIdx)]);
+            pre(op.bank);
+            break;
+          case CompiledOpKind::kReadRow: {
+            act(op.bank, op.row);
+            ReadRecord record;
+            record.bank = op.bank;
+            record.row = dram.toLogical(
+                op.bank, dram.bankAt(op.bank).openRow());
+            record.when = clock;
+            record.readout = rd(op.bank);
+            result.reads.push_back(std::move(record));
+            pre(op.bank);
+            break;
+          }
+          case CompiledOpKind::kRefBurst:
+            for (int i = 0; i < op.count; ++i)
+                ref();
+            break;
+          case CompiledOpKind::kAct:
+            act(op.bank, op.row);
+            break;
+          case CompiledOpKind::kPre:
+            pre(op.bank);
+            break;
+          case CompiledOpKind::kWr:
+            wr(op.bank, compiled.patterns[static_cast<std::size_t>(
+                            op.patternIdx)]);
+            break;
+          case CompiledOpKind::kWrWord:
+            wrWord(op.bank, op.wordIdx, op.value);
+            break;
+          case CompiledOpKind::kRd: {
+            ReadRecord record;
+            record.bank = op.bank;
+            record.row = dram.toLogical(
+                op.bank, dram.bankAt(op.bank).openRow());
+            record.when = clock;
+            record.readout = rd(op.bank);
+            result.reads.push_back(std::move(record));
+            break;
+          }
+          case CompiledOpKind::kWait:
+            wait(op.waitNs);
+            break;
+          case CompiledOpKind::kWaitRef:
+            waitWithRefresh(op.waitNs);
+            break;
+        }
+    }
+    result.endTime = clock;
+    return result;
+}
+
+ExecResult
+SoftMcHost::executeInterpreted(const Program &program)
+{
+    UTRR_PROF_SCOPE_SIM("softmc.execute", &clock);
+    ExecResult result;
+    result.startTime = clock;
+    for (const Instr &instr : program.instructions()) {
+        switch (instr.op) {
+          case Op::kAct:
+            act(instr.bank, instr.row);
+            break;
+          case Op::kPre:
+            pre(instr.bank);
+            break;
+          case Op::kWr:
+            wr(instr.bank, instr.pattern);
+            break;
+          case Op::kWrWord:
+            wrWord(instr.bank, instr.wordIdx, instr.value);
+            break;
+          case Op::kRd: {
+            ReadRecord record;
+            record.bank = instr.bank;
+            record.row = dram.toLogical(
+                instr.bank,
+                dram.bankAt(instr.bank).openRow());
+            record.when = clock;
+            record.readout = rd(instr.bank);
+            result.reads.push_back(std::move(record));
+            break;
+          }
+          case Op::kRef:
+            ref();
+            break;
+          case Op::kWait:
+            wait(instr.waitNs);
+            break;
+          case Op::kWaitRef:
+            waitWithRefresh(instr.waitNs);
+            break;
+        }
+    }
+    result.endTime = clock;
+    return result;
+}
+
+} // namespace utrr
