@@ -94,24 +94,6 @@ BM_ProgramCompile(benchmark::State &state)
 BENCHMARK(BM_ProgramCompile);
 
 void
-BM_CompiledHammer(benchmark::State &state)
-{
-    // Steady-state throughput of the compiled tier on a pre-lowered
-    // hammer program: one kHammer batch op per 1000-ACT burst, applied
-    // through DramBank::applyActivationBurst. Compile cost excluded —
-    // the delta against BM_HammerLoopInterpreted is the fusion win.
-    DramModule module(benchSpec(TrrVersion::kNone), 1);
-    SoftMcHost host(module);
-    Program program;
-    program.hammer(0, 5'000, 1'000);
-    const CompiledProgram compiled = ProgramCompiler::compile(program);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(host.executeCompiled(compiled));
-    state.SetItemsProcessed(state.iterations() * 1'000);
-}
-BENCHMARK(BM_CompiledHammer);
-
-void
 BM_HammerLoopInterpreted(benchmark::State &state)
 {
     // BM_HammerLoop with the fused batch path disabled: one ACT+PRE
@@ -145,10 +127,14 @@ BENCHMARK(BM_HammerLoopProfiled);
 void
 BM_HammerWithVendorATrr(benchmark::State &state)
 {
+    // A double-sided pair under A_TRR1: hammerInterleaved folds the
+    // rounds through DramBank::applyInterleavedRounds and A_TRR1's
+    // onActivateRoundRobin. (A single-row burst would fold through
+    // onActivateBurst and time the same path as BM_HammerLoop.)
     DramModule module(benchSpec(TrrVersion::kATrr1), 1);
     SoftMcHost host(module);
     for (auto _ : state)
-        host.hammer(0, 5'000, 1'000);
+        host.hammerInterleaved({{0, 4'999}, {0, 5'001}}, {500, 500});
     state.SetItemsProcessed(state.iterations() * 1'000);
 }
 BENCHMARK(BM_HammerWithVendorATrr);
@@ -292,6 +278,30 @@ BM_RefreshSweep(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_RefreshSweep)->Arg(1'024)->Arg(8'192);
+
+void
+BM_TemperatureStep(benchmark::State &state)
+{
+    // One temperature-drift step (the fault injector takes one per
+    // 50 ms simulated) plus a read of a fixed row, which makes that row
+    // adopt the step. With range(0) rows materialized, the time must
+    // not grow with the row count: a step multiplies the bank-wide
+    // scale, and only rows that get used catch up.
+    DramModule module(benchSpec(TrrVersion::kNone), 4);
+    SoftMcHost host(module);
+    const Row rows = static_cast<Row>(state.range(0));
+    for (Row r = 0; r < rows; ++r)
+        host.writeRow(0, r, DataPattern::allOnes());
+    // Alternate up and down so the scale stays near 1.0.
+    double factor = 1.0002;
+    for (auto _ : state) {
+        module.scaleAllRetention(factor);
+        factor = 1.0 / factor;
+        benchmark::DoNotOptimize(host.readRow(0, rows / 2));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TemperatureStep)->Arg(1'024)->Arg(8'192);
 
 void
 BM_ReadOpenRow(benchmark::State &state)

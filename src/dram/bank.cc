@@ -36,9 +36,9 @@ DramBank::rowAt(Row phys_row, Time now)
         slot = static_cast<std::int32_t>(states.size());
         states.emplace_back(std::move(phys), now, vrt_rng, gen->rowBits(),
                             msToNs(ret.vrtDwellMs), ret.vrtHighFactor);
-        states.back().attachPerf(&perfCounters);
-        if (baseRetentionScale != 1.0)
-            states.back().setRetentionScale(baseRetentionScale);
+        // Born at scale 1.0 and step 0: the row adopts the bank-wide
+        // scale at its first use if temperature steps came before it.
+        states.back().attachBank(&context);
     }
     return states[static_cast<std::size_t>(slot)];
 }
@@ -47,7 +47,7 @@ void
 DramBank::attachHammerCells(Row phys_row, RowState &state)
 {
     UTRR_PROF_SCOPE("bank.attach_hammer_cells");
-    ++perfCounters.hammerCellAttaches;
+    ++context.perf.hammerCellAttaches;
     RowPhysics full = gen->generate(id, phys_row);
     state.setHammerCells(std::move(full.hammerCells));
 }
@@ -55,15 +55,19 @@ DramBank::attachHammerCells(Row phys_row, RowState &state)
 void
 DramBank::scaleRowRetention(Row phys_row, double factor, Time now)
 {
-    rowAt(phys_row, now).scaleRetention(factor);
+    RowState &state = rowAt(phys_row, now);
+    if (!state.hasOwnRetentionScale())
+        ownScaleSlots.push_back(slotOf[static_cast<std::size_t>(phys_row)]);
+    state.scaleRetention(factor);
 }
 
 void
 DramBank::scaleAllRetention(double factor)
 {
-    baseRetentionScale *= factor;
-    for (RowState &state : states)
-        state.scaleRetention(factor);
+    context.retentionScale *= factor;
+    ++context.retentionSteps;
+    for (std::int32_t slot : ownScaleSlots)
+        states[static_cast<std::size_t>(slot)].scaleRetention(factor);
 }
 
 const RowState *
@@ -433,11 +437,11 @@ DramBank::snapshotState() const
     // contents without duplicating them, and the live bank clones lazily
     // on its next mutation of each row.
     snap.states = states;
+    snap.ownScaleSlots = ownScaleSlots;
     snap.open = open;
     snap.acts = acts;
     snap.rowRefreshes = rowRefreshes;
-    snap.baseRetentionScale = baseRetentionScale;
-    snap.perfCounters = perfCounters;
+    snap.context = context;
     return snap;
 }
 
@@ -446,15 +450,17 @@ DramBank::restoreState(const Snapshot &snap)
 {
     slotOf = snap.slotOf;
     states = snap.states;
+    ownScaleSlots = snap.ownScaleSlots;
     open = snap.open;
     acts = snap.acts;
     rowRefreshes = snap.rowRefreshes;
-    baseRetentionScale = snap.baseRetentionScale;
-    perfCounters = snap.perfCounters;
-    // The copied rows still point their perf tallies at whatever bank
-    // the snapshot was taken from; re-home them here.
+    context = snap.context;
+    // The copied rows still point at whatever bank the snapshot was
+    // taken from — its perf tallies and its retention scale, which may
+    // have stepped on since; re-home them here. Their scale stamps
+    // count the snapshot's steps, which `context` now carries.
     for (RowState &state : states)
-        state.attachPerf(&perfCounters);
+        state.attachBank(&context);
 }
 
 } // namespace utrr

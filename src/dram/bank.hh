@@ -126,7 +126,8 @@ class DramBank
      * applyInterleavedRounds(): distinct aggressor rows, and every
      * aggressor's restores provably fast-path even with the worst-case
      * charge the other listed aggressors can pump into it per round.
-     * Pure check — mutates nothing.
+     * A check — mutates nothing observable (aggressors may adopt
+     * pending temperature steps early).
      */
     /** Most aggressors one interleaved fold accepts (stack bounds). */
     static constexpr int kMaxInterleavedFold = 8;
@@ -175,9 +176,6 @@ class DramBank
     /** Direct row-state access for white-box tests and fast readback. */
     const RowState *peekRow(Row phys_row) const;
 
-    /** Materialize (if needed) and return a row's state. */
-    RowState &rowAt(Row phys_row, Time now);
-
     /** Total ACT commands seen by this bank. */
     std::uint64_t actCount() const { return acts; }
 
@@ -188,18 +186,22 @@ class DramBank
     std::size_t materializedRows() const { return states.size(); }
 
     /** Fast-path tallies of every row this bank owns. */
-    const RowPerfCounters &perf() const { return perfCounters; }
+    const RowPerfCounters &perf() const { return context.perf; }
 
     /**
      * Fault-injection hook: multiply one row's retention scale
-     * (materializing the row if needed).
+     * (materializing the row if needed). The row keeps its own scale
+     * from then on, and every later scaleAllRetention() step multiplies
+     * it eagerly.
      */
     void scaleRowRetention(Row phys_row, double factor, Time now);
 
     /**
      * Fault-injection hook: multiply the retention scale of every
      * materialized row and of all rows materialized later (temperature
-     * drift affects the whole bank).
+     * drift affects the whole bank). O(1) plus the rows that
+     * scaleRowRetention() gave their own scale: every other row adopts
+     * the bank-wide product at its next use (RowBankContext).
      */
     void scaleAllRetention(double factor);
 
@@ -219,11 +221,11 @@ class DramBank
     {
         std::vector<std::int32_t> slotOf;
         std::deque<RowState> states;
+        std::vector<std::int32_t> ownScaleSlots;
         Row open = kInvalidRow;
         std::uint64_t acts = 0;
         std::uint64_t rowRefreshes = 0;
-        double baseRetentionScale = 1.0;
-        RowPerfCounters perfCounters;
+        RowBankContext context;
     };
 
     /** Capture this bank's mutable state. */
@@ -232,12 +234,14 @@ class DramBank
     /**
      * Restore a snapshot taken from this bank or from any bank with the
      * same (id, physRows, generator) — i.e. the same position in a
-     * module built from the same (spec, seed). Re-attaches every row's
-     * perf tallies to this bank.
+     * module built from the same (spec, seed). Re-attaches every row to
+     * this bank's perf tallies and retention scale.
      */
     void restoreState(const Snapshot &snap);
 
   private:
+    /** Materialize (if needed) and return a row's state. */
+    RowState &rowAt(Row phys_row, Time now);
     void disturbNeighbours(Row aggressor, Time now);
     void disturbOne(Row aggressor, std::uint64_t aggr_word0, Row victim,
                     double weight, Time now);
@@ -246,19 +250,20 @@ class DramBank
 
     Bank id;
     Row physRowCount;
-    double baseRetentionScale = 1.0;
     const PhysicsGenerator *gen;
     /** phys_row -> index into `states`; -1 = not materialized. */
     std::vector<std::int32_t> slotOf;
     /** Materialized rows in first-touch order (stable references). */
     std::deque<RowState> states;
+    /** Slots of the rows scaleRowRetention() gave their own scale. */
+    std::vector<std::int32_t> ownScaleSlots;
     Row open = kInvalidRow;
     std::uint64_t acts = 0;
     std::uint64_t rowRefreshes = 0;
     /** Shared by every RowState in `states` (addresses stay stable as
      *  long as the bank itself does — banks are built once per module
      *  and never moved). */
-    RowPerfCounters perfCounters;
+    RowBankContext context;
 };
 
 } // namespace utrr

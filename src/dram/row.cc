@@ -160,9 +160,9 @@ diffReadoutCount(const RowReadout &readout, const DataPattern &expected,
 
 RowState::RowState(RowPhysics physics, Time now, Rng vrt_rng, int row_bits,
                    Time vrt_dwell, double vrt_high_factor)
-    : phys(std::move(physics)), lastRestore(now), vrtRng(vrt_rng),
-      lastVrtCheck(now), vrtDwell(vrt_dwell),
-      vrtHighFactor(vrt_high_factor), bits(row_bits)
+    : phys(std::move(physics)), bits(row_bits), lastRestore(now),
+      vrtRng(vrt_rng), lastVrtCheck(now), vrtDwell(vrt_dwell),
+      vrtHighFactor(vrt_high_factor)
 {
     for (const WeakCell &cell : phys.weakCells)
         vrtRow = vrtRow || cell.vrt;
@@ -204,6 +204,14 @@ RowState::refreshMinRetention()
         : static_cast<Time>(static_cast<double>(min_ret) * retScale);
 }
 
+void
+RowState::adoptBankScale()
+{
+    retScale = bank->retentionScale;
+    scaleStep = bank->retentionSteps;
+    refreshMinRetention();
+}
+
 std::unordered_map<int, std::uint64_t> &
 RowState::mutableOverrides()
 {
@@ -214,8 +222,8 @@ RowState::mutableOverrides()
         overrides =
             std::make_shared<std::unordered_map<int, std::uint64_t>>(
                 *overrides);
-        if (perf != nullptr)
-            ++perf->readoutCowCopies;
+        if (bank != nullptr)
+            ++bank->perf.readoutCowCopies;
     }
     return *overrides;
 }
@@ -227,8 +235,8 @@ RowState::mutableFlips()
         flips = std::make_shared<std::vector<Col>>();
     } else if (flips.use_count() > 1) {
         flips = std::make_shared<std::vector<Col>>(*flips);
-        if (perf != nullptr)
-            ++perf->readoutCowCopies;
+        if (bank != nullptr)
+            ++bank->perf.readoutCowCopies;
     }
     return *flips;
 }
@@ -329,12 +337,13 @@ RowState::restoreCharge(Time now)
     UTRR_ASSERT(hammerAttached || charge < phys.hammerBaseThreshold,
                 "hammer cells must be attached before a restore that "
                 "crosses the row's base threshold");
+    syncRetentionScale();
     if (canSkipCommit(now)) {
-        if (perf != nullptr)
-            ++perf->restoreFastPath;
+        if (bank != nullptr)
+            ++bank->perf.restoreFastPath;
     } else {
-        if (perf != nullptr)
-            ++perf->restoreSlowPath;
+        if (bank != nullptr)
+            ++bank->perf.restoreSlowPath;
         commitDueFlips(now);
     }
     lastRestore = now;
@@ -386,8 +395,8 @@ RowState::addDisturbanceRoundRobin(const Row *aggrs, const double *w_first,
 void
 RowState::fastForwardRestores(Time last_now, std::uint64_t n)
 {
-    if (perf != nullptr)
-        perf->restoreFastPath += n;
+    if (bank != nullptr)
+        bank->perf.restoreFastPath += n;
     lastRestore = last_now;
     charge = 0.0;
     lastAggressor = kInvalidRow;
@@ -424,8 +433,8 @@ RowState::writeWord(int word_idx, std::uint64_t value)
 RowReadout
 RowState::read() const
 {
-    if (perf != nullptr)
-        ++perf->readoutShares;
+    if (bank != nullptr)
+        ++bank->perf.readoutShares;
     return RowReadout(pattern, patRow, overrides, flips, bits);
 }
 

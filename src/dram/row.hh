@@ -22,7 +22,8 @@
  *    is within the row's cached minimum effective retention and the
  *    accumulated charge is below the row's hammer floor. VRT rows never
  *    take the fast path (their telegraph RNG draws are visible state);
- *    retention scaling recomputes the cache.
+ *    retention scaling recomputes the cache — for a bank-wide
+ *    temperature step lazily, at the row's next use (RowBankContext).
  *  - read() returns a RowReadout that *shares* the overrides map and
  *    flip list with the row (copy-on-write at every mutation point), so
  *    a RD is O(1) instead of copying both containers.
@@ -66,6 +67,29 @@ struct RowPerfCounters
     std::uint64_t readoutCowCopies = 0;
     /** Readouts served zero-copy by sharing the row's containers. */
     std::uint64_t readoutShares = 0;
+};
+
+/**
+ * What a bank shares with every row it owns, through one pointer per
+ * row: the fast-path tallies and the bank-wide retention scale.
+ *
+ * A temperature step (DramBank::scaleAllRetention) multiplies
+ * `retentionScale` and bumps `retentionSteps` — O(1) however many rows
+ * are materialized. A row stamps the step count its scale reflects and,
+ * at its next use, adopts `retentionScale` if the bank has stepped
+ * since. That is exact: such a row's eagerly-walked scale would be the
+ * same product, bit for bit — it is born at the bank's product and
+ * every later step multiplies both by the same factor in the same
+ * order. Rows a VRT flip gave their own scale leave this scheme and are
+ * multiplied eagerly by every step (DramBank::scaleRowRetention).
+ */
+struct RowBankContext
+{
+    RowPerfCounters perf;
+    /** Product of every temperature step so far. */
+    double retentionScale = 1.0;
+    /** Temperature steps so far. */
+    std::uint64_t retentionSteps = 0;
 };
 
 /**
@@ -199,8 +223,9 @@ class RowState
      * fast-forwarded without any per-call check. VRT rows never qualify
      * (their telegraph RNG draws are visible state).
      */
-    bool restoresFastForwardable(Time gap) const
+    bool restoresFastForwardable(Time gap)
     {
+        syncRetentionScale();
         return !vrtRow && charge < hammerFloor && gap <= minRetCache;
     }
 
@@ -212,8 +237,9 @@ class RowState
      * accrual, so the pre-restore charge never exceeds the current
      * charge plus @p charge_bound).
      */
-    bool restoresFastForwardable(Time gap, double charge_bound) const
+    bool restoresFastForwardable(Time gap, double charge_bound)
     {
+        syncRetentionScale();
         return !vrtRow && charge + charge_bound < hammerFloor &&
             gap <= minRetCache;
     }
@@ -273,24 +299,32 @@ class RowState
     const RowPhysics &physics() const { return phys; }
 
     /**
-     * Fault-injection hook: scale the effective retention of every weak
-     * cell in this row (1.0 = nominal). A mid-experiment VRT mode flip
-     * multiplies by the VRT high factor (or its inverse); temperature
-     * drift walks the scale of all rows together. Exactly 1.0 is
+     * Fault-injection hook: multiply the effective retention of every
+     * weak cell in this row by @p factor, giving the row its own scale
+     * (1.0 = nominal). A mid-experiment VRT mode flip multiplies by the
+     * VRT high factor (or its inverse); temperature drift walks the
+     * bank-wide scale instead (RowBankContext). Exactly 1.0 is
      * guaranteed bit-identical to the unscaled physics. Invalidates the
-     * fast-path minimum-retention cache.
+     * fast-path minimum-retention cache. A bank's row must be scaled
+     * through DramBank::scaleRowRetention, which keeps applying
+     * temperature steps to it eagerly.
      */
     void scaleRetention(double factor)
     {
+        syncRetentionScale();
+        scaleStep = kOwnScale;
         retScale *= factor;
         refreshMinRetention();
     }
-    void setRetentionScale(double scale)
+
+    /** True once scaleRetention() gave this row its own scale. */
+    bool hasOwnRetentionScale() const { return scaleStep == kOwnScale; }
+
+    /** Effective retention scale (including pending temperature steps). */
+    double retentionScale() const
     {
-        retScale = scale;
-        refreshMinRetention();
+        return lagsBankScale() ? bank->retentionScale : retScale;
     }
-    double retentionScale() const { return retScale; }
 
     /** Number of committed flips. */
     std::size_t committedFlipCount() const
@@ -298,10 +332,30 @@ class RowState
         return flips ? flips->size() : 0;
     }
 
-    /** Attach the owning bank's fast-path tallies (nullptr detaches). */
-    void attachPerf(RowPerfCounters *counters) { perf = counters; }
+    /**
+     * Attach the owning bank's shared state (nullptr detaches). A row
+     * copied from another bank keeps its scale stamp, which stays
+     * meaningful only if @p context carries that bank's step count.
+     */
+    void attachBank(RowBankContext *context) { bank = context; }
 
   private:
+    /** scaleStep of a row with its own scale: no step count reaches it. */
+    static constexpr std::uint64_t kOwnScale =
+        std::numeric_limits<std::uint64_t>::max();
+
+    bool lagsBankScale() const
+    {
+        return bank != nullptr && scaleStep < bank->retentionSteps;
+    }
+    /** Adopt the bank-wide scale if temperature steps came since. */
+    void syncRetentionScale()
+    {
+        if (lagsBankScale())
+            adoptBankScale();
+    }
+    void adoptBankScale();
+
     bool storedBit(Col col) const;
     Time effectiveRetention(const WeakCell &cell, Time now);
     void commitDueFlips(Time now);
@@ -316,6 +370,9 @@ class RowState
     RowPhysics phys;
     DataPattern pattern = DataPattern::allZeros();
     Row patRow = 0;
+    /** Bits per row; sits in patRow's padding so scaleStep costs no
+     *  size (rows dominate a module's memory). */
+    int bits;
     /** Null means empty; shared with readouts, copy-on-write. */
     std::shared_ptr<std::unordered_map<int, std::uint64_t>> overrides;
     /** Sorted columns; null means empty; shared, copy-on-write. */
@@ -329,9 +386,10 @@ class RowState
     Time vrtDwell;
     double vrtHighFactor;
     double retScale = 1.0;
-    int bits;
-    /** Owning bank's fast-path tallies (not owned; may be null). */
-    RowPerfCounters *perf = nullptr;
+    /** Bank step count retScale reflects, or kOwnScale. */
+    std::uint64_t scaleStep = 0;
+    /** Owning bank's shared state (not owned; may be null). */
+    RowBankContext *bank = nullptr;
 
     // --- restoreCharge fast-path cache ---
     /** Scaled retention of the weakest cell (Time max if none). */

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "attack/synth.hh"
 #include "check/fuzzer.hh"
@@ -512,6 +515,200 @@ TEST(SynthProperty, MinimizedWinnerKeepsItsVerdict)
 }
 
 // ---------------------------------------------------------------------
+// Retention scaling (DESIGN.md §12): temperature steps reach rows
+// lazily, and that is exact.
+// ---------------------------------------------------------------------
+
+// One module through a seeded random interleaving of temperature steps
+// (some pinned at the injector's drift clamp), VRT x3 / /3 toggles,
+// first touches of new rows, fused, per-ACT and interleaved hammers,
+// REFs, reads, waits, and snapshot -> more steps -> restore. After
+// every operation each materialized row's scale must equal, bit for
+// bit, what an eager walk gives: born at the running product of all
+// steps so far, then multiplied by every later step and toggle.
+TEST(RetentionScaleProperty, LazyStepsMatchAnEagerWalkBitForBit)
+{
+    const ModuleSpec spec = *findModuleSpec("B2");
+    const FaultConfig chaos = FaultConfig::chaosDefaults();
+    SimBackend sim(spec, 2021);
+    DramModule &module = sim.module();
+    SoftMcHost &host = sim.host();
+    Rng rng(1313);
+
+    // Every step so far, multiplied in order: the injector's tempScale.
+    double product = 1.0;
+    std::map<std::pair<Bank, Row>, double> eager;
+    std::set<std::pair<Bank, Row>> vrtFlipped;
+
+    const auto check = [&](const char *op) {
+        SCOPED_TRACE(op);
+        for (Bank b = 0; b < 2; ++b) {
+            const DramBank &bank = module.bankAt(b);
+            for (Row r = 0; r < bank.physRows(); ++r) {
+                const RowState *row = bank.peekRow(r);
+                if (row == nullptr)
+                    continue;
+                // A row first seen now was born during `op`, which took
+                // no temperature step.
+                const double want =
+                    eager.try_emplace({b, r}, product).first->second;
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(row->retentionScale()),
+                          std::bit_cast<std::uint64_t>(want))
+                    << "bank " << b << " phys row " << r;
+            }
+        }
+    };
+    const auto step = [&] {
+        // FaultInjector::onTimeAdvance's draw and clamp, with some
+        // steps pushed past a bound so clamp factors come up often.
+        const double hi = chaos.tempMaxDrift;
+        const double lo = 1.0 / chaos.tempMaxDrift;
+        double factor = rng.uniformReal(1.0 / chaos.tempStepMaxFactor,
+                                        chaos.tempStepMaxFactor);
+        if (rng.chance(0.3))
+            factor = rng.chance(0.5) ? 2.0 : 0.5;
+        if (product * factor > hi)
+            factor = hi / product;
+        else if (product * factor < lo)
+            factor = lo / product;
+        module.scaleAllRetention(factor);
+        product *= factor;
+        for (auto &entry : eager)
+            entry.second *= factor;
+        check("temperature step");
+    };
+    const auto bank_row = [&](Row lo, Row hi) {
+        return std::pair<Bank, Row>{
+            static_cast<Bank>(rng.uniformInt(0, 1)),
+            static_cast<Row>(rng.uniformInt(lo, hi - 1))};
+    };
+
+    Row fresh = 300; // logical rows at and past here are untouched
+    for (int i = 0; i < 80; ++i) {
+        const auto [b, r] = bank_row(100, 140);
+        host.writeRow(b, r, DataPattern::checkerboard());
+    }
+    check("setup");
+    std::array<int, 11> ran{};
+    for (int op = 0; op < 300; ++op) {
+        const auto [b, r] = bank_row(100, 140);
+        const auto kind = static_cast<std::size_t>(rng.uniformInt(0, 10));
+        ++ran[kind];
+        switch (kind) {
+          case 0:
+          case 1:
+            step();
+            break;
+          case 2: {
+            const Row phys = module.toPhysical(b, r);
+            const auto key = std::pair<Bank, Row>{b, phys};
+            double factor = chaos.vrtScaleFactor;
+            if (vrtFlipped.erase(key) != 0)
+                factor = 1.0 / chaos.vrtScaleFactor;
+            else
+                vrtFlipped.insert(key);
+            module.scaleRowRetention(b, phys, factor, host.now());
+            eager.try_emplace(key, product).first->second *= factor;
+            check("VRT toggle");
+            break;
+          }
+          case 3:
+            host.writeRow(b, fresh++, DataPattern::allOnes());
+            check("first touch");
+            break;
+          case 4:
+            host.hammer(b, r, static_cast<int>(rng.uniformInt(2, 3'000)));
+            check("fused hammer");
+            break;
+          case 5:
+            sim.setExecMode(ExecMode::kInterpreted);
+            host.hammer(b, r, static_cast<int>(rng.uniformInt(2, 300)));
+            sim.setExecMode(ExecMode::kCompiled);
+            check("per-ACT hammer");
+            break;
+          case 6: {
+            const int n = static_cast<int>(rng.uniformInt(2, 2'000));
+            host.hammerInterleaved({{b, r}, {b, r + 2}}, {n, n});
+            check("interleaved hammer");
+            break;
+          }
+          case 7:
+            host.refBurst(static_cast<int>(rng.uniformInt(1, 64)));
+            check("REF burst");
+            break;
+          case 8:
+            host.readRow(b, r);
+            check("read");
+            break;
+          case 9:
+            host.wait(msToNs(rng.uniformInt(1, 120)));
+            check("wait");
+            break;
+          default: {
+            const std::uint64_t token = sim.snapshot();
+            const auto saved = std::make_tuple(product, eager, vrtFlipped);
+            for (int k = 0; k < 3; ++k)
+                step();
+            host.writeRow(b, fresh++, DataPattern::allOnes());
+            sim.restore(token);
+            sim.dropSnapshot(token);
+            std::tie(product, eager, vrtFlipped) = saved;
+            check("restore");
+            break;
+          }
+        }
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    for (int n : ran)
+        EXPECT_GT(n, 0);
+}
+
+// The read-level face of the same property: rows written, then given a
+// 0.5 temperature step, then left until weak cells fail, read exactly
+// like rows written after the step, and like rows each given their own
+// 0.5 scale (which recomputes their fast-path cache on the spot). A row
+// that missed the step, or kept a stale cache, would keep its nominal
+// retention and come back with fewer flips.
+TEST(RetentionScaleProperty, RowsWrittenBeforeAStepDecayLikeRowsAfterIt)
+{
+    const ModuleSpec spec = *findModuleSpec("A0");
+    enum class Step { kNone, kBeforeWrite, kAfterWrite, kEachRow };
+    const auto run = [&](Step when) {
+        DramModule module(spec, 2021);
+        SoftMcHost host(module);
+        if (when == Step::kBeforeWrite)
+            module.scaleAllRetention(0.5);
+        for (Row row = 0; row < 64; ++row)
+            host.writeRow(0, row, DataPattern::allOnes());
+        if (when == Step::kAfterWrite)
+            module.scaleAllRetention(0.5);
+        for (Row row = 0; when == Step::kEachRow && row < 64; ++row) {
+            module.scaleRowRetention(0, module.toPhysical(0, row), 0.5,
+                                     host.now());
+        }
+        host.wait(msToNs(400));
+        std::vector<std::vector<Col>> flips;
+        for (Row row = 0; row < 64; ++row) {
+            flips.push_back(
+                host.readRow(0, row).flipsVs(DataPattern::allOnes(), row));
+        }
+        return flips;
+    };
+    const auto count = [](const std::vector<std::vector<Col>> &flips) {
+        std::size_t n = 0;
+        for (const auto &row : flips)
+            n += row.size();
+        return n;
+    };
+
+    const auto after = run(Step::kAfterWrite);
+    EXPECT_EQ(after, run(Step::kBeforeWrite));
+    EXPECT_EQ(after, run(Step::kEachRow));
+    EXPECT_GT(count(after), count(run(Step::kNone)));
+}
+
+// ---------------------------------------------------------------------
 // Snapshot/fork (DESIGN.md §16): fork isolation, restore bit-identity
 // under chaos faults, and path-independence at random program points.
 // ---------------------------------------------------------------------
@@ -632,6 +829,62 @@ TEST(SnapshotProperty, RestoreIsBitIdenticalUnderChaosFaults)
     EXPECT_EQ(first.stats().droppedCommands(),
               second.stats().droppedCommands());
     EXPECT_EQ(first.stats().tempSteps, second.stats().tempSteps);
+}
+
+// A fork of a chaos-damaged snapshot must own its retention scale:
+// temperature steps the parent takes after the fork never reach the
+// child's rows (they would if a restored row still pointed at the bank
+// it was copied from), so the child runs exactly like an in-place
+// restore of the parent.
+TEST(SnapshotProperty, ForkIgnoresParentTemperatureSteps)
+{
+    const ModuleSpec spec = *findModuleSpec("B2");
+    const FaultConfig chaos = FaultConfig::chaosDefaults();
+
+    SimBackend sim(spec, 2021);
+    sim.host().trace().enable(1 << 17);
+
+    Program setup;
+    for (Row row = 60; row < 66; ++row)
+        setup.writeRow(0, row, DataPattern::allOnes());
+    setup.hammer(0, 63, 8'000);
+    setup.waitWithRefresh(msToNs(100));
+
+    Program probe;
+    probe.hammer(0, 62, 6'000);
+    probe.waitWithRefresh(msToNs(80));
+    for (Row row = 60; row < 66; ++row)
+        probe.readRow(0, row);
+
+    FaultInjector warm(chaos, 7);
+    sim.host().attachFaultInjector(&warm);
+    sim.execute(setup);
+    sim.host().attachFaultInjector(nullptr);
+    ASSERT_GT(warm.stats().tempSteps, 0u);
+
+    const DeviceSnapshot snap = sim.captureDevice();
+    const std::unique_ptr<SimBackend> child = sim.fork(snap);
+    for (int i = 0; i < 3; ++i)
+        sim.module().scaleAllRetention(0.5); // parent only
+
+    FaultInjector child_faults(chaos, 99);
+    child->host().attachFaultInjector(&child_faults);
+    const BackendResult a = child->execute(probe);
+    child->host().attachFaultInjector(nullptr);
+
+    sim.restoreDevice(snap);
+    FaultInjector parent_faults(chaos, 99); // identical fault stream
+    sim.host().attachFaultInjector(&parent_faults);
+    const BackendResult b = sim.execute(probe);
+    sim.host().attachFaultInjector(nullptr);
+
+    EXPECT_EQ(hashBackendReads(a), hashBackendReads(b));
+    EXPECT_EQ(a.endTime, b.endTime);
+    EXPECT_EQ(child->host().trace().contentHash(),
+              sim.host().trace().contentHash());
+    expectSameAccounting(child->accounting(), sim.accounting());
+    EXPECT_EQ(child_faults.stats().tempSteps,
+              parent_faults.stats().tempSteps);
 }
 
 // Fuzz round: for random programs cut at random instruction

@@ -227,7 +227,7 @@ TEST(RowState, ScaleRetentionUpExtendsTheSkipWindow)
 {
     RowState row = makeRow(oneWeakCell(10, msToNs(100)));
     row.writePattern(DataPattern::allOnes(), 5, 0);
-    row.setRetentionScale(10.0); // effective retention 1 s
+    row.scaleRetention(10.0); // effective retention 1 s
     row.restoreCharge(msToNs(800));
     EXPECT_EQ(row.read().countFlipsVs(DataPattern::allOnes(), 5), 0);
     row.restoreCharge(msToNs(800) + msToNs(1'100));
