@@ -12,8 +12,11 @@
  *
  * Default run: all 45 modules (minutes on a few cores; --quick drops
  * to one module per Table-1 group, --module/--vendor narrow further).
- * The report's deterministic projection is a pure function of (seed,
- * silicon seed, config) — byte-identical for any core count.
+ * The bypass table and the per-module verdicts are pure functions of
+ * (seed, silicon seed, config) — byte-identical for any core count. The
+ * report's deterministic projection also records the worker count
+ * (results.jobs and the campaign.workers gauge), so two reports
+ * recorded with different worker counts differ there and only there.
  */
 
 #include <iostream>
@@ -47,7 +50,7 @@ main(int argc, char **argv)
     }
 
     SynthCampaignConfig cfg;
-    cfg.jobs = 0; // all cores; the projection is core-count-invariant
+    cfg.jobs = 0; // all cores; the table and verdicts are jobs-invariant
     cfg.seed = 1;
     cfg.synth.moduleSeed = args.seed;
     if (args.quick)

@@ -140,6 +140,43 @@ BM_HammerWithVendorATrr(benchmark::State &state)
 BENCHMARK(BM_HammerWithVendorATrr);
 
 void
+hammerMultiBankFill(benchmark::State &state, ExecMode mode)
+{
+    // One REF slot of vendor B's tFAW-parallel dummy fill (paper §7.1,
+    // footnote 12): a row in each of four banks, 149 rounds (the most
+    // that fit between two REFs), then the REF. Under B_TRR1 every ACT
+    // still draws from the sampler; the compiled tier folds the bank
+    // physics of rounds 2-149 through actInterleavedBurst at stride 0.
+    DramModule module(benchSpec(TrrVersion::kBTrr1), 1);
+    SoftMcHost host(module);
+    host.setExecMode(mode);
+    const std::vector<std::pair<Bank, Row>> rows = {
+        {0, 5'000}, {1, 5'000}, {2, 5'000}, {3, 5'000}};
+    constexpr int kRounds = 149;
+    for (auto _ : state) {
+        host.hammerMultiBank(rows, kRounds);
+        host.ref();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(rows.size()) *
+                            kRounds);
+}
+
+void
+BM_HammerMultiBank(benchmark::State &state)
+{
+    hammerMultiBankFill(state, ExecMode::kCompiled);
+}
+BENCHMARK(BM_HammerMultiBank);
+
+void
+BM_HammerMultiBankInterpreted(benchmark::State &state)
+{
+    hammerMultiBankFill(state, ExecMode::kInterpreted);
+}
+BENCHMARK(BM_HammerMultiBankInterpreted);
+
+void
 BM_RefCommand(benchmark::State &state)
 {
     DramModule module(benchSpec(TrrVersion::kATrr1), 1);

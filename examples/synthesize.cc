@@ -12,8 +12,10 @@
  *   synthesize --modules A0,B0,C0 --budget 32 --emit-table table.json
  *   synthesize --modules all --journal synth.wal --resume
  *
- * The --emit-table artifact (and the report's deterministic
- * projection) is bit-identical for any --jobs N.
+ * The --emit-table artifact and the per-module verdicts are
+ * bit-identical for any --jobs N. The report's deterministic projection
+ * also records the worker count (results.jobs and the
+ * campaign.workers gauge), so it matches only at equal --jobs.
  *
  * Exit status: 0 when every selected module was beaten, 1 when some
  * module resisted every candidate, 2 on usage errors, 3 when a job

@@ -144,15 +144,16 @@ DramModule::actInterleavedBurst(const ActPlan *plans, int n, int rounds,
         return false;
     // Group the plans per bank (preserving global round order — the
     // within-bank subsequence keeps every victim's contributor order
-    // and the earlier/later-in-round aggressor relation intact), and
-    // verify eligibility for every bank before anything mutates. All
+    // and the earlier/later-in-round aggressor relation intact). All
     // scratch is stack-allocated: the fold's win over the per-cycle
     // loop would drown in per-call heap traffic otherwise.
     constexpr int kCap = DramBank::kMaxInterleavedFold;
     const Time round_gap = static_cast<Time>(n) * stride;
     DramBank *banks[kCap];
     const DramBank::ActPlan *groups[kCap][kCap];
-    Time lastTimes[kCap][kCap];
+    // Each member's position i in the round: its ACTs land at global
+    // slots k*n + i of the fused train, k = 0..rounds-1.
+    int slots[kCap][kCap];
     int groupSize[kCap] = {};
     int bankCount = 0;
     for (int i = 0; i < n; ++i) {
@@ -163,23 +164,34 @@ DramModule::actInterleavedBurst(const ActPlan *plans, int n, int rounds,
         if (g == bankCount)
             banks[bankCount++] = bank;
         groups[g][groupSize[g]] = &plans[i].bankPlan;
-        // This aggressor's final-pass ACT lands at global slot
-        // (rounds-1)*n + i of the fused train.
-        lastTimes[g][groupSize[g]] = start +
-            (static_cast<Time>(rounds - 1) * static_cast<Time>(n) +
-             static_cast<Time>(i)) *
-                stride;
+        slots[g][groupSize[g]] = i;
         ++groupSize[g];
     }
+    // Banks share no physical state, so each one independently folds or
+    // — when it cannot prove foldability (VRT aggressor, duplicate row,
+    // charge near the hammer floor) — replays only its own ACTs, each at
+    // its time in the full sequence.
     for (int g = 0; g < bankCount; ++g) {
-        if (!banks[g]->interleavedRoundsFoldable(groups[g], groupSize[g],
-                                                 round_gap)) {
-            return false;
+        const int m = groupSize[g];
+        if (banks[g]->interleavedRoundsFoldable(groups[g], m, round_gap)) {
+            Time lastTimes[kCap];
+            for (int j = 0; j < m; ++j) {
+                lastTimes[j] = start + static_cast<Time>(rounds - 1) *
+                        round_gap +
+                    static_cast<Time>(slots[g][j]) * stride;
+            }
+            banks[g]->applyInterleavedRounds(groups[g], lastTimes, m,
+                                             rounds);
+            continue;
         }
-    }
-    for (int g = 0; g < bankCount; ++g) {
-        banks[g]->applyInterleavedRounds(groups[g], lastTimes[g],
-                                         groupSize[g], rounds);
+        for (int k = 0; k < rounds; ++k) {
+            const Time round_start = start + static_cast<Time>(k) * round_gap;
+            for (int j = 0; j < m; ++j) {
+                banks[g]->activatePlanned(
+                    *groups[g][j],
+                    round_start + static_cast<Time>(slots[g][j]) * stride);
+            }
+        }
     }
     // TRR observes the exact round-robin ACT order (folded or replayed
     // per mechanism); the TRR tables never read bank charge state

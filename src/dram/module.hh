@@ -103,14 +103,19 @@ class DramModule
     void actPlanned(const ActPlan &plan, Time now);
 
     /**
-     * Attempt to apply @p rounds round-robin ACT+PRE passes over the
-     * @p n planned aggressors in one call — the ACT sequence plans[0],
-     * plans[1], ..., plans[n-1] repeated @p rounds times, one ACT every
-     * @p stride ns starting at @p start. Bit-identical to the matching
-     * actPlanned() loop (bank physics, TRR observation order, metrics)
-     * when it succeeds; returns false with nothing mutated when any
-     * bank's aggressors fail interleavedRoundsFoldable(), in which case
-     * the caller must fall back to the per-cycle loop.
+     * Apply @p rounds round-robin ACT+PRE passes over the @p n planned
+     * aggressors in one call — the ACT sequence plans[0], plans[1],
+     * ..., plans[n-1] repeated @p rounds times, one ACT every @p stride
+     * ns starting at @p start (stride 0 puts every ACT at @p start, as
+     * a multi-bank burst issues them). Bit-identical to the matching
+     * actPlanned() loop (bank physics, TRR observation order, metrics).
+     * Each bank folds its own aggressors when they pass
+     * interleavedRoundsFoldable(); a bank that fails it replays just its
+     * ACTs through activatePlanned() at their times in the full
+     * sequence, while the other banks still fold. Returns false with
+     * nothing mutated only for more than kMaxInterleavedFold
+     * aggressors, no aggressors or no rounds; the caller must then run
+     * the per-cycle loop.
      */
     bool actInterleavedBurst(const ActPlan *plans, int n, int rounds,
                              Time start, Time stride);

@@ -467,11 +467,13 @@ SoftMcHost::hammerInterleaved(
     const Time rp = timingParams.tRP;
 
     // When every aggressor hammers at least once, run the first pass
-    // eagerly (same act/pre/plan order as the lazy loop below) and try
-    // to fold the uniform min(counts)-1 remaining passes into a single
-    // substrate call; stragglers with larger counts — or the whole run
-    // when a bank declines the fold (VRT aggressor, charge too close to
-    // a threshold, duplicate rows) — finish on the per-cycle path.
+    // eagerly (same act/pre/plan order as the lazy loop below) and fold
+    // the uniform min(counts)-1 remaining passes into a single substrate
+    // call. A bank that cannot fold (VRT aggressor, charge too close to
+    // a threshold, duplicate rows) replays its own ACTs inside that
+    // call while the other banks fold. Stragglers with larger counts —
+    // and, past kMaxInterleavedFold aggressors, which the call declines,
+    // every pass after the first — finish on the per-cycle path.
     int cmin = counts.empty() ? 0 : counts[0];
     for (int c : counts)
         cmin = std::min(cmin, c);
@@ -601,9 +603,18 @@ SoftMcHost::hammerMultiBank(
     if (banks == 0 || count_each <= 0)
         return;
 
+    // Every ACT of the call issues at its start time, so in the compiled
+    // tier the rounds after the first are an interleaved burst at stride
+    // 0. The first round stays per ACT (rows materialize exactly as the
+    // loop would); per-command hooks keep the whole loop.
     const Time start = clock;
+    const int n = static_cast<int>(banks);
+    const bool fold = execModeV == ExecMode::kCompiled &&
+        mitigation == nullptr && fault == nullptr && count_each > 1 &&
+        n <= DramBank::kMaxInterleavedFold;
+    const int per_act_rounds = fold ? 1 : count_each;
     Time penalty = 0;
-    for (int i = 0; i < count_each; ++i) {
+    for (int i = 0; i < per_act_rounds; ++i) {
         for (const auto &[bank, row] : rows) {
             if (mitigation != nullptr) {
                 const Time before = clock;
@@ -620,6 +631,25 @@ SoftMcHost::hammerMultiBank(
             dram.act(bank, row, clock);
             dram.pre(bank, clock);
         }
+    }
+    if (fold) {
+        const int rounds = count_each - 1;
+        DramModule::ActPlan plans[DramBank::kMaxInterleavedFold];
+        for (int i = 0; i < n; ++i) {
+            const auto &[bank, row] = rows[static_cast<std::size_t>(i)];
+            plans[i] = cachedPlan(bank, row);
+        }
+        dram.actInterleavedBurst(plans, n, rounds, start, 0);
+        if (cmdTrace.enabled()) {
+            for (int k = 0; k < rounds; ++k) {
+                for (const auto &[bank, row] : rows) {
+                    cmdTrace.record(TraceKind::kAct, bank, row, start,
+                                    timingParams.tRAS);
+                }
+            }
+        }
+        acts += static_cast<std::uint64_t>(n) *
+            static_cast<std::uint64_t>(rounds);
     }
     const Time per_bank_bound =
         static_cast<Time>(count_each) * timingParams.hammerCycle();

@@ -177,7 +177,12 @@ class SoftMcHost
     /**
      * Hammer one row in each of several banks simultaneously; bank-level
      * parallelism is bounded by tFAW (footnote 12 of the paper).
-     * Advances time by the tFAW-constrained duration.
+     * Advances time by the tFAW-constrained duration. Every ACT issues
+     * at the call's start time, so in kCompiled mode with no mitigation
+     * or fault injector and at most DramBank::kMaxInterleavedFold rows,
+     * the first round runs per ACT and the other @p count_each - 1
+     * rounds fold through DramModule::actInterleavedBurst at stride 0
+     * (a bank that cannot fold replays its own ACTs there).
      */
     void hammerMultiBank(const std::vector<std::pair<Bank, Row>> &rows,
                          int count_each);

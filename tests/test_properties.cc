@@ -709,6 +709,290 @@ TEST(RetentionScaleProperty, RowsWrittenBeforeAStepDecayLikeRowsAfterIt)
 }
 
 // ---------------------------------------------------------------------
+// Multi-bank fold (DESIGN.md §17): hammerMultiBank's compiled fold and
+// the per-bank replay inside actInterleavedBurst against the per-ACT
+// interpreter. The Program ISA has no multi-bank op, so the fuzzer's
+// execution oracle never reaches these paths.
+// ---------------------------------------------------------------------
+
+class MultiBankFoldProperty : public ::testing::TestWithParam<const char *>
+{
+};
+
+// A compiled and an interpreted host over identically seeded silicon
+// run the same random mix of multi-bank bursts (distinct banks, a
+// same-bank pair, a duplicated row, a VRT row, more rows than one fold
+// takes), writes, REF bursts, interleaved hammers and reads. After every
+// op the clock, ACT counts, command trace, fast-path tallies, TRR
+// counters and reads must agree, and so must every tracked row's charge,
+// last disturber and last restore time.
+TEST_P(MultiBankFoldProperty, CompiledMatchesInterpretedBitForBit)
+{
+    const ModuleSpec spec = *findModuleSpec(GetParam());
+    DramModule fold_module(spec, 2021);
+    DramModule loop_module(spec, 2021);
+    SoftMcHost fold(fold_module);
+    SoftMcHost loop(loop_module);
+    fold.setExecMode(ExecMode::kCompiled);
+    loop.setExecMode(ExecMode::kInterpreted);
+    fold.trace().enable(1 << 14);
+    loop.trace().enable(1 << 14);
+    Rng rng(hashMix(static_cast<std::uint64_t>(spec.banks) * 131 +
+                    static_cast<std::uint64_t>(spec.trr)));
+
+    const Bank banks = static_cast<Bank>(spec.banks);
+    constexpr Row kBand = 200; // logical rows [kBand, kBand + 24)
+    // A VRT row of bank 1, found on a third identically seeded module
+    // (row physics is a pure function of seed, bank and row).
+    DramModule probe(spec, 2021);
+    SoftMcHost probe_host(probe);
+    Row vrt_row = kInvalidRow;
+    for (Row r = kBand + 24; r < kBand + 1'024 && vrt_row == kInvalidRow;
+         ++r) {
+        probe_host.writeRow(1, r, DataPattern::allOnes());
+        for (const WeakCell &cell :
+             probe.bankAt(1).peekRow(probe.toPhysical(1, r))->physics()
+                 .weakCells) {
+            if (cell.vrt)
+                vrt_row = r;
+        }
+    }
+    ASSERT_NE(vrt_row, kInvalidRow);
+    const std::pair<Bank, Row> vrt{1, vrt_row};
+
+    // Physical rows an op can touch: each used row and its neighbours.
+    std::set<std::pair<Bank, Row>> tracked;
+    const auto track = [&](Bank b, Row logical) {
+        const Row p = fold_module.toPhysical(b, logical);
+        for (Row q : {p - 2, p - 1, p, p + 1, p + 2, p ^ 1}) {
+            if (q >= 0 && q < spec.physRowsPerBank())
+                tracked.insert({b, q});
+        }
+    };
+    const auto check = [&](const char *op) {
+        SCOPED_TRACE(op);
+        ASSERT_EQ(fold.now(), loop.now());
+        ASSERT_EQ(fold.actCount(), loop.actCount());
+        ASSERT_EQ(fold.trace().recorded(), loop.trace().recorded());
+        ASSERT_EQ(fold.trace().contentHash(), loop.trace().contentHash());
+        fold.trace().clear();
+        loop.trace().clear();
+        const RowPerfCounters a = fold_module.perfTotals();
+        const RowPerfCounters b = loop_module.perfTotals();
+        ASSERT_EQ(a.restoreFastPath, b.restoreFastPath);
+        ASSERT_EQ(a.restoreSlowPath, b.restoreSlowPath);
+        ASSERT_EQ(a.hammerCellAttaches, b.hammerCellAttaches);
+        ASSERT_EQ(a.readoutCowCopies, b.readoutCowCopies);
+        ASSERT_EQ(a.readoutShares, b.readoutShares);
+        ASSERT_EQ(fold_module.trrEventCount(), loop_module.trrEventCount());
+        ASSERT_EQ(fold_module.trrRefreshCount(),
+                  loop_module.trrRefreshCount());
+        std::vector<std::size_t> compared(static_cast<std::size_t>(banks));
+        for (const auto &[b, p] : tracked) {
+            const RowState *x = fold_module.bankAt(b).peekRow(p);
+            const RowState *y = loop_module.bankAt(b).peekRow(p);
+            ASSERT_EQ(x == nullptr, y == nullptr)
+                << "bank " << b << " phys row " << p;
+            if (x == nullptr)
+                continue;
+            ++compared[static_cast<std::size_t>(b)];
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(x->hammerCharge()),
+                      std::bit_cast<std::uint64_t>(y->hammerCharge()))
+                << "bank " << b << " phys row " << p;
+            ASSERT_EQ(x->lastDisturber(), y->lastDisturber())
+                << "bank " << b << " phys row " << p;
+            ASSERT_EQ(x->lastRefresh(), y->lastRefresh())
+                << "bank " << b << " phys row " << p;
+        }
+        // Every materialized row was among those compared.
+        for (Bank b = 0; b < banks; ++b) {
+            ASSERT_EQ(fold_module.bankAt(b).actCount(),
+                      loop_module.bankAt(b).actCount());
+            ASSERT_EQ(fold_module.bankAt(b).materializedRows(),
+                      compared[static_cast<std::size_t>(b)]);
+            ASSERT_EQ(loop_module.bankAt(b).materializedRows(),
+                      compared[static_cast<std::size_t>(b)]);
+        }
+    };
+    const auto band_row = [&] {
+        return static_cast<Row>(rng.uniformInt(kBand, kBand + 23));
+    };
+    // A logical row at physical distance @p d from (b, logical).
+    const auto partner = [&](Bank b, Row logical, int d) {
+        const Row p = fold_module.toPhysical(b, logical);
+        for (Row q : {p + d, p - d}) {
+            const Row mate = q >= 0 && q < spec.rowsPerBank
+                ? fold_module.toLogical(b, q) : kInvalidRow;
+            if (mate != kInvalidRow)
+                return mate;
+        }
+        return logical + 1; // both neighbours vacated by remapping
+    };
+    // One row in each of k distinct banks, in random bank order.
+    const auto distinct_banks = [&](int k) {
+        std::vector<Bank> order(static_cast<std::size_t>(banks));
+        for (Bank b = 0; b < banks; ++b)
+            order[static_cast<std::size_t>(b)] = b;
+        for (std::size_t i = order.size(); i > 1; --i) {
+            std::swap(order[i - 1],
+                      order[static_cast<std::size_t>(rng.uniformInt(
+                          0, static_cast<std::int64_t>(i) - 1))]);
+        }
+        std::vector<std::pair<Bank, Row>> rows;
+        for (int i = 0; i < k; ++i)
+            rows.push_back({order[static_cast<std::size_t>(i)], band_row()});
+        return rows;
+    };
+    const auto both = [&](const auto &run) {
+        run(fold);
+        run(loop);
+    };
+
+    for (Bank b = 0; b < banks; ++b) {
+        for (Row r = kBand; r < kBand + 24; ++r) {
+            both([&](SoftMcHost &h) {
+                h.writeRow(b, r, r % 2 == 0 ? DataPattern::allOnes()
+                                             : DataPattern::checkerboard());
+            });
+            track(b, r);
+        }
+    }
+    both([&](SoftMcHost &h) {
+        h.writeRow(1, vrt_row, DataPattern::allOnes());
+    });
+    track(1, vrt_row);
+    check("setup");
+
+    // How often each multi-bank shape and each other op ran.
+    std::map<std::string, int> ran;
+    for (int op = 0; op < 200; ++op) {
+        const auto kind = rng.uniformInt(0, 9);
+        if (kind <= 5) {
+            std::vector<std::pair<Bank, Row>> rows;
+            std::string shape;
+            switch (rng.uniformInt(0, 4)) {
+              case 0:
+                shape = "distinct banks";
+                rows = distinct_banks(static_cast<int>(
+                    rng.uniformInt(1, std::min<Bank>(banks, 9))));
+                break;
+              case 1: {
+                shape = "same-bank pair";
+                rows = distinct_banks(static_cast<int>(
+                    rng.uniformInt(1, std::min<Bank>(banks, 4))));
+                const auto [b, r] = rows.front();
+                const Row mate = partner(b, r, rng.chance(0.5) ? 1 : 2);
+                rows.insert(rows.begin() + rng.uniformInt(0, 1),
+                            {b, mate});
+                break;
+              }
+              case 2:
+                shape = "duplicated row";
+                rows = distinct_banks(static_cast<int>(
+                    rng.uniformInt(1, std::min<Bank>(banks, 4))));
+                rows.push_back(rows[static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<std::int64_t>(
+                                          rows.size()) - 1))]);
+                break;
+              case 3: {
+                shape = "VRT row";
+                rows = distinct_banks(static_cast<int>(
+                    rng.uniformInt(1, std::min<Bank>(banks, 6))));
+                const auto it = std::find_if(
+                    rows.begin(), rows.end(),
+                    [](const auto &row) { return row.first == 1; });
+                if (it != rows.end())
+                    *it = vrt;
+                else
+                    rows.push_back(vrt);
+                break;
+              }
+              default:
+                // Nine rows: more than one fold takes (kMaxInterleavedFold
+                // is 8), with banks repeating on modules with fewer.
+                shape = "nine rows";
+                for (int i = 0; i < 9; ++i)
+                    rows.push_back({static_cast<Bank>(i % banks), band_row()});
+                break;
+            }
+            const int count_each = rng.chance(0.1)
+                ? 1 : static_cast<int>(rng.uniformInt(1, 300));
+            ++ran[shape];
+            ran["count 1"] += count_each == 1 ? 1 : 0;
+            for (const auto &[b, r] : rows)
+                track(b, r);
+            both([&](SoftMcHost &h) { h.hammerMultiBank(rows, count_each); });
+            check(shape.c_str());
+        } else if (kind == 6) {
+            const Bank b = static_cast<Bank>(rng.uniformInt(0, banks - 1));
+            const Row r = band_row();
+            const DataPattern pattern = rng.chance(0.5)
+                ? DataPattern::allZeros() : DataPattern::allOnes();
+            ++ran["writeRow"];
+            both([&](SoftMcHost &h) { h.writeRow(b, r, pattern); });
+            check("writeRow");
+        } else if (kind == 7) {
+            const int refs = static_cast<int>(rng.uniformInt(1, 32));
+            ++ran["refBurst"];
+            both([&](SoftMcHost &h) { h.refBurst(refs); });
+            check("refBurst");
+        } else if (kind == 8) {
+            // A double-sided pair, or a VRT aggressor at a random place
+            // in a cross-bank round, where its bank replays at the
+            // stride's times while the other bank folds.
+            std::vector<std::pair<Bank, Row>> rows;
+            if (rng.chance(0.5)) {
+                const Bank b = static_cast<Bank>(rng.uniformInt(0, banks - 1));
+                const Row r = band_row();
+                rows = {{b, r}, {b, partner(b, r, 2)}};
+            } else {
+                rows = {{0, band_row()}, {2 % banks, band_row()}};
+                rows.insert(rows.begin() + rng.uniformInt(0, 2), vrt);
+            }
+            std::vector<int> counts;
+            const int n = static_cast<int>(rng.uniformInt(2, 2'000));
+            for (std::size_t i = 0; i < rows.size(); ++i) {
+                counts.push_back(
+                    rng.chance(0.3) ? static_cast<int>(rng.uniformInt(1, n))
+                                    : n);
+            }
+            ++ran["hammerInterleaved"];
+            for (const auto &[b, r] : rows)
+                track(b, r);
+            both([&](SoftMcHost &h) { h.hammerInterleaved(rows, counts); });
+            check("hammerInterleaved");
+        } else {
+            const Bank b = static_cast<Bank>(rng.uniformInt(0, banks - 1));
+            const Row r = rng.chance(0.2) ? vrt_row : band_row();
+            ++ran["readRow"];
+            track(b, r);
+            const RowReadout x = fold.readRow(b, r);
+            const RowReadout y = loop.readRow(b, r);
+            EXPECT_EQ(x.rawFlips(), y.rawFlips());
+            EXPECT_EQ(x.flipsVs(DataPattern::allOnes(), r),
+                      y.flipsVs(DataPattern::allOnes(), r));
+            check("readRow");
+        }
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    for (const char *shape :
+         {"distinct banks", "same-bank pair", "duplicated row", "VRT row",
+          "nine rows", "count 1", "writeRow", "refBurst",
+          "hammerInterleaved", "readRow"}) {
+        EXPECT_GT(ran[shape], 0) << shape;
+    }
+}
+
+// A_TRR1, B_TRR1, B_TRR3, C_TRR1 (every C_TRR1 module is paired) and an
+// unpaired vendor-C module (C_TRR2).
+INSTANTIATE_TEST_SUITE_P(Modules, MultiBankFoldProperty,
+                         ::testing::Values("A0", "B0", "B13", "C0", "C9"),
+                         [](const auto &info) {
+                             return std::string(info.param);
+                         });
+
+// ---------------------------------------------------------------------
 // Snapshot/fork (DESIGN.md §16): fork isolation, restore bit-identity
 // under chaos faults, and path-independence at random program points.
 // ---------------------------------------------------------------------

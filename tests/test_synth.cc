@@ -447,5 +447,47 @@ TEST(SynthCorpus, AnchorsReplayByteIdentically)
     }
 }
 
+// --- execution-tier identity -------------------------------------------
+
+/** Restores the process-wide default tier when the test exits. */
+struct DefaultExecModeGuard
+{
+    ExecMode saved = SoftMcHost::defaultExecMode();
+    ~DefaultExecModeGuard() { SoftMcHost::setDefaultExecMode(saved); }
+};
+
+// Vendor-B candidates spend most of each REF slot in hammerMultiBank
+// (the tFAW-parallel dummy fill), whose compiled fold and per-bank
+// replay no Program-level oracle reaches. A whole synthesis run
+// (search, verify, minimize, bank sweep) must give the same verdict
+// when every evaluation host interprets one command at a time. With
+// this config B13 falls to a four-bank multi-bank winner and B0 resists
+// all eight candidates.
+TEST(Synth, VerdictIsTheSameInBothExecutionTiers)
+{
+    const DefaultExecModeGuard guard;
+    SynthConfig cfg;
+    cfg.attempts = 8;
+    cfg.positions = 1;
+    cfg.windowRefs = 1'024;
+    cfg.warmupRefs = 64;
+    cfg.sweepBanks = 2;
+    cfg.minimizeMaxEvaluations = 8;
+    for (const char *module : {"B0", "B13"}) {
+        SCOPED_TRACE(module);
+        const auto verdict = [&](ExecMode mode) {
+            SoftMcHost::setDefaultExecMode(mode);
+            return synthVerdict(
+                       spec(module),
+                       synthesizeForModule(
+                           spec(module), cfg,
+                           Rng(1).fork(module).fork("synth")))
+                .dump();
+        };
+        const std::string interpreted = verdict(ExecMode::kInterpreted);
+        EXPECT_EQ(interpreted, verdict(ExecMode::kCompiled));
+    }
+}
+
 } // namespace
 } // namespace utrr
