@@ -177,6 +177,33 @@ BM_HammerMultiBankInterpreted(benchmark::State &state)
 BENCHMARK(BM_HammerMultiBankInterpreted);
 
 void
+BM_AdjacencyBurst(benchmark::State &state, const char *module_name)
+{
+    // The §5.3 adjacency pre-check (TrrAnalyzer::verifyAdjacency at
+    // its first escalation step), identify's largest
+    // softmc.hammer_interleaved cost: victims written, then one
+    // aggressor hammered 300,000 times. The compiled tier folds the
+    // burst: each victim's charge steps binade by binade, B_TRR1 still
+    // draws from its sampler per ACT, and C_TRR1 replays per ACT only
+    // until its bank holds a candidate.
+    DramModule module(*findModuleSpec(module_name), 1);
+    SoftMcHost host(module);
+    constexpr Row kAggressor = 5'000;
+    constexpr int kHammers = 300'000;
+    for (auto _ : state) {
+        for (Row r = kAggressor - 2; r <= kAggressor + 2; ++r) {
+            if (r != kAggressor)
+                host.writeRow(0, r, DataPattern::allOnes());
+        }
+        host.writeRow(0, kAggressor, DataPattern::allZeros());
+        host.hammerInterleaved({{0, kAggressor}}, {kHammers});
+    }
+    state.SetItemsProcessed(state.iterations() * kHammers);
+}
+BENCHMARK_CAPTURE(BM_AdjacencyBurst, B_TRR1, "B0");
+BENCHMARK_CAPTURE(BM_AdjacencyBurst, C_TRR1, "C0");
+
+void
 BM_RefCommand(benchmark::State &state)
 {
     DramModule module(benchSpec(TrrVersion::kATrr1), 1);

@@ -5,13 +5,16 @@
  * All stochastic behaviour in the simulator (retention-time sampling, VRT
  * switching, TRR sampler decisions, ...) flows through Rng so that every
  * experiment is exactly reproducible from a seed. The generator is
- * xoshiro256** (Blackman & Vigna), seeded via splitmix64.
+ * xoshiro256** (Blackman & Vigna), seeded via splitmix64. The per-draw
+ * members are inline: TRR samplers draw once per ACT in their burst
+ * loops.
  */
 
 #ifndef UTRR_COMMON_RNG_HH
 #define UTRR_COMMON_RNG_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string_view>
 
@@ -28,10 +31,29 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x5eed);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = std::rotl(s[1] * 5, 7) * 9;
+        const std::uint64_t t = s[1] << 17;
+
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = std::rotl(s[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 high bits -> double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform integer in [lo, hi] (inclusive). Requires lo <= hi. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
@@ -40,7 +62,15 @@ class Rng
     double uniformReal(double lo, double hi);
 
     /** Bernoulli trial with success probability p. */
-    bool chance(double p);
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /** Standard normal via Box-Muller (deterministic, no cached spare). */
     double gaussian();

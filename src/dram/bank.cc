@@ -233,8 +233,9 @@ DramBank::applyInterleavedRounds(const ActPlan *const *plans,
                                  const Time *last_times, int n, int rounds)
 {
     // Non-aggressor victims: gather each unique row's contributors in
-    // round order, then replay `rounds` passes of per-ACT additions
-    // with the live repeat-weight branch (addDisturbanceRoundRobin).
+    // round order, then accumulate `rounds` passes of them in one call
+    // (addDisturbanceRoundRobin: live weights on the first pass, exact
+    // binade-stepped accumulation after).
     // All scratch lives on the stack — kMaxInterleavedFold aggressors
     // with at most 4 planned victims each, every aggressor hitting a
     // given victim at most once per pass.

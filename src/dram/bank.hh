@@ -28,6 +28,7 @@
 #include "common/types.hh"
 #include "dram/physics.hh"
 #include "dram/row.hh"
+#include "trr/trr.hh"
 
 namespace utrr
 {
@@ -100,8 +101,8 @@ class DramBank
      * materialization order and hammer-cell attach); the remaining
      * cycles run off an ActPlan, and when the aggressor's restores are
      * provably all fast-path its per-cycle bookkeeping collapses to one
-     * fast-forward while each victim's charge still accumulates with
-     * per-ACT floating-point additions.
+     * fast-forward, and each victim's charge takes the exact
+     * binade-stepped accumulation of RowState::addDisturbanceRun().
      */
     void applyActivationBurst(Row phys_row, int count, Time start,
                               Time cycle);
@@ -118,6 +119,10 @@ class DramBank
     void applyActivationBurstPlanned(const ActPlan &plan, int count,
                                      Time start, Time cycle);
 
+    /** Most aggressors one interleaved fold accepts (stack bounds). */
+    static constexpr int kMaxInterleavedFold =
+        TrrMechanism::kMaxRoundRobinRows;
+
     /**
      * True when @p rounds round-robin ACT+PRE passes over the @p n
      * planned aggressors (all in this bank, in global round order, one
@@ -129,17 +134,15 @@ class DramBank
      * A check — mutates nothing observable (aggressors may adopt
      * pending temperature steps early).
      */
-    /** Most aggressors one interleaved fold accepts (stack bounds). */
-    static constexpr int kMaxInterleavedFold = 8;
-
     bool interleavedRoundsFoldable(const ActPlan *const *plans, int n,
                                    Time round_gap) const;
 
     /**
      * Apply @p rounds round-robin passes over the planned aggressors in
      * one call — bit-identical to the same actPlanned() loop. Victim
-     * charge accumulates with per-ACT floating-point additions in round
-     * order; each aggressor's restores collapse to one fast-forward at
+     * charge accumulates in round order, through the exact
+     * binade-stepped RowState::addDisturbanceRoundRobin(); each
+     * aggressor's restores collapse to one fast-forward at
      * @p last_times[i] (its final-pass ACT) plus the surviving
      * final-pass disturbances from later-in-round aggressors. The
      * caller must have checked interleavedRoundsFoldable().

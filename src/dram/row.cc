@@ -1,9 +1,11 @@
 #include "dram/row.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
+#include "trr/trr.hh"
 
 namespace utrr
 {
@@ -12,6 +14,90 @@ namespace
 {
 
 const std::vector<Col> kNoFlips;
+
+constexpr std::uint64_t kHiddenBit = std::uint64_t{1} << 52;
+constexpr std::uint64_t kMantissaMask = kHiddenBit - 1;
+constexpr std::uint64_t kExponentInfNan = 0x7ff;
+
+/**
+ * @p c + adds[0] + ... + adds[m-1], repeated @p rounds times, one
+ * double-precision add at a time in that order — bit for bit, but at a
+ * cost that grows with the binades the sum crosses, not with the adds.
+ *
+ * While c stays in one binade [2^e, 2^(e+1)) it is a multiple of its
+ * ulp u = 2^(e-52), and so is every partial sum; an addend a < 2^e
+ * then rounds to c + round(a/u)·u whatever c is, unless a/u sits
+ * exactly half-way (ties-to-even reads c's last bit). So k rounds that
+ * stay inside the binade add exactly k·Σ round(aᵢ/u) ulps, an integer
+ * step on c's significand. Real adds remain for the round that leaves
+ * the binade, for exact ties, for an addend of 2^e or more, for a zero
+ * or subnormal c, and for negative or non-finite values (which the
+ * simulator never produces). A round of real adds that leaves c as it
+ * was is a fixed point: every later round would too.
+ */
+double
+accumulateRounds(double c, const double *adds, int m, std::int64_t rounds)
+{
+    while (rounds > 0) {
+        const auto cb = std::bit_cast<std::uint64_t>(c);
+        // Sign and biased exponent: a zero or subnormal c reads 0, a
+        // negative or non-finite one 0x7ff or more. Both take real adds.
+        const std::uint64_t ec = cb >> 52;
+        bool stepping = ec != 0 && ec < kExponentInfNan;
+        std::uint64_t step = 0; // ulps one steady round adds
+        for (int i = 0; stepping && i < m; ++i) {
+            const auto ab = std::bit_cast<std::uint64_t>(adds[i]);
+            const std::uint64_t ea = ab >> 52;
+            if (ea >= ec) {
+                // a >= 2^e leaves the binade at once; a negative or
+                // non-finite a reads 0x7ff or more here too.
+                stepping = false;
+                break;
+            }
+            // a = sig·2^(max(ea,1)-1075), u = 2^(ec-1075): a/u = sig/2^d.
+            const std::uint64_t sig =
+                (ab & kMantissaMask) | (ea != 0 ? kHiddenBit : 0);
+            const std::uint64_t d = ec - std::max<std::uint64_t>(ea, 1);
+            if (d == 0) {
+                step += sig;
+                continue;
+            }
+            if (d > 53)
+                continue; // a < u/2: rounds away to nothing
+            const std::uint64_t half = std::uint64_t{1} << (d - 1);
+            const std::uint64_t rem = sig & ((half << 1) - 1);
+            if (rem == half) {
+                stepping = false; // exact tie: depends on c's parity
+                break;
+            }
+            step += (sig >> d) + (rem > half ? 1 : 0);
+        }
+        if (stepping) {
+            if (step == 0)
+                return c; // every add rounds back to c: a fixed point
+            const std::uint64_t sig = (cb & kMantissaMask) | kHiddenBit;
+            const std::uint64_t fit =
+                (2 * kHiddenBit - 1 - sig) / step; // rounds left in binade
+            const auto k =
+                std::min(static_cast<std::uint64_t>(rounds), fit);
+            c = std::bit_cast<double>((ec << 52) |
+                                      ((sig + k * step) & kMantissaMask));
+            rounds -= static_cast<std::int64_t>(k);
+            if (rounds == 0)
+                break;
+        }
+        // The round that leaves the binade (or a tie, a large addend,
+        // a zero, subnormal, negative or non-finite value): real adds.
+        const double before = c;
+        for (int i = 0; i < m; ++i)
+            c += adds[i];
+        --rounds;
+        if (std::bit_cast<std::uint64_t>(c) ==
+            std::bit_cast<std::uint64_t>(before))
+            break;
+    }
+    return c;
+}
 
 } // namespace
 
@@ -361,13 +447,7 @@ RowState::addDisturbance(Row aggressor_phys, double added)
 void
 RowState::addDisturbanceRun(Row aggressor_phys, double added, int n)
 {
-    // n separate additions, not one multiply: FP addition is not
-    // associative and the charge must stay bit-identical to n
-    // interpreter-issued addDisturbance() calls.
-    double c = charge;
-    for (int i = 0; i < n; ++i)
-        c += added;
-    charge = c;
+    charge = accumulateRounds(charge, &added, 1, n);
     lastAggressor = aggressor_phys;
 }
 
@@ -376,19 +456,27 @@ RowState::addDisturbanceRoundRobin(const Row *aggrs, const double *w_first,
                                    const double *w_repeat, int m,
                                    int rounds)
 {
-    // Live weight resolution per add: the first pass may still see a
-    // pre-burst lastDisturber, and a single-aggressor victim takes the
-    // repeat weight throughout — both fall out of replaying the branch
-    // rather than precomputing a steady-state schedule.
+    UTRR_ASSERT(m <= TrrMechanism::kMaxRoundRobinRows,
+                "round-robin accumulation takes at most 8 aggressors");
+    if (rounds <= 0 || m <= 0)
+        return;
+    // The first pass resolves each weight against the live
+    // lastDisturber, which may still be a pre-burst row.
     double c = charge;
     Row last = lastAggressor;
-    for (int k = 0; k < rounds; ++k) {
-        for (int i = 0; i < m; ++i) {
-            c += last == aggrs[i] ? w_repeat[i] : w_first[i];
-            last = aggrs[i];
-        }
+    for (int i = 0; i < m; ++i) {
+        c += last == aggrs[i] ? w_repeat[i] : w_first[i];
+        last = aggrs[i];
     }
-    charge = c;
+    // From the second pass on every add follows the previous aggressor
+    // of the same round robin (a single-aggressor victim follows itself
+    // and takes the repeat weight), so the schedule is fixed.
+    double steady[TrrMechanism::kMaxRoundRobinRows];
+    for (int i = 0; i < m; ++i) {
+        const Row prev = aggrs[i == 0 ? m - 1 : i - 1];
+        steady[i] = prev == aggrs[i] ? w_repeat[i] : w_first[i];
+    }
+    charge = accumulateRounds(c, steady, m, rounds - 1);
     lastAggressor = last;
 }
 

@@ -69,11 +69,18 @@ class TrrMechanism
 
     /**
      * Observe @p count back-to-back ACTs of the same row with no other
-     * command in between (a fused hammer burst). The default simply
-     * replays onActivate() @p count times — every mechanism therefore
-     * sees exactly the command stream the interpreter would have issued;
-     * mechanisms whose per-ACT work is state-free may override to skip
-     * the loop.
+     * command in between (a fused hammer burst).
+     *
+     * The burst hooks' contract: afterwards the mechanism's state —
+     * tables, samples, candidates, window counts, RNG stream position
+     * and ground-truth counters — is exactly what onActivate() called
+     * once per ACT, in order, would have left. The default does just
+     * that. The vendor models override both hooks (DESIGN.md §17):
+     * vendor A folds rows its tables already track, vendor B keeps one
+     * sampler draw per ACT but without the virtual call, and vendor C
+     * replays per ACT only until every listed bank holds a candidate.
+     * The default replay remains for vendor A's untracked rows and for
+     * any mechanism without a closed form.
      */
     virtual void
     onActivateBurst(Bank bank, Row phys_row, int count)
@@ -83,12 +90,21 @@ class TrrMechanism
     }
 
     /**
+     * Most aggressors one folded round robin carries. The compiled tier
+     * folds no more rows than this into one onActivateRoundRobin() call
+     * (DramBank::kMaxInterleavedFold is this limit), and the fold's
+     * stack scratch — vendor A's table hits, each victim's round-robin
+     * accumulation in RowState — is sized by it.
+     */
+    static constexpr int kMaxRoundRobinRows = 8;
+
+    /**
      * Observe @p rounds round-robin passes over @p n aggressors — the
      * ACT sequence rows[0], rows[1], ..., rows[n-1] repeated @p rounds
-     * times with no other command in between (a fused interleaved
-     * hammer, DESIGN.md §17). The default replays onActivate() in
-     * exactly that order; mechanisms whose per-ACT update commutes for
-     * already-tracked rows may override with a fold.
+     * times with no other command in between (a fused interleaved or
+     * multi-bank hammer, DESIGN.md §17). Banks may repeat in the list.
+     * Same contract as onActivateBurst(); the default replays
+     * onActivate() in exactly that order.
      */
     virtual void
     onActivateRoundRobin(const Bank *banks, const Row *phys_rows, int n,

@@ -78,26 +78,30 @@ VendorATrr::onActivateRoundRobin(const Bank *banks, const Row *phys_rows,
     // table: an ACT of a tracked row is a pure counter increment (no
     // insert, no Obs. A5 eviction), so `rounds` round-robin passes add
     // exactly `rounds` to each entry regardless of order. Any miss
-    // could evict another listed row mid-sequence — replay per ACT.
-    std::vector<Entry *> hits(static_cast<std::size_t>(n), nullptr);
+    // could evict another listed row mid-sequence — replay per ACT, as
+    // for more rows than the stack scratch holds.
+    if (n > kMaxRoundRobinRows) {
+        TrrMechanism::onActivateRoundRobin(banks, phys_rows, n, rounds);
+        return;
+    }
+    Entry *hits[kMaxRoundRobinRows];
     for (int i = 0; i < n; ++i) {
-        auto &table =
-            bankState.at(static_cast<std::size_t>(banks[i])).table;
-        for (Entry &entry : table) {
+        hits[i] = nullptr;
+        for (Entry &entry :
+             bankState.at(static_cast<std::size_t>(banks[i])).table) {
             if (entry.row == phys_rows[i]) {
-                hits[static_cast<std::size_t>(i)] = &entry;
+                hits[i] = &entry;
                 break;
             }
         }
-        if (hits[static_cast<std::size_t>(i)] == nullptr) {
+        if (hits[i] == nullptr) {
             TrrMechanism::onActivateRoundRobin(banks, phys_rows, n,
                                                rounds);
             return;
         }
     }
     for (int i = 0; i < n; ++i)
-        hits[static_cast<std::size_t>(i)]->count +=
-            static_cast<std::uint64_t>(rounds);
+        hits[i]->count += static_cast<std::uint64_t>(rounds);
 }
 
 void

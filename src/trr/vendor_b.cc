@@ -42,8 +42,39 @@ VendorBTrr::onActivate(Bank bank, Row phys_row)
     // Pseudo-random ACT sampling: the hardware likely uses an LFSR; we
     // use a seeded deterministic PRNG, which is observationally
     // equivalent to the paper's description.
-    if (!rng.chance(params.sampleProbability))
-        return;
+    if (rng.chance(params.sampleProbability))
+        takeSample(bank, phys_row);
+}
+
+void
+VendorBTrr::onActivateBurst(Bank bank, Row phys_row, int count)
+{
+    onActivateRoundRobin(&bank, &phys_row, 1, count);
+}
+
+void
+VendorBTrr::onActivateRoundRobin(const Bank *banks, const Row *phys_rows,
+                                 int n, int rounds)
+{
+    // A sampler has no closed form over a burst: every ACT is a draw
+    // (the stream position is state) and every hit is a counted
+    // sample. What a burst saves is the virtual dispatch per ACT, and
+    // the stream round trip through memory: takeSample() never draws,
+    // so the loop runs on a local copy of the stream.
+    Rng stream = rng;
+    const double p = params.sampleProbability;
+    for (int k = 0; k < rounds; ++k) {
+        for (int i = 0; i < n; ++i) {
+            if (stream.chance(p))
+                takeSample(banks[i], phys_rows[i]);
+        }
+    }
+    rng = stream;
+}
+
+void
+VendorBTrr::takeSample(Bank bank, Row phys_row)
+{
     if (params.perBank) {
         bankSamples.at(static_cast<std::size_t>(bank)) = phys_row;
     } else {

@@ -50,6 +50,9 @@ class VendorBTrr : public TrrMechanism
     VendorBTrr(int banks, Params params, std::uint64_t seed);
 
     void onActivate(Bank bank, Row phys_row) override;
+    void onActivateBurst(Bank bank, Row phys_row, int count) override;
+    void onActivateRoundRobin(const Bank *banks, const Row *phys_rows,
+                              int n, int rounds) override;
     std::vector<TrrRefreshAction> onRefresh() override;
     void reset() override;
     std::unique_ptr<TrrMechanism> clone() const override;
@@ -65,6 +68,8 @@ class VendorBTrr : public TrrMechanism
     void onGroundTruthAttached() override;
 
   private:
+    /** A sampler hit: @p phys_row becomes the (bank's) sample. */
+    void takeSample(Bank bank, Row phys_row);
     void recordOccupancy();
 
     Params params;

@@ -1,5 +1,7 @@
 #include "trr/vendor_c.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace utrr
@@ -12,10 +14,9 @@ VendorCTrr::VendorCTrr(int banks, Params params, std::uint64_t seed)
     bankState.resize(static_cast<std::size_t>(banks));
 }
 
-void
-VendorCTrr::onActivate(Bank bank, Row phys_row)
+inline void
+VendorCTrr::observe(BankState &state, Row phys_row)
 {
-    auto &state = bankState.at(static_cast<std::size_t>(bank));
     if (state.actsInWindow >= params.windowActs) {
         if (state.candidate)
             return; // beyond the detection window: invisible to TRR
@@ -37,6 +38,65 @@ VendorCTrr::onActivate(Bank bank, Row phys_row)
         state.candidate = phys_row;
         if (gtCandidates != nullptr)
             gtCandidates->inc();
+    }
+}
+
+void
+VendorCTrr::onActivate(Bank bank, Row phys_row)
+{
+    observe(bankState.at(static_cast<std::size_t>(bank)), phys_row);
+}
+
+void
+VendorCTrr::onActivateBurst(Bank bank, Row phys_row, int count)
+{
+    onActivateRoundRobin(&bank, &phys_row, 1, count);
+}
+
+void
+VendorCTrr::onActivateRoundRobin(const Bank *banks, const Row *phys_rows,
+                                 int n, int rounds)
+{
+    if (n <= 0 || rounds <= 0)
+        return;
+    // Replay ACT by ACT while a listed bank still lacks a candidate.
+    // Only a TRR-induced refresh clears one, so once every listed bank
+    // holds one, an ACT draws nothing: it only advances its bank's
+    // window count, which stops at windowActs (no reopening with a
+    // candidate held). The rest of the sequence folds to one capped
+    // addition per aggressor.
+    int missing = 0;
+    for (int i = 0; i < n; ++i) {
+        bool repeat = false;
+        for (int j = 0; j < i && !repeat; ++j)
+            repeat = banks[j] == banks[i];
+        if (!repeat &&
+            !bankState.at(static_cast<std::size_t>(banks[i])).candidate)
+            ++missing;
+    }
+    const std::int64_t total = static_cast<std::int64_t>(n) * rounds;
+    std::int64_t pos = 0;
+    for (; missing > 0 && pos < total; ++pos) {
+        const auto i = static_cast<std::size_t>(pos % n);
+        BankState &state = bankState.at(static_cast<std::size_t>(banks[i]));
+        const bool held = state.candidate.has_value();
+        observe(state, phys_rows[i]);
+        if (!held && state.candidate)
+            --missing;
+    }
+    const std::int64_t rest = total - pos;
+    if (rest == 0)
+        return;
+    const std::int64_t next = pos % n;
+    for (int i = 0; i < n; ++i) {
+        // ACTs of position i among the remaining sequence positions.
+        const std::int64_t acts = rest / n +
+            ((i - next + n) % n < rest % n ? 1 : 0);
+        BankState &state = bankState[static_cast<std::size_t>(banks[i])];
+        if (state.actsInWindow < params.windowActs) {
+            state.actsInWindow = static_cast<int>(std::min<std::int64_t>(
+                state.actsInWindow + acts, params.windowActs));
+        }
     }
 }
 

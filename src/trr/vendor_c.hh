@@ -55,6 +55,9 @@ class VendorCTrr : public TrrMechanism
     VendorCTrr(int banks, Params params, std::uint64_t seed);
 
     void onActivate(Bank bank, Row phys_row) override;
+    void onActivateBurst(Bank bank, Row phys_row, int count) override;
+    void onActivateRoundRobin(const Bank *banks, const Row *phys_rows,
+                              int n, int rounds) override;
     std::vector<TrrRefreshAction> onRefresh() override;
     void reset() override;
     std::unique_ptr<TrrMechanism> clone() const override;
@@ -75,6 +78,9 @@ class VendorCTrr : public TrrMechanism
         int actsInWindow = 0;
         std::optional<Row> candidate;
     };
+
+    /** One ACT of @p state's bank: window count, maybe a draw. */
+    void observe(BankState &state, Row phys_row);
 
     Params params;
     Rng rng;

@@ -20,6 +20,7 @@
 
 #include "common/checksum.hh"
 #include "common/durable_file.hh"
+#include "common/logging.hh"
 #include "obs/report.hh"
 #include "dram/module_spec.hh"
 #include "fault/io_fault.hh"
@@ -52,7 +53,7 @@ tinySpecs(int count = 4)
     std::vector<ModuleSpec> specs;
     for (int i = 0; i < count; ++i) {
         ModuleSpec spec = *findModuleSpec("A0");
-        spec.name = "J" + std::to_string(i);
+        spec.name = logFmt("J", i);
         spec.rowsPerBank = 1024;
         specs.push_back(spec);
     }

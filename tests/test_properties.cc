@@ -2,12 +2,14 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <map>
 #include <set>
 #include <tuple>
 
 #include "attack/synth.hh"
 #include "check/fuzzer.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/sim_backend.hh"
 #include "dram/refresh_engine.hh"
@@ -709,10 +711,11 @@ TEST(RetentionScaleProperty, RowsWrittenBeforeAStepDecayLikeRowsAfterIt)
 }
 
 // ---------------------------------------------------------------------
-// Multi-bank fold (DESIGN.md §17): hammerMultiBank's compiled fold and
-// the per-bank replay inside actInterleavedBurst against the per-ACT
-// interpreter. The Program ISA has no multi-bank op, so the fuzzer's
-// execution oracle never reaches these paths.
+// Multi-bank fold (DESIGN.md §17): hammerMultiBank's compiled fold,
+// the per-bank replay inside actInterleavedBurst and long interleaved
+// bursts against the per-ACT interpreter. The Program ISA has no
+// multi-bank op, so the fuzzer's execution oracle never reaches these
+// paths.
 // ---------------------------------------------------------------------
 
 class MultiBankFoldProperty : public ::testing::TestWithParam<const char *>
@@ -976,10 +979,63 @@ TEST_P(MultiBankFoldProperty, CompiledMatchesInterpretedBitForBit)
         if (::testing::Test::HasFatalFailure())
             return;
     }
+
+    // Long bursts in the shape of the §5.3 adjacency check
+    // (TrrAnalyzer::verifyAdjacencyEscalating): victims written, 1-8
+    // aggressors of one bank hammered 10^4-3·10^5 rounds each, victims
+    // read back, then REFs let the TRR act on what it saw. The charge
+    // crosses many binades, and the TRR hooks fold or replay long runs.
+    const auto same_reads = [&](Bank b) {
+        for (Row r = kBand; r < kBand + 24; ++r) {
+            const RowReadout x = fold.readRow(b, r);
+            const RowReadout y = loop.readRow(b, r);
+            ASSERT_EQ(x.rawFlips(), y.rawFlips()) << "row " << r;
+        }
+    };
+    for (const int n : {1, 1, 2, 5, 8}) {
+        const Bank b = static_cast<Bank>(rng.uniformInt(0, banks - 1));
+        std::vector<Row> band;
+        for (Row r = kBand; r < kBand + 24; ++r)
+            band.push_back(r);
+        for (std::size_t i = band.size(); i > 1; --i) {
+            std::swap(band[i - 1],
+                      band[static_cast<std::size_t>(rng.uniformInt(
+                          0, static_cast<std::int64_t>(i) - 1))]);
+        }
+        const int rounds = ran["long burst"] == 0
+            ? 300'000
+            : static_cast<int>(std::exp(
+                  rng.uniformReal(std::log(1e4), std::log(3e5))));
+        std::vector<std::pair<Bank, Row>> rows;
+        for (int i = 0; i < n; ++i)
+            rows.push_back({b, band[static_cast<std::size_t>(i)]});
+        ++ran["long burst"];
+        both([&](SoftMcHost &h) {
+            for (Row r = kBand; r < kBand + 24; ++r)
+                h.writeRow(b, r, DataPattern::allOnes());
+            for (const auto &[bank, row] : rows)
+                h.writeRow(bank, row, DataPattern::allZeros());
+            h.hammerInterleaved(rows, std::vector<int>(rows.size(), rounds));
+        });
+        const std::string op = logFmt("long burst: ", n, " aggressors x ",
+                                      rounds, " rounds in bank ", b);
+        check(op.c_str());
+        same_reads(b);
+        ASSERT_EQ(fold_module.groundTruthProbe().snapshot().dump(),
+                  loop_module.groundTruthProbe().snapshot().dump())
+            << op;
+        const int refs = static_cast<int>(rng.uniformInt(17, 40));
+        both([&](SoftMcHost &h) { h.refBurst(refs); });
+        check((op + ", then REFs").c_str());
+        same_reads(b);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+
     for (const char *shape :
          {"distinct banks", "same-bank pair", "duplicated row", "VRT row",
           "nine rows", "count 1", "writeRow", "refBurst",
-          "hammerInterleaved", "readRow"}) {
+          "hammerInterleaved", "readRow", "long burst"}) {
         EXPECT_GT(ran[shape], 0) << shape;
     }
 }

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/durable_file.hh"
+#include "common/logging.hh"
 #include "dram/module_spec.hh"
 #include "fault/io_fault.hh"
 #include "obs/report.hh"
@@ -55,7 +56,7 @@ recoverySpecs()
     std::vector<ModuleSpec> specs;
     for (int i = 0; i < 6; ++i) {
         ModuleSpec spec = *findModuleSpec("A0");
-        spec.name = "R" + std::to_string(i);
+        spec.name = logFmt("R", i);
         spec.rowsPerBank = 1024;
         specs.push_back(spec);
     }

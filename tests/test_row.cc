@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dram/row.hh"
@@ -380,6 +385,309 @@ TEST(DiffReadout, DenseDiffMatchesNaiveBitProbe)
         EXPECT_EQ(diffReadoutCount(readout, DataPattern::random(4), 11),
                   static_cast<int>(fast.size()));
         EXPECT_TRUE(std::is_sorted(fast.begin(), fast.end()));
+    }
+}
+
+
+// ---------------------------------------------------------------------
+// Exact accumulation (DESIGN.md §17): addDisturbanceRoundRobin and
+// addDisturbanceRun against the per-ACT additions they stand for.
+// ---------------------------------------------------------------------
+
+/** The per-ACT loop: one live-weight add per aggressor per round. */
+double
+sequentialRoundRobin(double c, Row &last, const std::vector<Row> &aggrs,
+                     const std::vector<double> &w_first,
+                     const std::vector<double> &w_repeat, int rounds)
+{
+    for (int k = 0; k < rounds; ++k) {
+        for (std::size_t i = 0; i < aggrs.size(); ++i) {
+            c += last == aggrs[i] ? w_repeat[i] : w_first[i];
+            last = aggrs[i];
+        }
+    }
+    return c;
+}
+
+/** A row holding exactly @p charge, last disturbed by @p last. */
+RowState
+chargedRow(double charge, Row last)
+{
+    RowState row = makeRow(RowPhysics{});
+    row.addDisturbance(last, charge); // 0.0 + charge is exact
+    return row;
+}
+
+/** Exponent E of a positive normal @p c: c in [2^E, 2^(E+1)). */
+int
+binadeOf(double c)
+{
+    return static_cast<int>(std::bit_cast<std::uint64_t>(c) >> 52) - 1023;
+}
+
+/**
+ * Seeded random cases with the shapes where binade stepping could go
+ * wrong: addends tied at exactly half an ulp of the charge, charges
+ * just below a power of two, zero and subnormal starts, addends under
+ * half an ulp (the charge is a fixed point), addends of a whole binade
+ * or more, subnormal addends, 1 to 8 aggressors (adjacent repeats
+ * too), runs of up to 3·10^5 rounds, and a pre-burst lastDisturber
+ * that takes either weight branch on the first pass.
+ */
+class AccumulationCases
+{
+  public:
+    explicit AccumulationCases(std::uint64_t seed) : rng(seed) {}
+
+    struct Case
+    {
+        double charge;
+        Row last;
+        std::vector<Row> aggrs;
+        std::vector<double> wFirst;
+        std::vector<double> wRepeat;
+        int rounds;
+    };
+
+    Case
+    next(std::map<std::string, int> &shapes)
+    {
+        Case c;
+        c.charge = startCharge(shapes);
+        const int m = static_cast<int>(rng.uniformInt(1, 8));
+        Row row = 500;
+        for (int i = 0; i < m; ++i) {
+            // Mostly distinct rows (the fold's shape), sometimes an
+            // adjacent repeat that takes the repeat weight mid-round.
+            if (i == 0 || !rng.chance(0.1))
+                row += static_cast<Row>(rng.uniformInt(1, 3));
+            else
+                ++shapes["adjacent repeat"];
+            c.aggrs.push_back(row);
+        }
+        // Both first-pass branches: the pre-burst lastDisturber is the
+        // first aggressor (repeat weight), the last one (what steady
+        // passes see), or an unrelated row.
+        switch (rng.uniformInt(0, 2)) {
+          case 0:
+            c.last = c.aggrs.front();
+            ++shapes["last is first aggressor"];
+            break;
+          case 1:
+            c.last = c.aggrs.back();
+            ++shapes["last is last aggressor"];
+            break;
+          default:
+            c.last = rng.chance(0.5) ? kInvalidRow : 7;
+            ++shapes["last is unrelated"];
+            break;
+        }
+        for (int i = 0; i < m; ++i) {
+            c.wFirst.push_back(addend(c.charge, shapes));
+            c.wRepeat.push_back(
+                rng.chance(0.8) ? c.wFirst.back() * rng.uniformReal(0.3, 1.0)
+                                : addend(c.charge, shapes));
+        }
+        // Mostly short enough to keep 10^5 cases quick; one in 200
+        // runs up to 3·10^5 rounds.
+        const double top = rng.chance(0.005) ? 3e5 : 3e3;
+        c.rounds = static_cast<int>(
+            std::exp(rng.uniformReal(0.0, std::log(top))));
+        if (c.rounds >= 10'000)
+            ++shapes["rounds >= 10^4"];
+        return c;
+    }
+
+  private:
+    double
+    startCharge(std::map<std::string, int> &shapes)
+    {
+        switch (rng.uniformInt(0, 5)) {
+          case 0:
+            ++shapes["zero start"];
+            return 0.0;
+          case 1:
+            ++shapes["subnormal start"];
+            return std::ldexp(
+                static_cast<double>(rng.uniformInt(1, (1LL << 52) - 1)),
+                -1074);
+          case 2: {
+            // 2^E minus a few ulps: the first steps cross a binade.
+            ++shapes["just below a power of two"];
+            const int e = static_cast<int>(rng.uniformInt(-4, 40));
+            return std::ldexp(
+                static_cast<double>((1LL << 53) - rng.uniformInt(1, 64)),
+                e - 53);
+          }
+          case 3:
+            ++shapes["huge start"];
+            return std::ldexp(rng.uniformReal(1.0, 2.0),
+                              static_cast<int>(rng.uniformInt(50, 70)));
+          default:
+            ++shapes["normal start"];
+            return std::ldexp(rng.uniformReal(1.0, 2.0),
+                              static_cast<int>(rng.uniformInt(-10, 30)));
+        }
+    }
+
+    /** One weight, shaped relative to the charge's binade. */
+    double
+    addend(double charge, std::map<std::string, int> &shapes)
+    {
+        const bool normal = charge >= 0x1p-1022;
+        const int e = normal ? binadeOf(charge) : -1022;
+        switch (rng.uniformInt(0, 9)) {
+          case 0:
+            if (!normal)
+                break;
+            // (2j+1)/2 ulps: exactly tied while the charge stays here.
+            ++shapes["tied addend"];
+            return std::ldexp(static_cast<double>(
+                                  2 * rng.uniformInt(0, 1'000) + 1),
+                              e - 53);
+          case 1:
+            if (!normal)
+                break;
+            // Under half an ulp: rounds away, the charge stays put.
+            ++shapes["sub-half-ulp addend"];
+            return std::ldexp(rng.uniformReal(0.01, 0.999), e - 53);
+          case 2:
+            if (!normal)
+                break;
+            ++shapes["binade-sized addend"];
+            return std::ldexp(rng.uniformReal(1.0, 4.0), e);
+          case 3:
+            ++shapes["subnormal addend"];
+            return std::ldexp(
+                static_cast<double>(rng.uniformInt(1, 1LL << 40)), -1074);
+          default:
+            break;
+        }
+        ++shapes["plain addend"];
+        return rng.uniformReal(0.01, 3.0);
+    }
+
+    Rng rng;
+};
+
+TEST(RowAccumulation, RoundRobinMatchesPerActAdditionsBitForBit)
+{
+    AccumulationCases cases(20'211);
+    std::map<std::string, int> shapes;
+    for (int n = 0; n < 100'000; ++n) {
+        const AccumulationCases::Case c = cases.next(shapes);
+        Row last = c.last;
+        const double want = sequentialRoundRobin(
+            c.charge, last, c.aggrs, c.wFirst, c.wRepeat, c.rounds);
+        RowState row = chargedRow(c.charge, c.last);
+        row.addDisturbanceRoundRobin(c.aggrs.data(), c.wFirst.data(),
+                                     c.wRepeat.data(),
+                                     static_cast<int>(c.aggrs.size()),
+                                     c.rounds);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(row.hammerCharge()),
+                  std::bit_cast<std::uint64_t>(want))
+            << "case " << n << ": start " << c.charge << ", m "
+            << c.aggrs.size() << ", rounds " << c.rounds << ", got "
+            << row.hammerCharge() << " want " << want;
+        ASSERT_EQ(row.lastDisturber(), last) << "case " << n;
+    }
+    for (const char *shape :
+         {"zero start", "subnormal start", "just below a power of two",
+          "huge start", "normal start", "tied addend",
+          "sub-half-ulp addend", "binade-sized addend", "subnormal addend",
+          "plain addend", "adjacent repeat", "last is first aggressor",
+          "last is last aggressor", "last is unrelated",
+          "rounds >= 10^4"}) {
+        EXPECT_GT(shapes[shape], 0) << shape;
+    }
+}
+
+TEST(RowAccumulation, RunMatchesPerActAdditionsBitForBit)
+{
+    AccumulationCases cases(7);
+    std::map<std::string, int> shapes;
+    for (int n = 0; n < 20'000; ++n) {
+        const AccumulationCases::Case c = cases.next(shapes);
+        const double added = c.wFirst.front();
+        double want = c.charge;
+        for (int i = 0; i < c.rounds; ++i)
+            want += added;
+        RowState row = chargedRow(c.charge, c.last);
+        row.addDisturbanceRun(42, added, c.rounds);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(row.hammerCharge()),
+                  std::bit_cast<std::uint64_t>(want))
+            << "case " << n << ": start " << c.charge << ", added "
+            << added << ", n " << c.rounds;
+        ASSERT_EQ(row.lastDisturber(), 42);
+    }
+}
+
+TEST(RowAccumulation, LongRunCrossesBinadesExactly)
+{
+    // The §5.3 adjacency check's shape: 3·10^5 ACTs of one aggressor
+    // into a fresh victim, through about eighteen binades.
+    RowState row = makeRow(RowPhysics{});
+    const double w = 0.8530000000000001;
+    row.addDisturbanceRun(9, w, 300'000);
+    double want = 0.0;
+    for (int i = 0; i < 300'000; ++i)
+        want += w;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(row.hammerCharge()),
+              std::bit_cast<std::uint64_t>(want));
+    EXPECT_NE(row.hammerCharge(), 300'000 * w); // rounding did accrue
+}
+
+TEST(RowAccumulation, ValuesThatCannotStepTakeRealAdds)
+{
+    // Never produced by the simulator, but the accumulator must still
+    // match the per-ACT adds: negative and non-finite addends or
+    // charges, and zero addends on a zero charge (a fixed point that
+    // only real adds can see).
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const struct
+    {
+        double charge;
+        std::vector<double> adds;
+    } cases[] = {
+        {0.0, {0.0}},
+        {0.0, {0.0, 0.0, 0.0}},
+        {5.0, {-0.75}},
+        {5.0, {1.5, -0.25}},
+        {-3.0, {0.125}},
+        {-3.0, {-0.125, 0.5}},
+        {1.0, {inf}},
+        {1.0, {0.5, -inf}},
+        {inf, {0.5}},
+        {0.0, {nan}},
+        {2.0, {0.25, nan}},
+    };
+    const std::vector<int> roundCounts = {1, 2, 31, 1'000, 300'000};
+    for (const auto &c : cases) {
+        const int m = static_cast<int>(c.adds.size());
+        std::vector<Row> aggrs;
+        for (int i = 0; i < m; ++i)
+            aggrs.push_back(100 + 2 * i);
+        for (const int rounds : roundCounts) {
+            Row last = kInvalidRow;
+            const double want = sequentialRoundRobin(c.charge, last, aggrs,
+                                                     c.adds, c.adds, rounds);
+            RowState row = chargedRow(c.charge, kInvalidRow);
+            row.addDisturbanceRoundRobin(aggrs.data(), c.adds.data(),
+                                         c.adds.data(), m, rounds);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(row.hammerCharge()),
+                      std::bit_cast<std::uint64_t>(want))
+                << "start " << c.charge << ", m " << m << ", rounds "
+                << rounds << ", got " << row.hammerCharge() << " want "
+                << want;
+            if (m == 1) {
+                RowState run = chargedRow(c.charge, kInvalidRow);
+                run.addDisturbanceRun(42, c.adds.front(), rounds);
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(run.hammerCharge()),
+                          std::bit_cast<std::uint64_t>(want))
+                    << "run: start " << c.charge << ", rounds " << rounds;
+            }
+        }
     }
 }
 

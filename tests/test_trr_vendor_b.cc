@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/rng.hh"
+#include "obs/metrics.hh"
 #include "trr/vendor_b.hh"
 
 namespace utrr
@@ -142,6 +149,149 @@ TEST(VendorBTrr, ResetClearsSampleAndPhase)
         EXPECT_EQ(!actions.empty(), ref == 4);
     }
 }
+
+
+// ---------------------------------------------------------------------
+// Burst hooks (DESIGN.md §17): onActivateBurst and onActivateRoundRobin
+// against the per-ACT onActivate() sequence they stand for.
+// ---------------------------------------------------------------------
+
+/** A clone of @p trr on its own ground-truth store. */
+std::unique_ptr<VendorBTrr>
+cloneOnto(const VendorBTrr &trr, GroundTruthStore &store)
+{
+    std::unique_ptr<VendorBTrr> copy(
+        static_cast<VendorBTrr *>(trr.clone().release()));
+    copy->attachGroundTruth(&store);
+    return copy;
+}
+
+/** Chip-wide (B_TRR1) and per-bank (B_TRR3) samplers. */
+class VendorBBurstHooks : public ::testing::TestWithParam<bool>
+{
+};
+
+TEST_P(VendorBBurstHooks, MatchPerActReplay)
+{
+    constexpr int kBanks = 4;
+    VendorBTrr::Params params;
+    params.perBank = GetParam();
+    params.trrRefPeriod = params.perBank ? 2 : 4;
+    params.sampleProbability = params.perBank ? 1.0 / 24.0 : 1.0 / 115.0;
+    const VendorBTrr base(kBanks, params, 99);
+    GroundTruthStore hooks_truth;
+    GroundTruthStore loop_truth;
+    const auto hooks = cloneOnto(base, hooks_truth);
+    const auto loop = cloneOnto(base, loop_truth);
+    Rng rng(params.perBank ? 13 : 12);
+
+    const auto same_sample = [](const VendorBTrr &a, const VendorBTrr &b) {
+        const auto x = a.currentSample();
+        const auto y = b.currentSample();
+        ASSERT_EQ(x.has_value(), y.has_value());
+        if (x) {
+            ASSERT_EQ(x->bank, y->bank);
+            ASSERT_EQ(x->aggressorPhysRow, y->aggressorPhysRow);
+        }
+        for (Bank bank = 0; bank < kBanks; ++bank)
+            ASSERT_EQ(a.currentSampleOf(bank), b.currentSampleOf(bank));
+    };
+    const auto check = [&](const std::string &op) {
+        SCOPED_TRACE(op);
+        same_sample(*hooks, *loop);
+        const GroundTruthProbe hp(hooks_truth);
+        const GroundTruthProbe lp(loop_truth);
+        for (const char *name : {"trr.samples_taken", "trr.detections",
+                                 "trr.trr_capable_refs"})
+            ASSERT_EQ(hp.counter(name), lp.counter(name)) << name;
+        ASSERT_EQ(hp.gauge("trr.sampler_occupancy"),
+                  lp.gauge("trr.sampler_occupancy"));
+        // The next draws: both sampler streams sit at the same
+        // position, so one-row-each ACTs get sampled at the same ones.
+        GroundTruthStore hs;
+        GroundTruthStore ls;
+        const auto h = cloneOnto(*hooks, hs);
+        const auto l = cloneOnto(*loop, ls);
+        for (Row r = 0; r < 256; ++r) {
+            h->onActivate(r % kBanks, 10'000 + r);
+            l->onActivate(r % kBanks, 10'000 + r);
+        }
+        same_sample(*h, *l);
+    };
+
+    std::map<std::string, int> ran;
+    for (int op = 0; op < 300; ++op) {
+        const auto kind = rng.uniformInt(0, 9);
+        if (kind <= 3) {
+            const Bank bank = static_cast<Bank>(rng.uniformInt(0, kBanks - 1));
+            const Row row = static_cast<Row>(rng.uniformInt(100, 119));
+            const int count = static_cast<int>(
+                rng.chance(0.1) ? rng.uniformInt(1, 50'000)
+                                : rng.uniformInt(1, 3'000));
+            ++ran["burst"];
+            hooks->onActivateBurst(bank, row, count);
+            for (int i = 0; i < count; ++i)
+                loop->onActivate(bank, row);
+            check("burst");
+        } else if (kind <= 7) {
+            // Up to eight rows with repeating banks (a cross-bank
+            // interleave or a multi-bank fill).
+            const int n = static_cast<int>(rng.uniformInt(1, 8));
+            std::vector<Bank> banks;
+            std::vector<Row> rows;
+            for (int i = 0; i < n; ++i) {
+                banks.push_back(
+                    static_cast<Bank>(rng.uniformInt(0, kBanks - 1)));
+                rows.push_back(static_cast<Row>(rng.uniformInt(100, 119)));
+            }
+            const int rounds = static_cast<int>(rng.uniformInt(1, 3'000));
+            ++ran["round robin"];
+            for (int i = 1; i < n; ++i) {
+                if (banks[i] == banks[0]) {
+                    ++ran["repeated bank"];
+                    break;
+                }
+            }
+            hooks->onActivateRoundRobin(banks.data(), rows.data(), n,
+                                        rounds);
+            for (int k = 0; k < rounds; ++k) {
+                for (int i = 0; i < n; ++i)
+                    loop->onActivate(banks[i], rows[i]);
+            }
+            check("round robin");
+        } else if (kind == 8) {
+            ++ran["refresh"];
+            const auto a = hooks->onRefresh();
+            const auto b = loop->onRefresh();
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                ASSERT_EQ(a[i].bank, b[i].bank);
+                ASSERT_EQ(a[i].aggressorPhysRow, b[i].aggressorPhysRow);
+            }
+            check("refresh");
+        } else {
+            const Bank bank = static_cast<Bank>(rng.uniformInt(0, kBanks - 1));
+            ++ran["single ACT"];
+            hooks->onActivate(bank, 7);
+            loop->onActivate(bank, 7);
+            check("single ACT");
+        }
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    for (const char *what :
+         {"burst", "round robin", "repeated bank", "refresh", "single ACT"})
+        EXPECT_GT(ran[what], 0) << what;
+    // The sequence really sampled, many times over.
+    EXPECT_GT(GroundTruthProbe(loop_truth).counter("trr.samples_taken"),
+              1'000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, VendorBBurstHooks, ::testing::Bool(),
+                         [](const auto &info) {
+                             return std::string(info.param ? "PerBank"
+                                                           : "ChipWide");
+                         });
 
 } // namespace
 } // namespace utrr

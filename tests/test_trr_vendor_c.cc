@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/rng.hh"
+#include "obs/metrics.hh"
 #include "trr/vendor_c.hh"
 
 namespace utrr
@@ -162,6 +169,166 @@ TEST(VendorCTrr, ShortWindowVersion)
         EXPECT_EQ(!actions.empty(), ref == 8);
     }
 }
+
+
+// ---------------------------------------------------------------------
+// Burst hooks (DESIGN.md §17): onActivateBurst and onActivateRoundRobin
+// against the per-ACT onActivate() sequence they stand for.
+// ---------------------------------------------------------------------
+
+/** A clone of @p trr on its own ground-truth store. */
+std::unique_ptr<VendorCTrr>
+cloneOnto(const VendorCTrr &trr, GroundTruthStore &store)
+{
+    std::unique_ptr<VendorCTrr> copy(
+        static_cast<VendorCTrr *>(trr.clone().release()));
+    copy->attachGroundTruth(&store);
+    return copy;
+}
+
+struct WindowConfig
+{
+    const char *name;
+    VendorCTrr::Params params;
+};
+
+/** The modelled C_TRR1 window, a short one that bursts fill, one that
+ *  samples its first ACT, and one that never samples (windows reopen). */
+class VendorCBurstHooks : public ::testing::TestWithParam<WindowConfig>
+{
+};
+
+TEST_P(VendorCBurstHooks, MatchPerActReplay)
+{
+    constexpr int kBanks = 4;
+    const VendorCTrr::Params params = GetParam().params;
+    const VendorCTrr base(kBanks, params, 41);
+    GroundTruthStore hooks_truth;
+    GroundTruthStore loop_truth;
+    const auto hooks = cloneOnto(base, hooks_truth);
+    const auto loop = cloneOnto(base, loop_truth);
+    Rng rng(hashString(GetParam().name));
+
+    const auto same_state = [](const VendorCTrr &a, const VendorCTrr &b) {
+        for (Bank bank = 0; bank < kBanks; ++bank) {
+            ASSERT_EQ(a.candidateOf(bank), b.candidateOf(bank))
+                << "bank " << bank;
+            ASSERT_EQ(a.windowActsOf(bank), b.windowActsOf(bank))
+                << "bank " << bank;
+        }
+    };
+    const auto check = [&](const std::string &op) {
+        SCOPED_TRACE(op);
+        same_state(*hooks, *loop);
+        const GroundTruthProbe hp(hooks_truth);
+        const GroundTruthProbe lp(loop_truth);
+        for (const char *name : {"trr.candidates_sampled",
+                                 "trr.detections", "trr.trr_capable_refs"})
+            ASSERT_EQ(hp.counter(name), lp.counter(name)) << name;
+        ASSERT_EQ(hp.gauge("trr.candidate_occupancy"),
+                  lp.gauge("trr.candidate_occupancy"));
+        // The next draws: a full REF period consumes every candidate,
+        // then one-row-each ACTs must be sampled at the same one.
+        GroundTruthStore hs;
+        GroundTruthStore ls;
+        const auto h = cloneOnto(*hooks, hs);
+        const auto l = cloneOnto(*loop, ls);
+        for (int ref = 0; ref < params.trrRefPeriod; ++ref) {
+            h->onRefresh();
+            l->onRefresh();
+        }
+        for (Row r = 0; r < 512; ++r) {
+            h->onActivate(0, 10'000 + r);
+            l->onActivate(0, 10'000 + r);
+        }
+        same_state(*h, *l);
+    };
+    // What the hooks met: banks holding candidates or not, windows
+    // at the cap, the fold taking over mid-call.
+    std::map<std::string, int> ran;
+    const auto census = [&](const std::vector<Bank> &banks) {
+        int held = 0;
+        for (Bank bank : banks) {
+            held += loop->candidateOf(bank) ? 1 : 0;
+            if (loop->windowActsOf(bank) == params.windowActs)
+                ++ran[loop->candidateOf(bank) ? "window at cap, held"
+                                               : "window at cap, empty"];
+        }
+        return held;
+    };
+
+    for (int op = 0; op < 300; ++op) {
+        const auto kind = rng.uniformInt(0, 9);
+        if (kind <= 6) {
+            // kind 0-2: one row's burst; 3-6: up to eight rows with
+            // repeating banks.
+            const int n =
+                kind <= 2 ? 1 : static_cast<int>(rng.uniformInt(1, 8));
+            std::vector<Bank> banks;
+            std::vector<Row> rows;
+            for (int i = 0; i < n; ++i) {
+                banks.push_back(
+                    static_cast<Bank>(rng.uniformInt(0, kBanks - 1)));
+                rows.push_back(static_cast<Row>(rng.uniformInt(100, 119)));
+            }
+            const int rounds = static_cast<int>(
+                rng.chance(0.1) ? rng.uniformInt(1, 50'000)
+                                : rng.uniformInt(1, 400));
+            const int held_before = census(banks);
+            ran[held_before == n ? "all held before"
+                : held_before == 0 ? "none held before"
+                                   : "some held before"]++;
+            if (kind <= 2)
+                hooks->onActivateBurst(banks[0], rows[0], rounds);
+            else
+                hooks->onActivateRoundRobin(banks.data(), rows.data(), n,
+                                            rounds);
+            for (int k = 0; k < rounds; ++k) {
+                for (int i = 0; i < n; ++i)
+                    loop->onActivate(banks[i], rows[i]);
+            }
+            ran[held_before < n && census(banks) == n
+                    ? "candidates drawn mid-call" : "no new candidate"]++;
+            check(kind <= 2 ? "burst" : "round robin");
+        } else if (kind <= 8) {
+            ++ran["refresh"];
+            const auto a = hooks->onRefresh();
+            const auto b = loop->onRefresh();
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                ASSERT_EQ(a[i].bank, b[i].bank);
+                ASSERT_EQ(a[i].aggressorPhysRow, b[i].aggressorPhysRow);
+            }
+            check("refresh");
+        } else {
+            const Bank bank = static_cast<Bank>(rng.uniformInt(0, kBanks - 1));
+            ++ran["single ACT"];
+            hooks->onActivate(bank, 7);
+            loop->onActivate(bank, 7);
+            check("single ACT");
+        }
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    const double p = params.sampleProbability;
+    std::vector<std::string> expected = {"none held before", "refresh",
+                                         "single ACT", "window at cap, empty"};
+    if (p > 0.0) {
+        expected = {"all held before", "none held before",
+                    "candidates drawn mid-call", "refresh", "single ACT",
+                    "window at cap, held"};
+    }
+    for (const std::string &what : expected)
+        EXPECT_GT(ran[what], 0) << what;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Windows, VendorCBurstHooks,
+    ::testing::Values(WindowConfig{"CTrr1", {17, 2'048, 1.0 / 128.0}},
+                      WindowConfig{"ShortWindow", {8, 64, 1.0 / 128.0}},
+                      WindowConfig{"FirstActSampled", {9, 64, 1.0}},
+                      WindowConfig{"NeverSampled", {9, 32, 0.0}}),
+    [](const auto &info) { return std::string(info.param.name); });
 
 } // namespace
 } // namespace utrr
