@@ -129,8 +129,8 @@ BM_HammerWithVendorATrr(benchmark::State &state)
 {
     // A double-sided pair under A_TRR1: hammerInterleaved folds the
     // rounds through DramBank::applyInterleavedRounds and A_TRR1's
-    // onActivateRoundRobin. (A single-row burst would fold through
-    // onActivateBurst and time the same path as BM_HammerLoop.)
+    // onActivateRoundRobin. (A single-row burst is the fold's
+    // one-aggressor case and times the same path as BM_HammerLoop.)
     DramModule module(benchSpec(TrrVersion::kATrr1), 1);
     SoftMcHost host(module);
     for (auto _ : state)

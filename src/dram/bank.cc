@@ -80,60 +80,13 @@ DramBank::peekRow(Row phys_row) const
 }
 
 void
-DramBank::disturbOne(Row aggressor, std::uint64_t aggr_word0, Row victim,
-                     double weight, Time now)
-{
-    if (victim < 0 || victim >= physRowCount)
-        return;
-    RowState &v = rowAt(victim, now);
-
-    const auto &ham = gen->hammerConfig();
-    double w = weight;
-    // Alternating aggressors pump more charge than repeated activation
-    // of the same row (makes interleaved > cascaded, §5.2).
-    if (v.lastDisturber() == aggressor)
-        w *= ham.repeatWeight;
-    // Aggressor/victim data coupling: same stored data disturbs less.
-    if (aggr_word0 == v.storedWord0())
-        w *= ham.sameDataWeight;
-    v.addDisturbance(aggressor, w);
-}
-
-void
-DramBank::disturbNeighbours(Row aggressor, Time now)
-{
-    const auto &ham = gen->hammerConfig();
-    // Pass the aggressor's coupling word by value: victim
-    // materialization must not rely on the aggressor reference.
-    const std::uint64_t word0 = rowAt(aggressor, now).storedWord0();
-    if (ham.paired) {
-        // Paired-row organization (C0-8): a row only disturbs its pair.
-        disturbOne(aggressor, word0, aggressor ^ 1, 1.0, now);
-        return;
-    }
-    disturbOne(aggressor, word0, aggressor - 1, 1.0, now);
-    disturbOne(aggressor, word0, aggressor + 1, 1.0, now);
-    if (ham.distance2Weight > 0.0) {
-        disturbOne(aggressor, word0, aggressor - 2, ham.distance2Weight,
-                   now);
-        disturbOne(aggressor, word0, aggressor + 2, ham.distance2Weight,
-                   now);
-    }
-}
-
-void
 DramBank::activate(Row phys_row, Time now)
 {
     UTRR_ASSERT(open == kInvalidRow,
                 logFmt("ACT to bank ", id, " with row ", open,
                        " still open"));
+    activatePlanned(buildActPlan(phys_row, now), now);
     open = phys_row;
-    ++acts;
-    RowState &state = rowAt(phys_row, now);
-    if (state.needsHammerCells())
-        attachHammerCells(phys_row, state);
-    state.restoreCharge(now);
-    disturbNeighbours(phys_row, now);
 }
 
 void
@@ -154,9 +107,10 @@ DramBank::buildActPlan(Row phys_row, Time now)
         if (victim < 0 || victim >= physRowCount)
             return;
         RowState &v = rowAt(victim, now);
-        // Mirror disturbOne()'s multiply order exactly: FP products are
-        // order-sensitive and both weights must match what the
-        // interpreter would compute on each branch.
+        // Alternating aggressors pump more charge than repeated
+        // activation of the same row (makes interleaved > cascaded,
+        // §5.2), and same stored data disturbs less. FP products are
+        // order-sensitive: this is the one multiply order.
         double w_first = base;
         double w_repeat = base * ham.repeatWeight;
         if (word0 == v.storedWord0()) {
@@ -166,6 +120,7 @@ DramBank::buildActPlan(Row phys_row, Time now)
         plan.victims[plan.victimCount++] = {&v, w_first, w_repeat};
     };
     if (ham.paired) {
+        // Paired-row organization (C0-8): a row only disturbs its pair.
         add(phys_row ^ 1, 1.0);
     } else {
         add(phys_row - 1, 1.0);
@@ -191,6 +146,31 @@ DramBank::activatePlanned(const ActPlan &plan, Time now)
         const double w = v.state->lastDisturber() == plan.phys
             ? v.wRepeat : v.wFirst;
         v.state->addDisturbance(plan.phys, w);
+    }
+}
+
+void
+DramBank::activateRoundRobin(const ActPlan *const *plans,
+                             const Time *first_times, int n, int rounds,
+                             Time round_gap)
+{
+    UTRR_ASSERT(open == kInvalidRow,
+                logFmt("hammer burst into bank ", id, " with row ", open,
+                       " still open"));
+    for (int i = 0; i < n; ++i)
+        activatePlanned(*plans[i], first_times[i]);
+    if (rounds <= 1)
+        return;
+    if (interleavedRoundsFoldable(plans, n, round_gap)) {
+        applyInterleavedRounds(plans, first_times, n, rounds - 1,
+                               round_gap);
+        return;
+    }
+    for (int k = 1; k < rounds; ++k) {
+        for (int i = 0; i < n; ++i) {
+            activatePlanned(*plans[i],
+                            first_times[i] + static_cast<Time>(k) * round_gap);
+        }
     }
 }
 
@@ -230,8 +210,12 @@ DramBank::interleavedRoundsFoldable(const ActPlan *const *plans, int n,
 
 void
 DramBank::applyInterleavedRounds(const ActPlan *const *plans,
-                                 const Time *last_times, int n, int rounds)
+                                 const Time *first_times, int n, int rounds,
+                                 Time round_gap)
 {
+    acts += static_cast<std::uint64_t>(n) *
+        static_cast<std::uint64_t>(rounds);
+    const Time last_shift = static_cast<Time>(rounds) * round_gap;
     // Non-aggressor victims: gather each unique row's contributors in
     // round order, then accumulate `rounds` passes of them in one call
     // (addDisturbanceRoundRobin: live weights on the first pass, exact
@@ -293,7 +277,7 @@ DramBank::applyInterleavedRounds(const ActPlan *const *plans,
     // loop would leave them.
     for (int i = 0; i < n; ++i) {
         plans[i]->aggr->fastForwardRestores(
-            last_times[i], static_cast<std::uint64_t>(rounds));
+            first_times[i] + last_shift, static_cast<std::uint64_t>(rounds));
     }
     for (int i = 0; i < n; ++i) {
         for (int v = 0; v < plans[i]->victimCount; ++v) {
@@ -306,66 +290,6 @@ DramBank::applyInterleavedRounds(const ActPlan *const *plans,
                     ? pv.wRepeat : pv.wFirst;
                 pv.state->addDisturbance(plans[i]->phys, w);
             }
-        }
-    }
-    acts += static_cast<std::uint64_t>(n) *
-        static_cast<std::uint64_t>(rounds);
-}
-
-void
-DramBank::applyActivationBurst(Row phys_row, int count, Time start,
-                               Time cycle)
-{
-    // Plan building materializes the aggressor first and then the
-    // victims in exactly the interpreter's -1/+1/-2/+2 order, and the
-    // coupling word it caches does not depend on the aggressor's charge
-    // (storedWord0 reads pattern + overrides only), so building before
-    // cycle 0 is value-identical to activate()'s restore-then-disturb
-    // sequence — with one row lookup per row instead of activate()'s
-    // pass plus a second plan-build pass.
-    const ActPlan plan = buildActPlan(phys_row, start);
-    applyActivationBurstPlanned(plan, count, start, cycle);
-}
-
-void
-DramBank::applyActivationBurstPlanned(const ActPlan &plan, int count,
-                                      Time start, Time cycle)
-{
-    UTRR_ASSERT(count >= 1, "activation burst needs at least one cycle");
-    UTRR_ASSERT(open == kInvalidRow,
-                logFmt("ACT to bank ", id, " with row ", open,
-                       " still open"));
-    // Cycle 0 through the plan's live weight branch (activatePlanned
-    // bumps the ACT counter, attaches hammer cells on demand, restores
-    // the aggressor and disturbs the planned victims).
-    activatePlanned(plan, start);
-    if (count <= 1)
-        return;
-
-    RowState &aggr = *plan.aggr;
-    const int rest = count - 1;
-
-    // A row is never its own neighbour, so after the cycle-0 restore
-    // the aggressor's charge stays zero for the whole burst and each
-    // per-cycle restore is provably the fast path — unless the row has
-    // VRT cells, whose telegraph draws are visible state and must
-    // happen one restore at a time.
-    if (aggr.restoresFastForwardable(cycle)) {
-        for (int i = 0; i < plan.victimCount; ++i) {
-            const ActPlan::PlannedVictim &v = plan.victims[i];
-            // Cycle 0 made this row every victim's last disturber and
-            // nothing else touches them mid-burst, so the repeat weight
-            // applies to all remaining cycles.
-            v.state->addDisturbanceRun(plan.phys, v.wRepeat, rest);
-        }
-        acts += static_cast<std::uint64_t>(rest);
-        aggr.fastForwardRestores(start + static_cast<Time>(rest) * cycle,
-                                 static_cast<std::uint64_t>(rest));
-    } else {
-        Time now = start;
-        for (int i = 0; i < rest; ++i) {
-            now += cycle;
-            activatePlanned(plan, now);
         }
     }
 }

@@ -46,7 +46,10 @@ class DramBank
      */
     DramBank(Bank id, Row phys_rows, const PhysicsGenerator *generator);
 
-    /** Open a row: restore its charge, disturb its neighbours. */
+    /**
+     * Open a row: restore its charge, disturb its neighbours — one
+     * activatePlanned() of a plan built at @p now.
+     */
     void activate(Row phys_row, Time now);
 
     /** Close the open row. */
@@ -78,11 +81,13 @@ class DramBank
     };
 
     /**
-     * Build an activation plan for @p phys_row. The aggressor and its
-     * victims must not change stored data while the plan is in use.
-     * Materializes any not-yet-touched victim rows at @p now — callers
-     * that need interpreter-exact materialization order must run the
-     * first activation through activate() and build the plan afterwards.
+     * Build an activation plan for @p phys_row: materialize the
+     * aggressor and then each not-yet-touched in-range victim (its pair
+     * row, or -1, +1, -2, +2) at @p now, with both weights in the one
+     * multiply order. activate() runs a fresh plan, so a plan built at
+     * the time of the aggressor's first ACT materializes rows exactly
+     * as per-ACT activation would. The aggressor and its victims must
+     * not change stored data while the plan is in use.
      */
     ActPlan buildActPlan(Row phys_row, Time now);
 
@@ -94,62 +99,24 @@ class DramBank
      */
     void activatePlanned(const ActPlan &plan, Time now);
 
-    /**
-     * Execute @p count ACT+PRE cycles of @p phys_row, @p cycle ns apart
-     * starting at @p start, in one call — bit-identical to the same loop
-     * of activate()/precharge(). Cycle 0 runs the standard path (exact
-     * materialization order and hammer-cell attach); the remaining
-     * cycles run off an ActPlan, and when the aggressor's restores are
-     * provably all fast-path its per-cycle bookkeeping collapses to one
-     * fast-forward, and each victim's charge takes the exact
-     * binade-stepped accumulation of RowState::addDisturbanceRun().
-     */
-    void applyActivationBurst(Row phys_row, int count, Time start,
-                              Time cycle);
-
-    /**
-     * applyActivationBurst() from a prebuilt plan — the form behind the
-     * host's cross-call plan cache. Every row the plan references is
-     * already materialized (plan building materializes), so cycle 0 is
-     * a plain activatePlanned() and no per-burst row lookups remain.
-     * The plan must still be valid: no WR/wrWord landed in this bank
-     * and no snapshot restore replaced the row storage since it was
-     * built (DramModule::planEpoch() tracks both).
-     */
-    void applyActivationBurstPlanned(const ActPlan &plan, int count,
-                                     Time start, Time cycle);
-
     /** Most aggressors one interleaved fold accepts (stack bounds). */
     static constexpr int kMaxInterleavedFold =
         TrrMechanism::kMaxRoundRobinRows;
 
     /**
-     * True when @p rounds round-robin ACT+PRE passes over the @p n
-     * planned aggressors (all in this bank, in global round order, one
-     * ACT each per pass, consecutive restores of the same aggressor
-     * @p round_gap ns apart) can be applied as one fold by
-     * applyInterleavedRounds(): distinct aggressor rows, and every
-     * aggressor's restores provably fast-path even with the worst-case
-     * charge the other listed aggressors can pump into it per round.
-     * A check — mutates nothing observable (aggressors may adopt
-     * pending temperature steps early).
+     * Apply @p rounds round-robin ACT+PRE passes over @p n (at most
+     * kMaxInterleavedFold) planned aggressors of this bank, in global
+     * round order — aggressor i's ACT of round k at
+     * @p first_times[i] + k * @p round_gap — bit-identical to that
+     * activatePlanned() loop. The first round runs per ACT: it may take
+     * the slow restore path, and it resolves each victim's live last
+     * disturber. The other rounds fold when interleavedRoundsFoldable()
+     * proves them safe, and otherwise replay per ACT at their times.
+     * The bank must be (and stays) precharged.
      */
-    bool interleavedRoundsFoldable(const ActPlan *const *plans, int n,
-                                   Time round_gap) const;
-
-    /**
-     * Apply @p rounds round-robin passes over the planned aggressors in
-     * one call — bit-identical to the same actPlanned() loop. Victim
-     * charge accumulates in round order, through the exact
-     * binade-stepped RowState::addDisturbanceRoundRobin(); each
-     * aggressor's restores collapse to one fast-forward at
-     * @p last_times[i] (its final-pass ACT) plus the surviving
-     * final-pass disturbances from later-in-round aggressors. The
-     * caller must have checked interleavedRoundsFoldable().
-     */
-    void applyInterleavedRounds(const ActPlan *const *plans,
-                                const Time *last_times, int n,
-                                int rounds);
+    void activateRoundRobin(const ActPlan *const *plans,
+                            const Time *first_times, int n, int rounds,
+                            Time round_gap);
 
     /** Write a whole-row pattern into the open row. */
     void writeOpenRow(const DataPattern &pattern, Row pattern_row,
@@ -245,9 +212,37 @@ class DramBank
   private:
     /** Materialize (if needed) and return a row's state. */
     RowState &rowAt(Row phys_row, Time now);
-    void disturbNeighbours(Row aggressor, Time now);
-    void disturbOne(Row aggressor, std::uint64_t aggr_word0, Row victim,
-                    double weight, Time now);
+
+    /**
+     * True when the round-robin ACT+PRE passes that follow a first
+     * pass over the @p n planned aggressors (consecutive restores of
+     * the same aggressor @p round_gap ns apart) can be applied as one
+     * fold by applyInterleavedRounds(): distinct aggressor rows, and
+     * every aggressor's restores provably fast-path even with the
+     * worst-case charge the other listed aggressors can pump into it
+     * per round. A check — mutates nothing observable (aggressors may
+     * adopt pending temperature steps early).
+     */
+    bool interleavedRoundsFoldable(const ActPlan *const *plans, int n,
+                                   Time round_gap) const;
+
+    /**
+     * Apply @p rounds further round-robin passes over the planned
+     * aggressors in one call, after a first pass ran per ACT through
+     * activatePlanned() — bit-identical to continuing that loop. Victim
+     * charge accumulates in round order, through the exact
+     * binade-stepped RowState::addDisturbanceRoundRobin() (one
+     * aggressor included: its victims follow it and take the repeat
+     * weight); each aggressor's restores collapse to one fast-forward
+     * at its final-pass ACT, @p first_times[i] + @p rounds *
+     * @p round_gap, plus the surviving final-pass disturbances from
+     * later-in-round aggressors. The caller must have checked
+     * interleavedRoundsFoldable().
+     */
+    void applyInterleavedRounds(const ActPlan *const *plans,
+                                const Time *first_times, int n,
+                                int rounds, Time round_gap);
+
     /** Generate and attach hammer cells once charge demands them. */
     void attachHammerCells(Row phys_row, RowState &state);
 

@@ -93,38 +93,6 @@ DramModule::act(Bank bank, Row logical_row, Time now)
     }
 }
 
-void
-DramModule::actBurst(Bank bank, Row logical_row, int count, Time start,
-                     Time cycle)
-{
-    const Row phys = toPhysical(bank, logical_row);
-    bankAt(bank).applyActivationBurst(phys, count, start, cycle);
-    // Each fused cycle opens and immediately closes the row, so the
-    // open-row register ends (and stays) invalid.
-    openLogical[static_cast<std::size_t>(bank)] = kInvalidRow;
-    trr->onActivateBurst(bank, phys, count);
-    if (ctrActs != nullptr) {
-        ctrActs->inc(static_cast<std::uint64_t>(count));
-        ctrBankActs[static_cast<std::size_t>(bank)]->inc(
-            static_cast<std::uint64_t>(count));
-    }
-}
-
-void
-DramModule::actBurstPlanned(const ActPlan &plan, int count, Time start,
-                            Time cycle)
-{
-    plan.bankPtr->applyActivationBurstPlanned(plan.bankPlan, count,
-                                              start, cycle);
-    openLogical[static_cast<std::size_t>(plan.bank)] = kInvalidRow;
-    trr->onActivateBurst(plan.bank, plan.phys, count);
-    if (ctrActs != nullptr) {
-        ctrActs->inc(static_cast<std::uint64_t>(count));
-        ctrBankActs[static_cast<std::size_t>(plan.bank)]->inc(
-            static_cast<std::uint64_t>(count));
-    }
-}
-
 DramModule::ActPlan
 DramModule::buildActPlan(Bank bank, Row logical_row, Time now)
 {
@@ -142,18 +110,20 @@ DramModule::actInterleavedBurst(const ActPlan *plans, int n, int rounds,
 {
     if (n <= 0 || n > DramBank::kMaxInterleavedFold || rounds <= 0)
         return false;
-    // Group the plans per bank (preserving global round order — the
+    // Group the plans per bank, preserving global round order: the
     // within-bank subsequence keeps every victim's contributor order
-    // and the earlier/later-in-round aggressor relation intact). All
+    // and the earlier/later-in-round aggressor relation intact, and
+    // banks share no physical state, so each one independently runs
+    // its first round per ACT and folds or — when it cannot prove
+    // foldability (VRT aggressor, duplicate row, charge near the hammer
+    // floor) — replays the rest (DramBank::activateRoundRobin). All
     // scratch is stack-allocated: the fold's win over the per-cycle
     // loop would drown in per-call heap traffic otherwise.
     constexpr int kCap = DramBank::kMaxInterleavedFold;
-    const Time round_gap = static_cast<Time>(n) * stride;
     DramBank *banks[kCap];
     const DramBank::ActPlan *groups[kCap][kCap];
-    // Each member's position i in the round: its ACTs land at global
-    // slots k*n + i of the fused train, k = 0..rounds-1.
-    int slots[kCap][kCap];
+    // Aggressor i's first ACT: global slot i of the fused train.
+    Time firstTimes[kCap][kCap];
     int groupSize[kCap] = {};
     int bankCount = 0;
     for (int i = 0; i < n; ++i) {
@@ -164,34 +134,12 @@ DramModule::actInterleavedBurst(const ActPlan *plans, int n, int rounds,
         if (g == bankCount)
             banks[bankCount++] = bank;
         groups[g][groupSize[g]] = &plans[i].bankPlan;
-        slots[g][groupSize[g]] = i;
+        firstTimes[g][groupSize[g]] = start + static_cast<Time>(i) * stride;
         ++groupSize[g];
     }
-    // Banks share no physical state, so each one independently folds or
-    // — when it cannot prove foldability (VRT aggressor, duplicate row,
-    // charge near the hammer floor) — replays only its own ACTs, each at
-    // its time in the full sequence.
     for (int g = 0; g < bankCount; ++g) {
-        const int m = groupSize[g];
-        if (banks[g]->interleavedRoundsFoldable(groups[g], m, round_gap)) {
-            Time lastTimes[kCap];
-            for (int j = 0; j < m; ++j) {
-                lastTimes[j] = start + static_cast<Time>(rounds - 1) *
-                        round_gap +
-                    static_cast<Time>(slots[g][j]) * stride;
-            }
-            banks[g]->applyInterleavedRounds(groups[g], lastTimes, m,
-                                             rounds);
-            continue;
-        }
-        for (int k = 0; k < rounds; ++k) {
-            const Time round_start = start + static_cast<Time>(k) * round_gap;
-            for (int j = 0; j < m; ++j) {
-                banks[g]->activatePlanned(
-                    *groups[g][j],
-                    round_start + static_cast<Time>(slots[g][j]) * stride);
-            }
-        }
+        banks[g]->activateRoundRobin(groups[g], firstTimes[g], groupSize[g],
+                                     rounds, static_cast<Time>(n) * stride);
     }
     // TRR observes the exact round-robin ACT order (folded or replayed
     // per mechanism); the TRR tables never read bank charge state

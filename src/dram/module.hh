@@ -72,14 +72,6 @@ class DramModule
     // the physical work, the TRR mechanism still observes every ACT.
     // ------------------------------------------------------------------
 
-    /**
-     * Execute @p count ACT+PRE cycles of one logical row, @p cycle ns
-     * apart starting at @p start. Requires the bank to be precharged;
-     * it is precharged again afterwards.
-     */
-    void actBurst(Bank bank, Row logical_row, int count, Time start,
-                  Time cycle);
-
     /** A bank ActPlan plus the module-level addressing around it. */
     struct ActPlan
     {
@@ -90,8 +82,8 @@ class DramModule
     };
 
     /**
-     * Build a reusable single-activation plan for (bank, logical row).
-     * See DramBank::buildActPlan for the materialization caveat.
+     * Build a reusable single-activation plan for (bank, logical row)
+     * at the time of the row's first ACT (DramBank::buildActPlan).
      */
     ActPlan buildActPlan(Bank bank, Row logical_row, Time now);
 
@@ -107,26 +99,21 @@ class DramModule
      * aggressors in one call — the ACT sequence plans[0], plans[1],
      * ..., plans[n-1] repeated @p rounds times, one ACT every @p stride
      * ns starting at @p start (stride 0 puts every ACT at @p start, as
-     * a multi-bank burst issues them). Bit-identical to the matching
-     * actPlanned() loop (bank physics, TRR observation order, metrics).
-     * Each bank folds its own aggressors when they pass
-     * interleavedRoundsFoldable(); a bank that fails it replays just its
-     * ACTs through activatePlanned() at their times in the full
-     * sequence, while the other banks still fold. Returns false with
+     * a multi-bank burst issues them). n = 1 is a single-row hammer
+     * burst. Bit-identical to the matching actPlanned() loop (bank
+     * physics, TRR observation order, metrics). Each bank runs its own
+     * aggressors through DramBank::activateRoundRobin(): the first
+     * round per ACT, then one fold of the rest, or — when the bank
+     * cannot prove the fold safe — a replay of just its ACTs, each at
+     * its time in the full sequence, while the other banks still fold.
+     * TRR observes all rounds through one onActivateRoundRobin() call.
+     * The banks must be (and stay) precharged. Returns false with
      * nothing mutated only for more than kMaxInterleavedFold
      * aggressors, no aggressors or no rounds; the caller must then run
      * the per-cycle loop.
      */
     bool actInterleavedBurst(const ActPlan *plans, int n, int rounds,
                              Time start, Time stride);
-
-    /**
-     * actBurst() from a prebuilt plan (cross-call plan-cache path).
-     * The caller must have checked that planEpoch() still equals the
-     * epoch the plan was built under.
-     */
-    void actBurstPlanned(const ActPlan &plan, int count, Time start,
-                         Time cycle);
 
     /**
      * Monotonic counter that advances whenever a cached ActPlan could

@@ -223,25 +223,14 @@ class RowState
                                   int rounds);
 
     /**
-     * True when restoreCharge() called with a gap of @p gap ns from the
-     * row's current (zero-charge) state is guaranteed to take the
-     * fast path — i.e. a uniform train of restores @p gap apart can be
-     * fast-forwarded without any per-call check. VRT rows never qualify
-     * (their telegraph RNG draws are visible state).
-     */
-    bool restoresFastForwardable(Time gap)
-    {
-        syncRetentionScale();
-        return !vrtRow && charge < hammerFloor && gap <= minRetCache;
-    }
-
-    /**
-     * Variant for restores with disturbance landing in between: true
-     * when every restore of a uniform train @p gap apart is guaranteed
-     * the fast path even if the row accrues up to @p charge_bound extra
-     * charge between consecutive restores (each restore wipes the
-     * accrual, so the pre-restore charge never exceeds the current
-     * charge plus @p charge_bound).
+     * True when every restore of a uniform train @p gap ns apart,
+     * starting from the row's current state, is guaranteed to take the
+     * fast path even if the row accrues up to @p charge_bound charge
+     * between consecutive restores (each restore wipes the accrual, so
+     * the pre-restore charge never exceeds the current charge plus
+     * @p charge_bound) — i.e. the train can be fast-forwarded without
+     * any per-call check. VRT rows never qualify (their telegraph RNG
+     * draws are visible state).
      */
     bool restoresFastForwardable(Time gap, double charge_bound)
     {

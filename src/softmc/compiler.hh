@@ -9,11 +9,12 @@
  * runs. The compiler recognizes those shapes once, ahead of execution,
  * and emits compact batch ops carrying a repeat count, so the executor
  * makes one dispatch per batch and the DRAM substrate can apply a whole
- * hammer burst through DramBank::applyActivationBurst instead of one
- * ACT at a time. Compilation never changes behaviour: the op stream
- * replays the exact command sequence, and SoftMcHost falls back to the
- * interpreter whenever a collaborator (mitigation, fault injector)
- * needs per-command hooks.
+ * hammer burst as the one-aggressor round robin of
+ * DramModule::actInterleavedBurst instead of one ACT at a time.
+ * Compilation never changes behaviour: the op stream replays the exact
+ * command sequence, and SoftMcHost falls back to the interpreter
+ * whenever a collaborator (mitigation, fault injector) needs
+ * per-command hooks.
  */
 
 #ifndef UTRR_SOFTMC_COMPILER_HH

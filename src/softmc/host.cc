@@ -55,24 +55,16 @@ SoftMcHost::SoftMcHost(DramModule &module, Timing timing)
 {
 }
 
-SoftMcHost::PlanCacheEntry &
-SoftMcHost::planSlotFor(Bank bank, Row row)
-{
-    const std::size_t h =
-        (static_cast<std::size_t>(static_cast<std::uint32_t>(row)) *
-             31u +
-         static_cast<std::size_t>(static_cast<std::uint32_t>(bank))) %
-        kPlanCacheSlots;
-    return planCache[h];
-}
-
 const DramModule::ActPlan &
-SoftMcHost::cachedPlan(Bank bank, Row row)
+SoftMcHost::cachedPlan(Bank bank, Row row, Time first_act)
 {
-    PlanCacheEntry &entry = planSlotFor(bank, row);
+    PlanCacheEntry &entry = planCache[
+        (static_cast<std::size_t>(static_cast<std::uint32_t>(row)) * 31u +
+         static_cast<std::size_t>(static_cast<std::uint32_t>(bank))) %
+        kPlanCacheSlots];
     if (entry.bank != bank || entry.row != row ||
         entry.epoch != dram.planEpoch()) {
-        entry.plan = dram.buildActPlan(bank, row, clock);
+        entry.plan = dram.buildActPlan(bank, row, first_act);
         entry.bank = bank;
         entry.row = row;
         entry.epoch = dram.planEpoch();
@@ -156,15 +148,22 @@ SoftMcHost::restoreState(const Snapshot &snap)
 }
 
 void
-SoftMcHost::checkWatchdog()
+SoftMcHost::pollStopFlag()
 {
-    // The stop flag shares the watchdog's poll point (after every
-    // command); the null check keeps the fault-free hot path to one
-    // predictable branch.
+    // The null check keeps the fault-free hot path to one predictable
+    // branch.
     if (stopFlag != nullptr &&
         stopFlag->load(std::memory_order_relaxed)) {
         throw StopRequested(clock);
     }
+}
+
+void
+SoftMcHost::checkWatchdog()
+{
+    // The stop flag shares the watchdog's poll point (after every
+    // command).
+    pollStopFlag();
     if (wdDeadline >= 0 && clock > wdDeadline)
         throw WatchdogTimeout(wdBudget, wdDeadline, clock, acts, refCmds);
 }
@@ -371,6 +370,34 @@ SoftMcHost::canBatchHammer(std::int64_t cycles) const
             wdDeadline;
 }
 
+bool
+SoftMcHost::foldHammerRounds(const DramModule::ActPlan *plans,
+                             const std::pair<Bank, Row> *rows, int n,
+                             int rounds)
+{
+    const Time ras = timingParams.tRAS;
+    const Time cycle = timingParams.hammerCycle();
+    if (!dram.actInterleavedBurst(plans, n, rounds, clock, cycle))
+        return false;
+    if (cmdTrace.enabled()) {
+        Time t = clock;
+        for (int k = 0; k < rounds; ++k) {
+            for (int i = 0; i < n; ++i) {
+                cmdTrace.record(TraceKind::kAct, rows[i].first,
+                                rows[i].second, t, ras);
+                cmdTrace.record(TraceKind::kPre, rows[i].first,
+                                kInvalidRow, t + ras, timingParams.tRP);
+                t += cycle;
+            }
+        }
+    }
+    const auto cycles = static_cast<std::uint64_t>(n) *
+        static_cast<std::uint64_t>(rounds);
+    clock += static_cast<Time>(cycles) * cycle;
+    acts += cycles;
+    return true;
+}
+
 void
 SoftMcHost::hammer(Bank bank, Row row, int count)
 {
@@ -380,26 +407,12 @@ SoftMcHost::hammer(Bank bank, Row row, int count)
             hammerOnce(bank, row);
         return;
     }
-    // Fused burst: one substrate call applies every cycle's physical
-    // side effects bit-identically (see DramBank::applyActivationBurst);
-    // the host replays the per-cycle trace records and advances the
-    // clock by the same per-cycle increments, summed. The plan cache
-    // makes back-to-back bursts of the same row (dummy fills hammer the
-    // same handful every REF slot) skip translation and row lookups.
-    const Time cycle = timingParams.hammerCycle();
-    dram.actBurstPlanned(cachedPlan(bank, row), count, clock, cycle);
-    if (cmdTrace.enabled()) {
-        Time t = clock;
-        for (int i = 0; i < count; ++i) {
-            cmdTrace.record(TraceKind::kAct, bank, row, t,
-                            timingParams.tRAS);
-            cmdTrace.record(TraceKind::kPre, bank, kInvalidRow,
-                            t + timingParams.tRAS, timingParams.tRP);
-            t += cycle;
-        }
-    }
-    clock += static_cast<Time>(count) * cycle;
-    acts += static_cast<std::uint64_t>(count);
+    // Fused burst: the one-aggressor case of the round-robin fold. The
+    // plan cache makes back-to-back bursts of the same row (dummy fills
+    // hammer the same handful every REF slot) skip translation and row
+    // lookups.
+    const std::pair<Bank, Row> target{bank, row};
+    foldHammerRounds(&cachedPlan(bank, row, clock), &target, 1, count);
     checkWatchdog();
 }
 
@@ -430,117 +443,49 @@ SoftMcHost::hammerInterleaved(
         return;
     }
 
-    // Batched round-robin: the first activation of each aggressor runs
-    // the standard path (materializing its victim rows at exactly the
-    // interpreter's simulated times), then an ActPlan caches the
-    // resolved addresses, row states and pre-multiplied weights for
-    // every later cycle. Alternating aggressors share victims, so the
-    // per-cycle lastDisturber branch stays live inside actPlanned.
+    // Batched round-robin. Each aggressor's plan is built at the time
+    // of its first ACT, so rows materialize exactly when the
+    // interpreter's first pass touches them. The uniform min(counts)
+    // rounds then run as one fold; stragglers with larger counts — and
+    // every round past kMaxInterleavedFold aggressors, which the fold
+    // declines — finish per cycle off the same plans, where alternating
+    // aggressors keep the lastDisturber branch live inside actPlanned.
     const std::size_t n = rows.size();
     // Scratch stays on the stack for the common small fan-outs; a
     // heap-allocated vector per call would eat a measurable slice of
     // the fold's win (the batched path runs once per REF slot).
     constexpr std::size_t kStackAggr = 16;
     DramModule::ActPlan plansBuf[kStackAggr];
-    char plannedBuf[kStackAggr];
     int leftBuf[kStackAggr];
     std::vector<DramModule::ActPlan> plansHeap;
-    std::vector<char> plannedHeap;
     std::vector<int> leftHeap;
     DramModule::ActPlan *plans = plansBuf;
-    char *planned = plannedBuf;
     int *left = leftBuf;
     if (n > kStackAggr) {
         plansHeap.resize(n);
-        plannedHeap.assign(n, 0);
-        leftHeap.assign(counts.begin(), counts.end());
+        leftHeap.resize(n);
         plans = plansHeap.data();
-        planned = plannedHeap.data();
         left = leftHeap.data();
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            planned[i] = 0;
-            left[i] = counts[i];
-        }
     }
     const Time ras = timingParams.tRAS;
     const Time rp = timingParams.tRP;
-
-    // When every aggressor hammers at least once, run the first pass
-    // eagerly (same act/pre/plan order as the lazy loop below) and fold
-    // the uniform min(counts)-1 remaining passes into a single substrate
-    // call. A bank that cannot fold (VRT aggressor, charge too close to
-    // a threshold, duplicate rows) replays its own ACTs inside that
-    // call while the other banks fold. Stragglers with larger counts —
-    // and, past kMaxInterleavedFold aggressors, which the call declines,
-    // every pass after the first — finish on the per-cycle path.
-    int cmin = counts.empty() ? 0 : counts[0];
-    for (int c : counts)
-        cmin = std::min(cmin, c);
-    if (n > 0 && cmin >= 1) {
-        for (std::size_t i = 0; i < n; ++i) {
-            const Bank bank = rows[i].first;
-            const Row row = rows[i].second;
-            PlanCacheEntry &entry = planSlotFor(bank, row);
-            if (entry.bank == bank && entry.row == row &&
-                entry.epoch == dram.planEpoch()) {
-                // Cache hit: the same actPlanned + trace/clock replay
-                // as the per-cycle planned step below — bit-identical
-                // to act()+pre(), minus the second victim pass and the
-                // plan rebuild.
-                dram.actPlanned(entry.plan, clock);
-                cmdTrace.record(TraceKind::kAct, bank, row, clock, ras);
-                clock += ras;
-                ++acts;
-                if (stopFlag != nullptr &&
-                    stopFlag->load(std::memory_order_relaxed)) {
-                    throw StopRequested(clock);
-                }
-                cmdTrace.record(TraceKind::kPre, bank, kInvalidRow,
-                                clock, rp);
-                clock += rp;
-                plans[i] = entry.plan;
-            } else {
-                act(bank, row);
-                pre(bank);
-                plans[i] = dram.buildActPlan(bank, row, clock);
-                entry.plan = plans[i];
-                entry.bank = bank;
-                entry.row = row;
-                entry.epoch = dram.planEpoch();
-            }
-            planned[i] = 1;
-            --left[i];
+    Time first_act = clock;
+    int rounds = counts[0];
+    for (std::size_t i = 0; i < n; ++i) {
+        left[i] = counts[i];
+        rounds = std::min(rounds, counts[i]);
+        if (counts[i] > 0) {
+            plans[i] = cachedPlan(rows[i].first, rows[i].second, first_act);
+            first_act += ras + rp;
         }
-        const int fold = cmin - 1;
-        if (fold >= 1 &&
-            dram.actInterleavedBurst(plans, static_cast<int>(n),
-                                     fold, clock, ras + rp)) {
-            if (cmdTrace.enabled()) {
-                Time t = clock;
-                for (int k = 0; k < fold; ++k) {
-                    for (std::size_t i = 0; i < n; ++i) {
-                        cmdTrace.record(TraceKind::kAct, rows[i].first,
-                                        rows[i].second, t, ras);
-                        cmdTrace.record(TraceKind::kPre, rows[i].first,
-                                        kInvalidRow, t + ras, rp);
-                        t += ras + rp;
-                    }
-                }
-            }
-            clock += static_cast<Time>(fold) * static_cast<Time>(n) *
-                (ras + rp);
-            acts += static_cast<std::uint64_t>(n) *
-                static_cast<std::uint64_t>(fold);
-            for (std::size_t i = 0; i < n; ++i)
-                left[i] -= fold;
-            // The fused span polls cancellation once instead of per ACT
-            // (the watchdog was pre-checked for the whole run).
-            if (stopFlag != nullptr &&
-                stopFlag->load(std::memory_order_relaxed)) {
-                throw StopRequested(clock);
-            }
-        }
+    }
+    if (rounds >= 1 &&
+        foldHammerRounds(plans, rows.data(), static_cast<int>(n), rounds)) {
+        for (std::size_t i = 0; i < n; ++i)
+            left[i] -= rounds;
+        // The fused span polls cancellation once instead of per ACT
+        // (the watchdog was pre-checked for the whole run).
+        pollStopFlag();
     }
 
     bool remaining = false;
@@ -551,30 +496,18 @@ SoftMcHost::hammerInterleaved(
         for (std::size_t i = 0; i < n; ++i) {
             if (left[i] <= 0)
                 continue;
-            if (!planned[i]) {
-                act(rows[i].first, rows[i].second);
-                pre(rows[i].first);
-                plans[i] =
-                    dram.buildActPlan(rows[i].first, rows[i].second,
-                                      clock);
-                planned[i] = 1;
-            } else {
-                dram.actPlanned(plans[i], clock);
-                cmdTrace.record(TraceKind::kAct, rows[i].first,
-                                rows[i].second, clock, ras);
-                clock += ras;
-                ++acts;
-                // The interpreter polls the stop flag after every ACT;
-                // keep the same cancellation latency (the watchdog
-                // itself was pre-checked for the whole run).
-                if (stopFlag != nullptr &&
-                    stopFlag->load(std::memory_order_relaxed)) {
-                    throw StopRequested(clock);
-                }
-                cmdTrace.record(TraceKind::kPre, rows[i].first,
-                                kInvalidRow, clock, rp);
-                clock += rp;
-            }
+            dram.actPlanned(plans[i], clock);
+            cmdTrace.record(TraceKind::kAct, rows[i].first, rows[i].second,
+                            clock, ras);
+            clock += ras;
+            ++acts;
+            // The interpreter polls the stop flag after every ACT; keep
+            // the same cancellation latency (the watchdog itself was
+            // pre-checked for the whole run).
+            pollStopFlag();
+            cmdTrace.record(TraceKind::kPre, rows[i].first, kInvalidRow,
+                            clock, rp);
+            clock += rp;
             if (--left[i] > 0)
                 remaining = true;
         }
@@ -604,44 +537,22 @@ SoftMcHost::hammerMultiBank(
         return;
 
     // Every ACT of the call issues at its start time, so in the compiled
-    // tier the rounds after the first are an interleaved burst at stride
-    // 0. The first round stays per ACT (rows materialize exactly as the
-    // loop would); per-command hooks keep the whole loop.
+    // tier the call is an interleaved burst at stride 0 (plans built at
+    // that time materialize rows as the loop would); per-command hooks
+    // and more rows than one fold takes keep the per-ACT loop.
     const Time start = clock;
     const int n = static_cast<int>(banks);
-    const bool fold = execModeV == ExecMode::kCompiled &&
-        mitigation == nullptr && fault == nullptr && count_each > 1 &&
-        n <= DramBank::kMaxInterleavedFold;
-    const int per_act_rounds = fold ? 1 : count_each;
     Time penalty = 0;
-    for (int i = 0; i < per_act_rounds; ++i) {
-        for (const auto &[bank, row] : rows) {
-            if (mitigation != nullptr) {
-                const Time before = clock;
-                applyMitigation(bank, row);
-                penalty += clock - before;
-                clock = before;
-            }
-            cmdTrace.record(TraceKind::kAct, bank, row, clock,
-                            timingParams.tRAS);
-            ++acts;
-            if (fault != nullptr &&
-                fault->shouldDropHammerAct(bank, row, clock))
-                continue; // bus slot burnt, module never sees the ACT
-            dram.act(bank, row, clock);
-            dram.pre(bank, clock);
-        }
-    }
-    if (fold) {
-        const int rounds = count_each - 1;
+    if (execModeV == ExecMode::kCompiled && mitigation == nullptr &&
+        fault == nullptr && n <= DramBank::kMaxInterleavedFold) {
         DramModule::ActPlan plans[DramBank::kMaxInterleavedFold];
         for (int i = 0; i < n; ++i) {
             const auto &[bank, row] = rows[static_cast<std::size_t>(i)];
-            plans[i] = cachedPlan(bank, row);
+            plans[i] = cachedPlan(bank, row, start);
         }
-        dram.actInterleavedBurst(plans, n, rounds, start, 0);
+        dram.actInterleavedBurst(plans, n, count_each, start, 0);
         if (cmdTrace.enabled()) {
-            for (int k = 0; k < rounds; ++k) {
+            for (int k = 0; k < count_each; ++k) {
                 for (const auto &[bank, row] : rows) {
                     cmdTrace.record(TraceKind::kAct, bank, row, start,
                                     timingParams.tRAS);
@@ -649,7 +560,26 @@ SoftMcHost::hammerMultiBank(
             }
         }
         acts += static_cast<std::uint64_t>(n) *
-            static_cast<std::uint64_t>(rounds);
+            static_cast<std::uint64_t>(count_each);
+    } else {
+        for (int i = 0; i < count_each; ++i) {
+            for (const auto &[bank, row] : rows) {
+                if (mitigation != nullptr) {
+                    const Time before = clock;
+                    applyMitigation(bank, row);
+                    penalty += clock - before;
+                    clock = before;
+                }
+                cmdTrace.record(TraceKind::kAct, bank, row, clock,
+                                timingParams.tRAS);
+                ++acts;
+                if (fault != nullptr &&
+                    fault->shouldDropHammerAct(bank, row, clock))
+                    continue; // bus slot burnt, module never sees the ACT
+                dram.act(bank, row, clock);
+                dram.pre(bank, clock);
+            }
+        }
     }
     const Time per_bank_bound =
         static_cast<Time>(count_each) * timingParams.hammerCycle();

@@ -43,8 +43,10 @@ struct CompiledProgram;
 enum class ExecMode
 {
     /**
-     * Pre-compile programs into fused op streams and batch immediate-API
-     * hammer bursts through DramBank::applyActivationBurst (default).
+     * Pre-compile programs into fused op streams and run immediate-API
+     * hammer bursts — single-row, interleaved and multi-bank alike — as
+     * round-robin folds through DramModule::actInterleavedBurst
+     * (default).
      */
     kCompiled,
     /** One command at a time — the reference path (`--no-compile`). */
@@ -180,8 +182,7 @@ class SoftMcHost
      * Advances time by the tFAW-constrained duration. Every ACT issues
      * at the call's start time, so in kCompiled mode with no mitigation
      * or fault injector and at most DramBank::kMaxInterleavedFold rows,
-     * the first round runs per ACT and the other @p count_each - 1
-     * rounds fold through DramModule::actInterleavedBurst at stride 0
+     * the call runs as one DramModule::actInterleavedBurst at stride 0
      * (a bank that cannot fold replays its own ACTs there).
      */
     void hammerMultiBank(const std::vector<std::pair<Bank, Row>> &rows,
@@ -335,12 +336,25 @@ class SoftMcHost
   private:
     void applyMitigation(Bank bank, Row row);
     void hammerOnce(Bank bank, Row row);
+    void pollStopFlag();
     void checkWatchdog();
     ExecResult executeInterpreted(const Program &program);
     /** True when a hammer burst of @p cycles can run fused: compiled
      *  mode, no per-command collaborators, and the watchdog provably
      *  cannot fire before the burst completes. */
     bool canBatchHammer(std::int64_t cycles) const;
+
+    /**
+     * Run @p rounds round-robin ACT+PRE passes over the @p n @p rows
+     * (plans prebuilt) from the current clock as one
+     * DramModule::actInterleavedBurst, then replay what the per-cycle
+     * loop leaves on the host side: trace records, clock and ACT count.
+     * Returns false with nothing done when the module declines (more
+     * than DramBank::kMaxInterleavedFold rows). Polls nothing.
+     */
+    bool foldHammerRounds(const DramModule::ActPlan *plans,
+                          const std::pair<Bank, Row> *rows, int n,
+                          int rounds);
 
     /**
      * Cross-call ActPlan cache for the batched hammer paths. A plan
@@ -359,10 +373,14 @@ class SoftMcHost
         DramModule::ActPlan plan;
     };
     static constexpr std::size_t kPlanCacheSlots = 64;
-    /** Cache slot for (bank, logical row); entry may be stale/empty. */
-    PlanCacheEntry &planSlotFor(Bank bank, Row row);
-    /** Valid cached plan or freshly built+cached one. */
-    const DramModule::ActPlan &cachedPlan(Bank bank, Row row);
+    /**
+     * Valid cached plan, or one freshly built at @p first_act — the
+     * time of the row's first ACT in the burst, so that a miss
+     * materializes rows exactly when the interpreter would — and
+     * cached. The reference stays valid until the next call.
+     */
+    const DramModule::ActPlan &cachedPlan(Bank bank, Row row,
+                                          Time first_act);
 
     DramModule &dram;
     Timing timingParams;

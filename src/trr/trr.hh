@@ -68,28 +68,6 @@ class TrrMechanism
     virtual void onActivate(Bank bank, Row phys_row) = 0;
 
     /**
-     * Observe @p count back-to-back ACTs of the same row with no other
-     * command in between (a fused hammer burst).
-     *
-     * The burst hooks' contract: afterwards the mechanism's state —
-     * tables, samples, candidates, window counts, RNG stream position
-     * and ground-truth counters — is exactly what onActivate() called
-     * once per ACT, in order, would have left. The default does just
-     * that. The vendor models override both hooks (DESIGN.md §17):
-     * vendor A folds rows its tables already track, vendor B keeps one
-     * sampler draw per ACT but without the virtual call, and vendor C
-     * replays per ACT only until every listed bank holds a candidate.
-     * The default replay remains for vendor A's untracked rows and for
-     * any mechanism without a closed form.
-     */
-    virtual void
-    onActivateBurst(Bank bank, Row phys_row, int count)
-    {
-        for (int i = 0; i < count; ++i)
-            onActivate(bank, phys_row);
-    }
-
-    /**
      * Most aggressors one folded round robin carries. The compiled tier
      * folds no more rows than this into one onActivateRoundRobin() call
      * (DramBank::kMaxInterleavedFold is this limit), and the fold's
@@ -101,10 +79,20 @@ class TrrMechanism
     /**
      * Observe @p rounds round-robin passes over @p n aggressors — the
      * ACT sequence rows[0], rows[1], ..., rows[n-1] repeated @p rounds
-     * times with no other command in between (a fused interleaved or
-     * multi-bank hammer, DESIGN.md §17). Banks may repeat in the list.
-     * Same contract as onActivateBurst(); the default replays
-     * onActivate() in exactly that order.
+     * times with no other command in between. Every fused hammer of the
+     * compiled tier arrives here (DESIGN.md §17): a single-row burst is
+     * n = 1, an interleaved or multi-bank one lists each aggressor.
+     * Banks and rows may repeat in the list.
+     *
+     * The contract: afterwards the mechanism's state — tables, samples,
+     * candidates, window counts, RNG stream position and ground-truth
+     * counters — is exactly what onActivate() called once per ACT, in
+     * that order, would have left. The default does just that. The
+     * vendor models override it: vendor A replays the first round per
+     * ACT (inserts, Obs. A5 evictions) and folds the rest when every
+     * listed row is then tracked, vendor B keeps one sampler draw per
+     * ACT but without the virtual call, and vendor C replays per ACT
+     * only until every listed bank holds a candidate.
      */
     virtual void
     onActivateRoundRobin(const Bank *banks, const Row *phys_rows, int n,
@@ -161,7 +149,6 @@ class NoTrr : public TrrMechanism
 {
   public:
     void onActivate(Bank, Row) override {}
-    void onActivateBurst(Bank, Row, int) override {}
     void onActivateRoundRobin(const Bank *, const Row *, int, int) override
     {
     }

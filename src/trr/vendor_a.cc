@@ -14,19 +14,26 @@ VendorATrr::VendorATrr(int banks, Params params) : params(params)
     bankState.resize(static_cast<std::size_t>(banks));
 }
 
+VendorATrr::Entry *
+VendorATrr::entryOf(Bank bank, Row phys_row)
+{
+    for (Entry &entry :
+         bankState.at(static_cast<std::size_t>(bank)).table) {
+        if (entry.row == phys_row)
+            return &entry;
+    }
+    return nullptr;
+}
+
 void
 VendorATrr::onActivate(Bank bank, Row phys_row)
 {
-    auto &state = bankState.at(static_cast<std::size_t>(bank));
-    auto &table = state.table;
-
-    for (Entry &entry : table) {
-        if (entry.row == phys_row) {
-            ++entry.count;
-            return;
-        }
+    if (Entry *entry = entryOf(bank, phys_row)) {
+        ++entry->count;
+        return;
     }
 
+    auto &table = bankState.at(static_cast<std::size_t>(bank)).table;
     if (table.size() <
         static_cast<std::size_t>(params.tableEntries)) {
         table.push_back({phys_row, 1});
@@ -41,67 +48,36 @@ VendorATrr::onActivate(Bank bank, Row phys_row)
 }
 
 void
-VendorATrr::onActivateBurst(Bank bank, Row phys_row, int count)
-{
-    // Exact fold of `count` same-row activations: the first ACT
-    // inserts (or evicts, Obs. A5) exactly as a lone one would, and
-    // every subsequent one finds the row and bumps its counter. No RNG
-    // is involved, so one scan plus a bulk increment is bit-identical
-    // to `count` scans.
-    if (count <= 0)
-        return;
-    auto &table = bankState.at(static_cast<std::size_t>(bank)).table;
-    for (Entry &entry : table) {
-        if (entry.row == phys_row) {
-            entry.count += static_cast<std::uint64_t>(count);
-            return;
-        }
-    }
-    if (table.size() < static_cast<std::size_t>(params.tableEntries)) {
-        table.push_back(
-            {phys_row, static_cast<std::uint64_t>(count)});
-        return;
-    }
-    auto victim = std::min_element(
-        table.begin(), table.end(),
-        [](const Entry &a, const Entry &b) { return a.count < b.count; });
-    *victim = {phys_row, static_cast<std::uint64_t>(count)};
-}
-
-void
 VendorATrr::onActivateRoundRobin(const Bank *banks, const Row *phys_rows,
                                  int n, int rounds)
 {
     if (n <= 0 || rounds <= 0)
         return;
-    // Foldable only when every aggressor already sits in its bank's
-    // table: an ACT of a tracked row is a pure counter increment (no
-    // insert, no Obs. A5 eviction), so `rounds` round-robin passes add
-    // exactly `rounds` to each entry regardless of order. Any miss
-    // could evict another listed row mid-sequence — replay per ACT, as
-    // for more rows than the stack scratch holds.
     if (n > kMaxRoundRobinRows) {
+        // More rows than the stack scratch below holds: replay per ACT.
         TrrMechanism::onActivateRoundRobin(banks, phys_rows, n, rounds);
         return;
     }
+    // The first round runs per ACT: it inserts untracked rows and may
+    // evict (Obs. A5) — even a listed row an earlier ACT of the same
+    // round inserted.
+    for (int i = 0; i < n; ++i)
+        VendorATrr::onActivate(banks[i], phys_rows[i]);
+    // From then on an ACT of a tracked row is a pure counter increment
+    // (no insert, no eviction, no RNG), so if the first round left every
+    // listed row tracked, the other rounds add exactly `rounds - 1` per
+    // listing whatever their order. Otherwise replay them per ACT.
     Entry *hits[kMaxRoundRobinRows];
     for (int i = 0; i < n; ++i) {
-        hits[i] = nullptr;
-        for (Entry &entry :
-             bankState.at(static_cast<std::size_t>(banks[i])).table) {
-            if (entry.row == phys_rows[i]) {
-                hits[i] = &entry;
-                break;
-            }
-        }
+        hits[i] = entryOf(banks[i], phys_rows[i]);
         if (hits[i] == nullptr) {
             TrrMechanism::onActivateRoundRobin(banks, phys_rows, n,
-                                               rounds);
+                                               rounds - 1);
             return;
         }
     }
     for (int i = 0; i < n; ++i)
-        hits[i]->count += static_cast<std::uint64_t>(rounds);
+        hits[i]->count += static_cast<std::uint64_t>(rounds - 1);
 }
 
 void

@@ -46,7 +46,6 @@ class VendorATrr : public TrrMechanism
     VendorATrr(int banks, Params params);
 
     void onActivate(Bank bank, Row phys_row) override;
-    void onActivateBurst(Bank bank, Row phys_row, int count) override;
     void onActivateRoundRobin(const Bank *banks, const Row *phys_rows,
                               int n, int rounds) override;
     std::vector<TrrRefreshAction> onRefresh() override;
@@ -72,6 +71,9 @@ class VendorATrr : public TrrMechanism
         std::vector<Entry> table;
         std::size_t trefBPtr = 0;
     };
+
+    /** @p phys_row's entry in @p bank's table, or nullptr. */
+    Entry *entryOf(Bank bank, Row phys_row);
 
     Params params;
     std::vector<BankState> bankState;

@@ -22,21 +22,6 @@ VendorBTrr::onGroundTruthAttached()
 }
 
 void
-VendorBTrr::recordOccupancy()
-{
-    if (gtOccupied == nullptr)
-        return;
-    int occupied = 0;
-    if (params.perBank) {
-        for (const auto &s : bankSamples)
-            occupied += s ? 1 : 0;
-    } else {
-        occupied = sample ? 1 : 0;
-    }
-    gtOccupied->set(occupied);
-}
-
-void
 VendorBTrr::onActivate(Bank bank, Row phys_row)
 {
     // Pseudo-random ACT sampling: the hardware likely uses an LFSR; we
@@ -44,12 +29,6 @@ VendorBTrr::onActivate(Bank bank, Row phys_row)
     // equivalent to the paper's description.
     if (rng.chance(params.sampleProbability))
         takeSample(bank, phys_row);
-}
-
-void
-VendorBTrr::onActivateBurst(Bank bank, Row phys_row, int count)
-{
-    onActivateRoundRobin(&bank, &phys_row, 1, count);
 }
 
 void
@@ -76,13 +55,17 @@ void
 VendorBTrr::takeSample(Bank bank, Row phys_row)
 {
     if (params.perBank) {
-        bankSamples.at(static_cast<std::size_t>(bank)) = phys_row;
+        std::optional<Row> &slot =
+            bankSamples.at(static_cast<std::size_t>(bank));
+        occupiedSamplers += slot ? 0 : 1;
+        slot = phys_row;
     } else {
+        occupiedSamplers = 1;
         sample = TrrRefreshAction{bank, phys_row};
     }
     if (gtSamples != nullptr) {
         gtSamples->inc();
-        recordOccupancy();
+        gtOccupied->set(occupiedSamplers);
     }
 }
 
@@ -128,6 +111,7 @@ VendorBTrr::reset()
     sample.reset();
     for (auto &s : bankSamples)
         s.reset();
+    occupiedSamplers = 0;
     rng = Rng(seed);
 }
 

@@ -50,7 +50,6 @@ class VendorBTrr : public TrrMechanism
     VendorBTrr(int banks, Params params, std::uint64_t seed);
 
     void onActivate(Bank bank, Row phys_row) override;
-    void onActivateBurst(Bank bank, Row phys_row, int count) override;
     void onActivateRoundRobin(const Bank *banks, const Row *phys_rows,
                               int n, int rounds) override;
     std::vector<TrrRefreshAction> onRefresh() override;
@@ -70,7 +69,6 @@ class VendorBTrr : public TrrMechanism
   private:
     /** A sampler hit: @p phys_row becomes the (bank's) sample. */
     void takeSample(Bank bank, Row phys_row);
-    void recordOccupancy();
 
     Params params;
     int banks;
@@ -81,6 +79,9 @@ class VendorBTrr : public TrrMechanism
     std::optional<TrrRefreshAction> sample;
     /** Per-bank samples (used when params.perBank). */
     std::vector<std::optional<Row>> bankSamples;
+    /** Samplers holding a sample: banks with one, or 0/1 chip-wide
+     *  (only a reset empties a sampler, Obs. B5). */
+    int occupiedSamplers = 0;
 
     // Ground-truth handles (resolved once at attach; null = detached).
     Counter *gtTrrRefs = nullptr;

@@ -48,12 +48,6 @@ VendorCTrr::onActivate(Bank bank, Row phys_row)
 }
 
 void
-VendorCTrr::onActivateBurst(Bank bank, Row phys_row, int count)
-{
-    onActivateRoundRobin(&bank, &phys_row, 1, count);
-}
-
-void
 VendorCTrr::onActivateRoundRobin(const Bank *banks, const Row *phys_rows,
                                  int n, int rounds)
 {

@@ -55,7 +55,6 @@ class VendorCTrr : public TrrMechanism
     VendorCTrr(int banks, Params params, std::uint64_t seed);
 
     void onActivate(Bank bank, Row phys_row) override;
-    void onActivateBurst(Bank bank, Row phys_row, int count) override;
     void onActivateRoundRobin(const Bank *banks, const Row *phys_rows,
                               int n, int rounds) override;
     std::vector<TrrRefreshAction> onRefresh() override;

@@ -712,10 +712,10 @@ TEST(RetentionScaleProperty, RowsWrittenBeforeAStepDecayLikeRowsAfterIt)
 
 // ---------------------------------------------------------------------
 // Multi-bank fold (DESIGN.md §17): hammerMultiBank's compiled fold,
-// the per-bank replay inside actInterleavedBurst and long interleaved
-// bursts against the per-ACT interpreter. The Program ISA has no
-// multi-bank op, so the fuzzer's execution oracle never reaches these
-// paths.
+// the per-bank replay inside actInterleavedBurst, single-row bursts and
+// long interleaved bursts against the per-ACT interpreter. The Program
+// ISA has no multi-bank op, so the fuzzer's execution oracle never
+// reaches the multi-bank paths.
 // ---------------------------------------------------------------------
 
 class MultiBankFoldProperty : public ::testing::TestWithParam<const char *>
@@ -980,6 +980,44 @@ TEST_P(MultiBankFoldProperty, CompiledMatchesInterpretedBitForBit)
             return;
     }
 
+    // Single-row bursts, the one-aggressor case of the fold: hammer()
+    // with 2 to 3·10^5 cycles on band rows, on the VRT row and on fresh
+    // rows no op touched yet (vendor A's table inserts or evicts them
+    // on the burst's first ACT), with REF bursts in between so the TRR
+    // acts on what the bursts left.
+    Row fresh = 4'096;
+    for (int op = 0; op < 40; ++op) {
+        if (rng.chance(0.3)) {
+            const int refs = static_cast<int>(rng.uniformInt(1, 32));
+            both([&](SoftMcHost &h) { h.refBurst(refs); });
+            check("refBurst after single-row bursts");
+            continue;
+        }
+        Bank b = static_cast<Bank>(rng.uniformInt(0, banks - 1));
+        Row r = band_row();
+        const auto pick = rng.uniformInt(0, 4);
+        if (pick == 0) {
+            b = vrt.first;
+            r = vrt.second;
+            ++ran["single-row VRT"];
+        } else if (pick <= 2) {
+            r = fresh;
+            fresh += 7;
+            ++ran["single-row fresh"];
+        }
+        const int count = static_cast<int>(std::exp(
+            rng.uniformReal(std::log(2.0), std::log(3e5))));
+        ran["single-row 10^4+"] += count >= 10'000 ? 1 : 0;
+        track(b, r);
+        both([&](SoftMcHost &h) { h.hammer(b, r, count); });
+        const std::string what =
+            logFmt("hammer(", b, ", ", r, ", ", count, ")");
+        check(what.c_str());
+        ASSERT_EQ(fold_module.groundTruthProbe().snapshot().dump(),
+                  loop_module.groundTruthProbe().snapshot().dump())
+            << what;
+    }
+
     // Long bursts in the shape of the §5.3 adjacency check
     // (TrrAnalyzer::verifyAdjacencyEscalating): victims written, 1-8
     // aggressors of one bank hammered 10^4-3·10^5 rounds each, victims
@@ -1035,7 +1073,8 @@ TEST_P(MultiBankFoldProperty, CompiledMatchesInterpretedBitForBit)
     for (const char *shape :
          {"distinct banks", "same-bank pair", "duplicated row", "VRT row",
           "nine rows", "count 1", "writeRow", "refBurst",
-          "hammerInterleaved", "readRow", "long burst"}) {
+          "hammerInterleaved", "readRow", "single-row VRT",
+          "single-row fresh", "single-row 10^4+", "long burst"}) {
         EXPECT_GT(ran[shape], 0) << shape;
     }
 }

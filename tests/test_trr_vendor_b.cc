@@ -151,9 +151,70 @@ TEST(VendorBTrr, ResetClearsSampleAndPhase)
 }
 
 
+// B_TRR3's trr.sampler_occupancy gauge counts the banks holding a
+// sample. It is kept as samples land, not by walking the banks, so it
+// must match that walk after seeded per-ACT, round-robin and REF ops,
+// across clones (which carry the count) and resets (which zero it).
+TEST(VendorBTrr, PerBankOccupancyGaugeCountsSampledBanks)
+{
+    constexpr int kBanks = 16;
+    GroundTruthStore truth;
+    std::unique_ptr<TrrMechanism> trr = std::make_unique<VendorBTrr>(
+        kBanks, VendorBTrr::Params{2, true, 1.0 / 24.0}, 5);
+    trr->attachGroundTruth(&truth);
+    const auto sampled_banks = [&] {
+        int n = 0;
+        for (Bank bank = 0; bank < kBanks; ++bank) {
+            n += static_cast<const VendorBTrr &>(*trr).currentSampleOf(bank)
+                ? 1 : 0;
+        }
+        return n;
+    };
+    Rng rng(31);
+    std::uint64_t samples_at_reset = 0;
+    std::map<int, int> seen;
+    for (int op = 0; op < 800; ++op) {
+        const auto kind = rng.uniformInt(0, 39);
+        if (kind <= 23) {
+            trr->onActivate(static_cast<Bank>(rng.uniformInt(0, kBanks - 1)),
+                            static_cast<Row>(rng.uniformInt(100, 119)));
+        } else if (kind <= 31) {
+            const int n = static_cast<int>(rng.uniformInt(1, 4));
+            std::vector<Bank> banks;
+            std::vector<Row> rows;
+            for (int i = 0; i < n; ++i) {
+                banks.push_back(
+                    static_cast<Bank>(rng.uniformInt(0, kBanks - 1)));
+                rows.push_back(static_cast<Row>(rng.uniformInt(100, 119)));
+            }
+            trr->onActivateRoundRobin(banks.data(), rows.data(), n,
+                                      static_cast<int>(rng.uniformInt(1, 200)));
+        } else if (kind <= 37) {
+            trr->onRefresh();
+        } else if (kind == 38) {
+            trr = trr->clone(); // keeps the same ground-truth store
+        } else {
+            trr->reset();
+            samples_at_reset =
+                GroundTruthProbe(truth).counter("trr.samples_taken");
+        }
+        // The gauge moves only when a sample lands.
+        const GroundTruthProbe probe(truth);
+        if (probe.counter("trr.samples_taken") == samples_at_reset)
+            continue;
+        const int walk = sampled_banks();
+        ++seen[walk];
+        ASSERT_EQ(probe.gauge("trr.sampler_occupancy"), walk)
+            << "op " << op;
+    }
+    // The count rose from few banks to all of them.
+    EXPECT_GT(seen.size(), 8u);
+    EXPECT_GT(seen[kBanks], 0);
+}
+
 // ---------------------------------------------------------------------
-// Burst hooks (DESIGN.md §17): onActivateBurst and onActivateRoundRobin
-// against the per-ACT onActivate() sequence they stand for.
+// Burst hook (DESIGN.md §17): onActivateRoundRobin, single-row bursts
+// included, against the per-ACT onActivate() sequence it stands for.
 // ---------------------------------------------------------------------
 
 /** A clone of @p trr on its own ground-truth store. */
@@ -229,7 +290,7 @@ TEST_P(VendorBBurstHooks, MatchPerActReplay)
                 rng.chance(0.1) ? rng.uniformInt(1, 50'000)
                                 : rng.uniformInt(1, 3'000));
             ++ran["burst"];
-            hooks->onActivateBurst(bank, row, count);
+            hooks->onActivateRoundRobin(&bank, &row, 1, count);
             for (int i = 0; i < count; ++i)
                 loop->onActivate(bank, row);
             check("burst");

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -172,8 +173,8 @@ TEST(VendorCTrr, ShortWindowVersion)
 
 
 // ---------------------------------------------------------------------
-// Burst hooks (DESIGN.md §17): onActivateBurst and onActivateRoundRobin
-// against the per-ACT onActivate() sequence they stand for.
+// Burst hook (DESIGN.md §17): onActivateRoundRobin, single-row bursts
+// included, against the per-ACT onActivate() sequence it stands for.
 // ---------------------------------------------------------------------
 
 /** A clone of @p trr on its own ground-truth store. */
@@ -191,6 +192,15 @@ struct WindowConfig
     const char *name;
     VendorCTrr::Params params;
 };
+
+/** Prints the window by name. gtest would otherwise dump the raw bytes,
+ *  address of @c name included, into the listed test name, and ctest
+ *  names discovered from that listing would change from run to run. */
+void
+PrintTo(const WindowConfig &config, std::ostream *os)
+{
+    *os << config.name;
+}
 
 /** The modelled C_TRR1 window, a short one that bursts fill, one that
  *  samples its first ACT, and one that never samples (windows reopen). */
@@ -278,11 +288,8 @@ TEST_P(VendorCBurstHooks, MatchPerActReplay)
             ran[held_before == n ? "all held before"
                 : held_before == 0 ? "none held before"
                                    : "some held before"]++;
-            if (kind <= 2)
-                hooks->onActivateBurst(banks[0], rows[0], rounds);
-            else
-                hooks->onActivateRoundRobin(banks.data(), rows.data(), n,
-                                            rounds);
+            hooks->onActivateRoundRobin(banks.data(), rows.data(), n,
+                                        rounds);
             for (int k = 0; k < rounds; ++k) {
                 for (int i = 0; i < n; ++i)
                     loop->onActivate(banks[i], rows[i]);
