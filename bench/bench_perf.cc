@@ -390,14 +390,14 @@ BM_AttackPosition(benchmark::State &state)
     DramModule module(spec, 3);
     SoftMcHost host(module);
     const DiscoveredMapping mapping(spec.scramble, spec.rowsPerBank);
-    const CustomPatternParams params = defaultCustomParams(spec);
+    const HammerPattern pattern =
+        customPattern(defaultCustomParams(spec), host.timing());
     AttackEvaluator evaluator(host);
     Row anchor = 1'000;
     for (auto _ : state) {
-        auto pattern =
-            makeCustomPattern(params, host, mapping, 0, anchor);
         benchmark::DoNotOptimize(evaluator.run(
-            *pattern, {{0, mapping.toLogical(anchor)}}, 512));
+            pattern, bindCustomPattern(pattern, spec, mapping, 0, anchor),
+            {{0, mapping.toLogical(anchor)}}, 512));
         anchor += 64;
     }
     state.SetItemsProcessed(state.iterations() * 512); // REF slots
@@ -416,14 +416,14 @@ BM_AttackPositionInterpreted(benchmark::State &state)
     SoftMcHost host(module);
     host.setExecMode(ExecMode::kInterpreted);
     const DiscoveredMapping mapping(spec.scramble, spec.rowsPerBank);
-    const CustomPatternParams params = defaultCustomParams(spec);
+    const HammerPattern pattern =
+        customPattern(defaultCustomParams(spec), host.timing());
     AttackEvaluator evaluator(host);
     Row anchor = 1'000;
     for (auto _ : state) {
-        auto pattern =
-            makeCustomPattern(params, host, mapping, 0, anchor);
         benchmark::DoNotOptimize(evaluator.run(
-            *pattern, {{0, mapping.toLogical(anchor)}}, 512));
+            pattern, bindCustomPattern(pattern, spec, mapping, 0, anchor),
+            {{0, mapping.toLogical(anchor)}}, 512));
         anchor += 64;
     }
     state.SetItemsProcessed(state.iterations() * 512); // REF slots

@@ -54,24 +54,71 @@ AttackEvaluator::alignToTrrEvent(Bank bank, Row dummy_logical,
     debug("no TRR event observed during alignment (no TRR?)");
 }
 
+void
+AttackEvaluator::runSlot(const HammerPattern &pattern,
+                         const PatternBinding &binding,
+                         std::uint64_t slot)
+{
+    planSlotInto(pattern, slot, host.timing(), slotScratch);
+    for (const BurstPlan &burst : slotScratch.bursts) {
+        const PatternElement &e = pattern.elements[burst.element];
+        if (e.kind == ElementKind::kAggressors) {
+            if (e.rows >= 2) {
+                rowScratch.clear();
+                for (int r = 0; r < e.rows; ++r)
+                    rowScratch.emplace_back(binding.bank,
+                                            binding.aggressors[r]);
+                countScratch.assign(rowScratch.size(),
+                                    burst.hammersPerRow);
+                host.hammerInterleaved(rowScratch, countScratch);
+            } else {
+                host.hammer(binding.bank, binding.aggressors[0],
+                            burst.hammersPerRow);
+            }
+        } else if (e.banks <= 1) {
+            for (int r = 0; r < e.rows; ++r) {
+                host.hammer(binding.bank,
+                            binding.dummies[r % binding.dummies.size()],
+                            burst.hammersPerRow);
+            }
+        } else {
+            rowScratch.clear();
+            for (int b = 0; b < e.banks; ++b) {
+                rowScratch.emplace_back(
+                    binding.dummyBanks[b % binding.dummyBanks.size()],
+                    binding.dummies[b % binding.dummies.size()]);
+            }
+            host.hammerMultiBank(rowScratch, burst.rounds);
+        }
+    }
+}
+
 AttackOutcome
-AttackEvaluator::run(AccessPattern &pattern,
+AttackEvaluator::run(const HammerPattern &pattern,
+                     const PatternBinding &binding,
                      const std::vector<std::pair<Bank, Row>> &victims,
                      int slots, const DataPattern &victim_pattern,
                      const DataPattern &aggressor_pattern)
 {
+    UTRR_ASSERT(validatePattern(pattern).empty(),
+                "cannot run an invalid pattern");
+    UTRR_ASSERT(binding.aggressors.size() >=
+                    static_cast<std::size_t>(pattern.aggressorRowCount()),
+                "binding has fewer aggressors than the pattern hammers");
+
     // Initialize victim and aggressor data.
     for (const auto &[bank, row] : victims)
         host.writeRow(bank, row, victim_pattern);
-    for (const auto &[bank, row] : pattern.aggressorRows())
-        host.writeRow(bank, row, aggressor_pattern);
-
-    pattern.begin(host);
+    for (const Row row : binding.aggressors)
+        host.writeRow(binding.bank, row, aggressor_pattern);
 
     // The controller keeps the REF cadence no matter what: if a slot's
-    // commands overrun the interval (e.g. because a throttling
-    // mitigation injected delays), the excess time is a debt that eats
-    // subsequent hammer slots — the attacker cannot stretch tREFI.
+    // commands overrun the interval (a throttling mitigation injected
+    // delays, or a mitigation's victim refreshes took bus time), the
+    // excess time is a debt that eats subsequent hammer slots — the
+    // attacker cannot stretch tREFI. The plan itself never overruns.
+    // Slot s always issues planSlot(s): a slot lost to debt loses its
+    // bursts, and nothing it would have issued carries over.
     const Time slot_budget = host.timing().tREFI - host.timing().tRFC;
     Time debt = 0;
     for (int slot = 0; slot < slots; ++slot) {
@@ -82,7 +129,7 @@ AttackEvaluator::run(AccessPattern &pattern,
             continue; // this hammer slot was lost to the overrun
         }
         const Time start = host.now();
-        pattern.runSlot(host, static_cast<std::uint64_t>(slot));
+        runSlot(pattern, binding, static_cast<std::uint64_t>(slot));
         const Time used = debt + (host.now() - start);
         if (used < slot_budget) {
             host.wait(slot_budget - used);

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "softmc/host.hh"
 
 namespace utrr
 {
@@ -14,9 +13,8 @@ namespace
 {
 
 /**
- * A decoy row far from the victim: same derivation as the hand-crafted
- * patterns (pattern.cc), so synthesized and §7.1 patterns feed the
- * sampler from the same row population.
+ * A decoy row far from the victim, so the synthesized and the §7.1
+ * patterns feed the sampler from one row population.
  */
 Row
 farDummyRow(const DiscoveredMapping &mapping, Row victim_phys,
@@ -163,6 +161,18 @@ patternClass(const HammerPattern &pattern)
                                            : "decoy-evict";
 }
 
+HammerPattern
+uniformPattern(int rows, int amplitude)
+{
+    HammerPattern pattern;
+    PatternElement aggr;
+    aggr.kind = ElementKind::kAggressors;
+    aggr.rows = rows;
+    aggr.amplitude = amplitude;
+    pattern.elements = {aggr};
+    return pattern;
+}
+
 std::string
 serializeHammerPattern(const HammerPattern &pattern)
 {
@@ -279,24 +289,14 @@ bindPattern(const HammerPattern &pattern, const ModuleSpec &spec,
 {
     PatternBinding binding;
     binding.bank = bank;
-    binding.victimPhys = victim_phys;
 
     // On paired-row modules the only row that disturbs victim V is its
     // remap partner V^1 (DESIGN.md §4), so the "double-sided" second
     // aggressor is the partner of the next even victim V+2.
-    const int aggr_rows = pattern.aggressorRowCount();
-    if (spec.paired()) {
-        binding.aggressors.push_back(
-            mapping.toLogical(victim_phys ^ 1));
-        if (aggr_rows >= 2)
-            binding.aggressors.push_back(
-                mapping.toLogical((victim_phys + 2) ^ 1));
-    } else {
-        binding.aggressors.push_back(
-            mapping.toLogical(victim_phys - 1));
-        if (aggr_rows >= 2)
-            binding.aggressors.push_back(
-                mapping.toLogical(victim_phys + 1));
+    for (int i = 0; i < pattern.aggressorRowCount(); ++i) {
+        const Row phys = spec.paired() ? (victim_phys + 2 * i) ^ 1
+                                       : victim_phys - 1 + 2 * i;
+        binding.aggressors.push_back(mapping.toLogical(phys));
     }
 
     const int dummy_rows = pattern.dummyRowCount();
@@ -310,6 +310,18 @@ bindPattern(const HammerPattern &pattern, const ModuleSpec &spec,
             i == 0 ? bank
                    : static_cast<Bank>((bank + i) % spec.banks));
     }
+    return binding;
+}
+
+PatternBinding
+bindComb(const DiscoveredMapping &mapping, Bank bank, Row first_phys,
+         int rows, int stride)
+{
+    PatternBinding binding;
+    binding.bank = bank;
+    for (int i = 0; i < rows; ++i)
+        binding.aggressors.push_back(
+            mapping.toLogical(first_phys + i * stride));
     return binding;
 }
 
@@ -401,6 +413,9 @@ lowerToProgram(const HammerPattern &pattern,
 {
     UTRR_ASSERT(validatePattern(pattern).empty(),
                 "cannot lower an invalid pattern");
+    UTRR_ASSERT(binding.aggressors.size() >=
+                    static_cast<std::size_t>(pattern.aggressorRowCount()),
+                "binding has fewer aggressors than the pattern hammers");
     Program prog;
     const Time slot_budget = timing.tREFI - timing.tRFC;
     for (int slot = 0; slot < slots; ++slot) {
@@ -415,17 +430,17 @@ lowerToProgram(const HammerPattern &pattern,
         for (const BurstPlan &burst : plan.bursts) {
             const PatternElement &e = pattern.elements[burst.element];
             if (e.kind == ElementKind::kAggressors) {
-                if (e.rows >= 2 && binding.aggressors.size() >= 2) {
-                    // Interleaved double-sided, same order as
+                if (e.rows >= 2) {
+                    // Round robin, same order as
                     // SoftMcHost::hammerInterleaved.
                     for (int h = 0; h < burst.hammersPerRow; ++h) {
-                        for (int r = 0; r < 2; ++r) {
+                        for (int r = 0; r < e.rows; ++r) {
                             prog.act(binding.bank,
                                      binding.aggressors[r]);
                             prog.pre(binding.bank);
                         }
                     }
-                    serial_used += static_cast<Time>(2) *
+                    serial_used += static_cast<Time>(e.rows) *
                         burst.hammersPerRow * timing.hammerCycle();
                 } else {
                     prog.hammer(binding.bank, binding.aggressors[0],
@@ -470,67 +485,6 @@ lowerToProgram(const HammerPattern &pattern,
         prog.ref();
     }
     return prog;
-}
-
-SynthesizedPattern::SynthesizedPattern(HammerPattern pattern,
-                                       PatternBinding binding,
-                                       const Timing &timing)
-    : pat(std::move(pattern)), bind(std::move(binding)), timing(timing)
-{
-    UTRR_ASSERT(validatePattern(pat).empty(),
-                "cannot run an invalid pattern");
-    UTRR_ASSERT(!bind.aggressors.empty(), "binding has no aggressors");
-}
-
-std::string
-SynthesizedPattern::name() const
-{
-    return "synth-" + patternClass(pat);
-}
-
-void
-SynthesizedPattern::runSlot(SoftMcHost &host, std::uint64_t slot)
-{
-    planSlotInto(pat, slot, timing, slotScratch);
-    for (const BurstPlan &burst : slotScratch.bursts) {
-        const PatternElement &e = pat.elements[burst.element];
-        if (e.kind == ElementKind::kAggressors) {
-            if (e.rows >= 2 && bind.aggressors.size() >= 2) {
-                rowScratch.assign({{bind.bank, bind.aggressors[0]},
-                                   {bind.bank, bind.aggressors[1]}});
-                countScratch.assign(
-                    {burst.hammersPerRow, burst.hammersPerRow});
-                host.hammerInterleaved(rowScratch, countScratch);
-            } else {
-                host.hammer(bind.bank, bind.aggressors[0],
-                            burst.hammersPerRow);
-            }
-        } else if (e.banks <= 1) {
-            for (int r = 0; r < e.rows; ++r) {
-                host.hammer(bind.bank,
-                            bind.dummies[r % bind.dummies.size()],
-                            burst.hammersPerRow);
-            }
-        } else {
-            rowScratch.clear();
-            rowScratch.reserve(static_cast<std::size_t>(e.banks));
-            for (int b = 0; b < e.banks; ++b) {
-                rowScratch.emplace_back(
-                    bind.dummyBanks[b % bind.dummyBanks.size()],
-                    bind.dummies[b % bind.dummies.size()]);
-            }
-            host.hammerMultiBank(rowScratch, burst.rounds);
-        }
-    }
-}
-
-std::vector<std::pair<Bank, Row>>
-SynthesizedPattern::aggressorRows() const
-{
-    std::vector<std::pair<Bank, Row>> rows;
-    for (const Row aggr : bind.aggressors)
-        rows.emplace_back(bind.bank, aggr);
-    return rows;
 }
 
 } // namespace utrr

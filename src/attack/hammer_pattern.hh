@@ -8,27 +8,34 @@
  * group its own *frequency*, *phase* and *amplitude* relative to the
  * refresh cadence defeats far more in-DRAM trackers. This file is our
  * version of that abstraction, specialized to the REF-synchronized
- * slot structure of the U-TRR methodology:
+ * slot structure of the U-TRR methodology. It is the one attack-pattern
+ * representation: the synthesizer's draws, the §7.1 custom patterns,
+ * the single-, double- and many-sided baselines and the TRRespass
+ * combs are all HammerPattern values.
  *
  *  - A HammerPattern is a base period (in REF slots) plus an ordered
  *    list of PatternElements. Element order is emission order inside a
  *    slot, so "dummy burst first, then aggressors" is representable.
- *  - A PatternElement is either the aggressor group or a dummy-row
- *    group, active in slot s of the period when
+ *  - A PatternElement is either an aggressor group (N rows hammered
+ *    round robin: 1 single-sided, 2 double-sided, more the TRRespass
+ *    n-sided comb) or a dummy-row group, active in slot s of the
+ *    period when
  *        pos >= phase && (pos - phase) % frequency < span
  *    with pos = s % basePeriod; its amplitude is ACTs per row per
  *    active slot (0 = fill whatever budget the slot has left).
  *  - Dummy elements may fan out over several banks: banks > 1 lowers
  *    to hammerMultiBank rounds that fill the remaining *time* of the
  *    slot (bank-parallel ACTs are cheaper per own-bank ACT, exactly
- *    the trick VendorBPattern uses to feed a chip-wide sampler).
+ *    the trick the vendor-B custom pattern uses to feed a chip-wide
+ *    sampler).
  *
  * The representation is pure data: planSlot() computes, with integer
- * arithmetic only, which bursts a slot issues, and both the live
- * AccessPattern adapter (SynthesizedPattern) and the softmc::Program
- * lowering (lowerToProgram) consume that one plan. Same pattern, same
- * timing -> same command stream, which is the determinism surface
- * tests/test_synth.cc pins.
+ * arithmetic only, which bursts a slot issues, and both
+ * AttackEvaluator::run (attack/evaluator.hh), which drives the host
+ * through it, and the softmc::Program lowering (lowerToProgram)
+ * consume that one plan. A PatternBinding places a pattern on
+ * concrete rows. Same pattern, binding and timing -> same command
+ * stream, which is the determinism surface tests/test_synth.cc pins.
  */
 
 #ifndef UTRR_ATTACK_HAMMER_PATTERN_HH
@@ -36,9 +43,10 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "attack/pattern.hh"
+#include "common/types.hh"
 #include "core/mapping_reveng.hh"
 #include "dram/module_spec.hh"
 #include "dram/timing.hh"
@@ -55,15 +63,17 @@ enum class ElementKind
 };
 
 /**
- * One access group of a non-uniform pattern. The zenhammer
- * AggressorAccessPattern equivalent, quantized to REF slots.
+ * One access group of a non-uniform pattern: zenhammer's
+ * per-aggressor access pattern, quantized to REF slots.
  */
 struct PatternElement
 {
     ElementKind kind = ElementKind::kAggressors;
 
-    /** Aggressors: 1 (single-sided) or 2 (double-sided). Dummies:
-     *  distinct decoy rows cycled through (1..16). */
+    /** Aggressors: the binding's first @c rows aggressors, hammered
+     *  round robin (1 single-sided, 2 double-sided, up to 20 for the
+     *  many-sided comb). Dummies: distinct decoy rows cycled through
+     *  (1..16). */
     int rows = 2;
 
     /** Dummies only: parallel banks (1 = same-bank ACTs, >1 =
@@ -98,7 +108,7 @@ struct HammerPattern
     bool activeAt(const PatternElement &element,
                   std::uint64_t slot) const;
 
-    /** Max aggressor rows over aggressor elements (1 or 2). */
+    /** Max aggressor rows over aggressor elements (at least 1). */
     int aggressorRowCount() const;
 
     /** Max dummy rows / banks over dummy elements (0 if none). */
@@ -111,7 +121,9 @@ struct HammerPattern
 struct PatternLimits
 {
     static constexpr int kMaxBasePeriod = 64;
-    static constexpr int kMaxAggressorRows = 2;
+    /** The 19-sided baseline and 20-sided TRRespass combs; the
+     *  synthesizer draws 1 or 2. */
+    static constexpr int kMaxAggressorRows = 20;
     static constexpr int kMaxDummyRows = 16;
     static constexpr int kMaxDummyBanks = 4;
     static constexpr int kMaxElements = 6;
@@ -138,6 +150,13 @@ std::string validatePattern(const HammerPattern &pattern);
  */
 std::string patternClass(const HammerPattern &pattern);
 
+/**
+ * The uniform n-sided pattern, TRRespass's family: one aggressor
+ * element of @p rows rows, active in every slot, @p amplitude ACTs per
+ * row per slot (0 = fill the slot's ACT budget).
+ */
+HammerPattern uniformPattern(int rows, int amplitude = 0);
+
 /** Render to the "#"-commented key=value text format (corpus-style). */
 std::string serializeHammerPattern(const HammerPattern &pattern);
 
@@ -159,9 +178,8 @@ std::string parseHammerPattern(const std::string &text,
 struct PatternBinding
 {
     Bank bank = 0;
-    /** Victim position in physical (geometric) row order. */
-    Row victimPhys = 0;
-    /** Aggressor rows, logical (1 or 2). */
+    /** Aggressor rows, logical, in round-robin order; an aggressor
+     *  element of N rows hammers the first N. */
     std::vector<Row> aggressors;
     /** Decoy rows, logical; sized to the pattern's dummyRowCount(). */
     std::vector<Row> dummies;
@@ -169,11 +187,25 @@ struct PatternBinding
     std::vector<Bank> dummyBanks;
 };
 
-/** Bind @p pattern around physical victim row @p victim_phys. */
+/**
+ * Bind @p pattern around physical victim row @p victim_phys: aggressor
+ * i sits at victim_phys - 1 + 2i (at the pair partner of
+ * victim_phys + 2i on paired-row modules), so two aggressors sandwich
+ * the victim.
+ */
 PatternBinding bindPattern(const HammerPattern &pattern,
                            const ModuleSpec &spec,
                            const DiscoveredMapping &mapping, Bank bank,
                            Row victim_phys);
+
+/**
+ * Bind an aggressor comb with no dummies: @p rows aggressors at
+ * physical rows first_phys + i * stride, whatever the module's row
+ * pairing (the baselines and the TRRespass fuzzer place rows this
+ * way).
+ */
+PatternBinding bindComb(const DiscoveredMapping &mapping, Bank bank,
+                        Row first_phys, int rows, int stride);
 
 /**
  * The (bank, logical row) victims this binding attacks: the victim
@@ -232,43 +264,13 @@ void planSlotInto(const HammerPattern &pattern, std::uint64_t slot,
  * corpus anchors and the determinism/TimingChecker tests. Multi-bank
  * rounds lower to round-robin ACT/PRE across the banks, truncated to
  * what fits the slot at the ISA's *serial* cost (the program form has
- * no bank-parallel primitive, so it carries fewer fill ACTs than the
- * live adapter while keeping the identical aggressor stream and REF
- * cadence).
+ * no bank-parallel primitive, so it carries fewer fill ACTs than
+ * AttackEvaluator::run while keeping the identical aggressor stream
+ * and REF cadence).
  */
 Program lowerToProgram(const HammerPattern &pattern,
                        const PatternBinding &binding,
                        const Timing &timing, int slots);
-
-/**
- * Live AccessPattern adapter: drives a SoftMcHost through the same
- * slot plans lowerToProgram compiles, via the immediate host API
- * (hammer / hammerInterleaved / hammerMultiBank), which is what
- * AttackEvaluator::run() executes.
- */
-class SynthesizedPattern : public AccessPattern
-{
-  public:
-    SynthesizedPattern(HammerPattern pattern, PatternBinding binding,
-                       const Timing &timing);
-
-    std::string name() const override;
-    void runSlot(SoftMcHost &host, std::uint64_t slot) override;
-    std::vector<std::pair<Bank, Row>> aggressorRows() const override;
-
-    const HammerPattern &pattern() const { return pat; }
-    const PatternBinding &binding() const { return bind; }
-
-  private:
-    HammerPattern pat;
-    PatternBinding bind;
-    Timing timing;
-    /** Per-slot scratch, reused so the hot loop stays allocation-free
-     *  after the first slot (capacity persists across runSlot calls). */
-    SlotPlan slotScratch;
-    std::vector<std::pair<Bank, Row>> rowScratch;
-    std::vector<int> countScratch;
-};
 
 } // namespace utrr
 

@@ -8,49 +8,25 @@
 namespace utrr
 {
 
+namespace
+{
+
+/** Vendor A: decoy rows that evict the aggressors' counter entries. */
+constexpr int kVendorADummyRows = 16;
+
+/** Vendor B: banks hammered in parallel for the chip-wide sampler
+ *  (tFAW-bound, footnote 12). */
+constexpr int kVendorBDummyBanks = 4;
+
+} // namespace
+
 CustomPatternParams
 defaultCustomParams(const ModuleSpec &spec)
 {
-    CustomPatternParams params;
-    params.vendor = spec.vendor;
-    params.trrPeriod = spec.traits().trrToRefPeriod;
-    params.paired = spec.paired();
-    switch (spec.vendor) {
-      case 'A':
-        params.aggressorHammers = 24; // per aggressor per REF (§7.1)
-        params.dummyCount = 16;
-        break;
-      case 'B': {
-        // Per aggressor per TRR window (§7.1: 220 for the 4-REF window
-        // of B_TRR1, 73 for the 2-REF window of B_TRR3): always leave
-        // enough slack for the sampler-diverting dummy activations.
-        const Timing timing;
-        const int window_budget =
-            params.trrPeriod * timing.hammersPerRefi();
-        params.aggressorHammers =
-            std::min(220, std::max(20, window_budget / 2 - 76));
-        params.perBankSampler = spec.trr == TrrVersion::kBTrr3;
-        params.dummyBanks = 4;
-        break;
-      }
-      case 'C':
-      default:
-        params.windowActs =
-            spec.trr == TrrVersion::kCTrr3 ? 1'024 : 2'048;
-        // Per aggressor per TRR window: an eighth of the window budget
-        // each, the rest going to the detection-diverting dummy burst
-        // (§7.1). Paired-row modules couple each victim to a single
-        // repeat-discounted aggressor, so they get a larger share.
-        {
-            const Timing timing;
-            const int window_budget =
-                params.trrPeriod * timing.hammersPerRefi();
-            params.aggressorHammers =
-                spec.paired() ? 140 : window_budget / 8;
-        }
-        break;
-    }
-    return params;
+    TrrProfile profile;
+    profile.trrToRefPeriod = spec.traits().trrToRefPeriod;
+    profile.perBank = spec.traits().perBank;
+    return customParamsFromProfile(spec.vendor, profile, spec.paired());
 }
 
 CustomPatternParams
@@ -61,41 +37,136 @@ customParamsFromProfile(char vendor, const TrrProfile &profile,
     params.vendor = vendor;
     params.trrPeriod = profile.trrToRefPeriod;
     params.paired = paired;
+    const int window_budget =
+        params.trrPeriod * Timing{}.hammersPerRefi();
     switch (vendor) {
       case 'A':
-        params.aggressorHammers = 24;
-        params.dummyCount = 16;
+        params.aggressorHammers = 24; // per aggressor per REF (§7.1)
         break;
-      case 'B': {
-        const Timing timing;
-        const int window_budget =
-            params.trrPeriod * timing.hammersPerRefi();
+      case 'B':
+        // Per aggressor per TRR window (§7.1: 220 for the 4-REF window
+        // of B_TRR1, 73 for the 2-REF window of B_TRR3): always leave
+        // enough slack for the sampler-diverting dummy activations.
         params.aggressorHammers =
             std::min(220, std::max(20, window_budget / 2 - 76));
         params.perBankSampler = profile.perBank;
         break;
-      }
       case 'C':
-      default: {
-        params.windowActs = profile.detectionWindowActs > 0
-            ? profile.detectionWindowActs
-            : 2'048;
-        const Timing timing;
-        params.aggressorHammers =
-            paired ? 140
-                   : params.trrPeriod * timing.hammersPerRefi() / 8;
+      default:
+        // Per aggressor per TRR window: an eighth of the window budget
+        // each, the rest going to the detection-diverting dummy burst
+        // (§7.1). Paired-row modules couple each victim to a single
+        // repeat-discounted aggressor, so they get a larger share.
+        params.aggressorHammers = paired ? 140 : window_budget / 8;
         break;
-      }
     }
     return params;
+}
+
+HammerPattern
+customPattern(const CustomPatternParams &params, const Timing &timing)
+{
+    const int slot_acts = timing.hammersPerRefi();
+    const int period = params.trrPeriod;
+    HammerPattern pattern;
+    PatternElement aggr; // both aggressors, round robin
+    PatternElement dummies;
+    dummies.kind = ElementKind::kDummies;
+    switch (params.vendor) {
+      case 'A':
+        aggr.amplitude =
+            std::clamp(params.aggressorHammers, 1, slot_acts / 2);
+        dummies.rows = kVendorADummyRows; // share the rest of the slot
+        pattern.elements = {aggr, dummies};
+        return pattern;
+      case 'B': {
+        UTRR_ASSERT(period > 0, "need the TRR-to-REF period");
+        // Slot 0 of the period is the first interval after a
+        // TRR-capable REF: the aggressors take half of every slot
+        // until T is spent, dummies the time every slot has left.
+        const int half = slot_acts / 2;
+        const int full_slots =
+            std::min(params.aggressorHammers / half, period);
+        const int rest =
+            full_slots < period ? params.aggressorHammers % half : 0;
+        pattern.basePeriod = period;
+        aggr.frequency = period;
+        if (full_slots > 0) {
+            aggr.span = full_slots;
+            pattern.elements.push_back(aggr);
+        }
+        if (rest > 0) {
+            aggr.phase = full_slots;
+            aggr.span = 1;
+            aggr.amplitude = rest;
+            pattern.elements.push_back(aggr);
+        }
+        if (params.perBankSampler) {
+            // B_TRR3 samples per bank: the dummy must share the
+            // aggressors' bank (footnote 13).
+            dummies.rows = 1;
+        } else {
+            dummies.rows = kVendorBDummyBanks;
+            dummies.banks = kVendorBDummyBanks;
+        }
+        pattern.elements.push_back(dummies);
+        return pattern;
+      }
+      case 'C': {
+        UTRR_ASSERT(period > 0, "need the TRR-to-REF period");
+        // The dummy burst fills the whole TRR window except the ACTs
+        // reserved for the aggressor hammers, hiding the aggressors
+        // from the detection window regardless of its exact length.
+        const int aggr_hammers =
+            params.aggressorHammers > 0 ? params.aggressorHammers : 80;
+        const int burst =
+            std::max(0, period * slot_acts - 2 * aggr_hammers);
+        const int burst_slots = burst / slot_acts;
+        pattern.basePeriod = period;
+        dummies.rows = 1;
+        dummies.frequency = period;
+        if (burst_slots > 0) {
+            dummies.span = burst_slots;
+            pattern.elements.push_back(dummies);
+        }
+        if (burst % slot_acts > 0) {
+            dummies.phase = burst_slots;
+            dummies.span = 1;
+            dummies.amplitude = burst % slot_acts;
+            pattern.elements.push_back(dummies);
+        }
+        aggr.frequency = period;
+        aggr.phase = burst_slots;
+        aggr.span = period - burst_slots;
+        pattern.elements.push_back(aggr);
+        return pattern;
+      }
+      default:
+        panic(logFmt("unknown vendor '", params.vendor, "'"));
+    }
+}
+
+PatternBinding
+bindCustomPattern(const HammerPattern &pattern, const ModuleSpec &spec,
+                  const DiscoveredMapping &mapping, Bank bank,
+                  Row victim_phys)
+{
+    PatternBinding binding =
+        bindPattern(pattern, spec, mapping, bank, victim_phys);
+    if (pattern.dummyBankCount() > 1) {
+        for (std::size_t i = 0; i < binding.dummyBanks.size(); ++i) {
+            binding.dummyBanks[i] =
+                static_cast<Bank>((bank + 1 + i) % spec.banks);
+        }
+    }
+    return binding;
 }
 
 namespace
 {
 
 double
-hammersPerAggrPerRef(const CustomPatternParams &params,
-                     const Timing & /*timing*/)
+hammersPerAggrPerRef(const CustomPatternParams &params)
 {
     switch (params.vendor) {
       case 'A':
@@ -132,10 +203,10 @@ anchorPositions(const DiscoveredMapping &mapping, int positions,
 
 SweepResult
 runSweep(SoftMcHost &host, const DiscoveredMapping &mapping,
-         const SweepConfig &config,
-         const std::function<std::unique_ptr<AccessPattern>(Row)>
-             &make_pattern,
-         const std::function<std::vector<Row>(Row)> &victims_of,
+         const SweepConfig &config, const HammerPattern &pattern,
+         const std::function<PatternBinding(Row)> &bind_at,
+         const std::function<std::vector<std::pair<Bank, Row>>(Row)>
+             &victims_of,
          double hammers_per_aggr_per_ref)
 {
     const ModuleSpec &spec = host.module().spec();
@@ -153,13 +224,8 @@ runSweep(SoftMcHost &host, const DiscoveredMapping &mapping,
             mapping.toLogical((anchor + 9'000) % mapping.rows());
         evaluator.alignToTrrEvent(config.bank, align_dummy);
 
-        std::unique_ptr<AccessPattern> pattern = make_pattern(anchor);
-        std::vector<std::pair<Bank, Row>> victims;
-        for (Row victim : victims_of(anchor))
-            victims.emplace_back(config.bank, victim);
-
-        const AttackOutcome outcome =
-            evaluator.run(*pattern, victims, window);
+        const AttackOutcome outcome = evaluator.run(
+            pattern, bind_at(anchor), victims_of(anchor), window);
 
         ++result.positionsTested;
         for (const auto &[key, flips] : outcome.victimFlips) {
@@ -186,16 +252,19 @@ sweepCustomPattern(SoftMcHost &host, const DiscoveredMapping &mapping,
     if (config.aggressorHammers > 0)
         effective.aggressorHammers = config.aggressorHammers;
 
+    const ModuleSpec &spec = host.module().spec();
+    const HammerPattern pattern = customPattern(effective, host.timing());
     return runSweep(
-        host, mapping, config,
+        host, mapping, config, pattern,
         [&](Row anchor) {
-            return makeCustomPattern(effective, host, mapping,
-                                     config.bank, anchor);
+            return bindCustomPattern(pattern, spec, mapping, config.bank,
+                                     anchor);
         },
         [&](Row anchor) {
-            return customPatternVictims(effective, mapping, anchor);
+            return patternVictims(pattern, spec, mapping, config.bank,
+                                  anchor);
         },
-        hammersPerAggrPerRef(effective, host.timing()));
+        hammersPerAggrPerRef(effective));
 }
 
 std::string
@@ -214,49 +283,42 @@ baselineName(BaselineKind kind)
     return "?";
 }
 
+HammerPattern
+baselinePattern(BaselineKind kind)
+{
+    switch (kind) {
+      case BaselineKind::kSingleSided:
+        return uniformPattern(1);
+      case BaselineKind::kDoubleSided:
+        return uniformPattern(2);
+      case BaselineKind::kManySided9:
+        return uniformPattern(9);
+      case BaselineKind::kManySided19:
+        return uniformPattern(19);
+    }
+    panic("unknown baseline kind");
+}
+
 SweepResult
 sweepBaseline(SoftMcHost &host, const DiscoveredMapping &mapping,
               BaselineKind kind, const SweepConfig &config)
 {
-    const Timing timing = host.timing();
-    const int budget = timing.hammersPerRefi();
-
-    auto make_pattern =
-        [&](Row anchor) -> std::unique_ptr<AccessPattern> {
-        switch (kind) {
-          case BaselineKind::kSingleSided:
-            return std::make_unique<SingleSidedPattern>(
-                config.bank, mapping.toLogical(anchor - 1), budget);
-          case BaselineKind::kDoubleSided:
-            return std::make_unique<DoubleSidedPattern>(
-                config.bank, mapping.toLogical(anchor - 1),
-                mapping.toLogical(anchor + 1), budget / 2);
-          case BaselineKind::kManySided9:
-          case BaselineKind::kManySided19: {
-            const int sides =
-                kind == BaselineKind::kManySided9 ? 9 : 19;
-            std::vector<Row> aggressors;
-            for (int i = 0; i < sides; ++i) {
-                aggressors.push_back(
-                    mapping.toLogical(anchor - 1 + 2 * i));
-            }
-            return std::make_unique<ManySidedPattern>(
-                config.bank, std::move(aggressors),
-                std::max(1, budget / sides));
-          }
-        }
-        panic("unknown baseline kind");
-    };
-
-    auto victims_of = [&](Row anchor) {
-        return std::vector<Row>{mapping.toLogical(anchor)};
-    };
-
+    const HammerPattern pattern = baselinePattern(kind);
+    const int budget = host.timing().hammersPerRefi();
     const double hammers = kind == BaselineKind::kDoubleSided
         ? budget / 2.0
         : static_cast<double>(budget);
-    return runSweep(host, mapping, config, make_pattern, victims_of,
-                    hammers);
+    return runSweep(
+        host, mapping, config, pattern,
+        [&](Row anchor) {
+            return bindComb(mapping, config.bank, anchor - 1,
+                            pattern.aggressorRowCount(), 2);
+        },
+        [&](Row anchor) {
+            return std::vector<std::pair<Bank, Row>>{
+                {config.bank, mapping.toLogical(anchor)}};
+        },
+        hammers);
 }
 
 } // namespace utrr

@@ -15,7 +15,7 @@
 #define UTRR_ATTACK_SWEEP_HH
 
 #include "attack/evaluator.hh"
-#include "attack/pattern.hh"
+#include "attack/hammer_pattern.hh"
 #include "common/stats.hh"
 #include "core/reveng.hh"
 #include "dram/module_spec.hh"
@@ -76,9 +76,32 @@ struct SweepResult
 };
 
 /**
- * Default custom-pattern parameters for a module, as the paper derives
- * them per vendor in §7.1 (24 hammers/aggressor for A, 220 per window
- * for B, window-filling burst for C).
+ * Parameters of the U-TRR custom patterns (§7.1), normally taken from
+ * a reverse-engineered TrrProfile.
+ */
+struct CustomPatternParams
+{
+    /** 'A', 'B' or 'C' (selects the evasion strategy). */
+    char vendor = 'A';
+    /** Discovered TRR-to-REF period. */
+    int trrPeriod = 9;
+    /**
+     * Aggressor hammers: per aggressor per slot (vendor A) or per
+     * aggressor per TRR window (vendors B and C).
+     */
+    int aggressorHammers = 24;
+    /** Vendor B: per-bank detection (B_TRR3) — dummy in the same bank. */
+    bool perBankSampler = false;
+    /** Paired-row modules (C0-8): vendor C's aggressors get a fixed
+     *  share instead of an eighth of the window. */
+    bool paired = false;
+};
+
+/**
+ * Default custom-pattern parameters for a module: the profile
+ * derivation below, fed the spec's TRR-to-REF period, sampler scope
+ * and row pairing (24 hammers/aggressor for A, up to 220 per window
+ * for B, an eighth of the window for C).
  */
 CustomPatternParams defaultCustomParams(const ModuleSpec &spec);
 
@@ -86,6 +109,35 @@ CustomPatternParams defaultCustomParams(const ModuleSpec &spec);
 CustomPatternParams customParamsFromProfile(char vendor,
                                             const TrrProfile &profile,
                                             bool paired);
+
+/**
+ * The vendor's custom pattern as data (H = ACTs per REF slot, P the
+ * TRR-to-REF period, T the aggressor hammers):
+ *  - A: every slot, both aggressors T times, then 16 same-bank dummy
+ *    rows share the rest of the slot, so the low-count aggressor
+ *    entries are evicted from the counter table before every
+ *    TRR-capable REF;
+ *  - B: period P; the aggressors fill the first floor(T/(H/2)) slots
+ *    and take the rest of T in the next one, then dummies fill every
+ *    slot's remaining time, four banks in parallel (one same-bank row
+ *    for a per-bank sampler), so the sampler almost surely holds a
+ *    dummy when the next TRR-capable REF arrives;
+ *  - C: period P; one dummy row takes the first P*H - 2T ACTs after
+ *    the TRR event, then the aggressors fill the rest of the period
+ *    unobserved.
+ */
+HammerPattern customPattern(const CustomPatternParams &params,
+                            const Timing &timing);
+
+/**
+ * Bind a custom pattern around physical victim @p victim_phys as
+ * bindPattern() does, except that multi-bank dummy rounds (vendor B)
+ * run in the banks after the victim's, never in its own.
+ */
+PatternBinding bindCustomPattern(const HammerPattern &pattern,
+                                 const ModuleSpec &spec,
+                                 const DiscoveredMapping &mapping,
+                                 Bank bank, Row victim_phys);
 
 /** Sweep the U-TRR custom pattern over sampled victim positions. */
 SweepResult sweepCustomPattern(SoftMcHost &host,
@@ -103,6 +155,10 @@ enum class BaselineKind
 };
 
 std::string baselineName(BaselineKind kind);
+
+/** The baseline as data: one aggressor element of 1, 2, 9 or 19 rows
+ *  filling every slot. It binds at victim-1+2i (bindComb). */
+HammerPattern baselinePattern(BaselineKind kind);
 
 /** Sweep a baseline pattern over sampled victim positions. */
 SweepResult sweepBaseline(SoftMcHost &host,

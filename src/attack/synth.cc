@@ -296,10 +296,10 @@ evaluatePattern(const ModuleSpec &spec, const SynthConfig &cfg,
             std::max<Row>(warm_anchor, 8), mapping.rows() - 8);
         if (spec.paired())
             warm_anchor &= ~1;
-        const PatternBinding warm_binding =
-            bindPattern(pattern, spec, mapping, bank, warm_anchor);
-        SynthesizedPattern warm(pattern, warm_binding, host.timing());
-        evaluator.run(warm, {}, cfg.warmupRefs);
+        evaluator.run(pattern,
+                      bindPattern(pattern, spec, mapping, bank,
+                                  warm_anchor),
+                      {}, cfg.warmupRefs);
     }
 
     const Row align_dummy =
@@ -308,14 +308,13 @@ evaluatePattern(const ModuleSpec &spec, const SynthConfig &cfg,
 
     const PatternBinding binding =
         bindPattern(pattern, spec, mapping, bank, anchor);
-    SynthesizedPattern synth(pattern, binding, host.timing());
     const std::vector<std::pair<Bank, Row>> victims =
         patternVictims(pattern, spec, mapping, bank, anchor);
 
     const int window = cfg.windowRefs > 0 ? cfg.windowRefs
                                           : spec.refreshPeriodRefs;
     const AttackOutcome outcome =
-        evaluator.run(synth, victims, window);
+        evaluator.run(pattern, binding, victims, window);
 
     PatternEval eval;
     eval.flips = outcome.totalFlips();

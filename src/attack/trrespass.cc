@@ -28,6 +28,11 @@ TrrespassFuzzer::evaluateShape(const FuzzedPattern &shape)
     const int window = cfg.windowRefs > 0 ? cfg.windowRefs
                                           : spec.refreshPeriodRefs;
     AttackEvaluator evaluator(host);
+    // Every aggressor of the comb hammers hammersPerAggr times per REF
+    // interval (capped at an equal share of the interval), or that
+    // share when hammersPerAggr is 0.
+    const HammerPattern pattern =
+        uniformPattern(shape.sides, shape.hammersPerAggr);
 
     int total_flips = 0;
     for (int p = 0; p < cfg.positions; ++p) {
@@ -37,28 +42,19 @@ TrrespassFuzzer::evaluateShape(const FuzzedPattern &shape)
             static_cast<Row>(rng.uniformInt(
                 0, spec.rowsPerBank - 64 * shape.spacing - 2'048));
 
-        std::vector<Row> aggressors;
+        const int stride = shape.spacing + 1;
         std::vector<std::pair<Bank, Row>> victims;
-        for (int s = 0; s < shape.sides; ++s) {
-            const Row aggr_phys =
-                anchor + s * (shape.spacing + 1);
-            aggressors.push_back(mapping.toLogical(aggr_phys));
-            if (s + 1 < shape.sides && shape.spacing >= 1) {
-                // First victim row inside each gap.
-                victims.emplace_back(
-                    0, mapping.toLogical(aggr_phys + 1));
-            }
+        for (int s = 0; shape.spacing >= 1 && s + 1 < shape.sides; ++s) {
+            // First victim row inside each gap.
+            victims.emplace_back(
+                0, mapping.toLogical(anchor + s * stride + 1));
         }
         if (victims.empty())
             victims.emplace_back(0, mapping.toLogical(anchor + 1));
 
-        const int budget = host.timing().hammersPerRefi();
-        const int hammers = shape.hammersPerAggr > 0
-            ? shape.hammersPerAggr
-            : std::max(1, budget / shape.sides);
-        ManySidedPattern pattern(0, aggressors, hammers);
-        const AttackOutcome outcome =
-            evaluator.run(pattern, victims, window);
+        const AttackOutcome outcome = evaluator.run(
+            pattern, bindComb(mapping, 0, anchor, shape.sides, stride),
+            victims, window);
         total_flips += outcome.totalFlips();
     }
     return total_flips;

@@ -15,7 +15,6 @@
 #define UTRR_ATTACK_TRRESPASS_HH
 
 #include "attack/evaluator.hh"
-#include "attack/pattern.hh"
 #include "common/rng.hh"
 #include "core/mapping_reveng.hh"
 

@@ -445,13 +445,6 @@ RowState::addDisturbance(Row aggressor_phys, double added)
 }
 
 void
-RowState::addDisturbanceRun(Row aggressor_phys, double added, int n)
-{
-    charge = accumulateRounds(charge, &added, 1, n);
-    lastAggressor = aggressor_phys;
-}
-
-void
 RowState::addDisturbanceRoundRobin(const Row *aggrs, const double *w_first,
                                    const double *w_repeat, int m,
                                    int rounds)

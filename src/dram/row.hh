@@ -196,27 +196,20 @@ class RowState
     void addDisturbance(Row aggressor_phys, double charge);
 
     /**
-     * Batched equivalent of @p n consecutive
-     * addDisturbance(@p aggressor_phys, @p added) calls: the charge is
-     * bit-identical to n separate floating-point additions in order,
-     * but they are not performed one by one. Within one binade of the
-     * charge every add moves it by the same whole number of ulps, so
-     * the exact sum advances one integer step per binade, with real
-     * additions only where rounding could differ (DESIGN.md §17).
-     */
-    void addDisturbanceRun(Row aggressor_phys, double added, int n);
-
-    /**
      * Batched equivalent of @p rounds round-robin passes over @p m
      * (at most TrrMechanism::kMaxRoundRobinRows) disturbing aggressors:
      * the add sequence aggrs[0], aggrs[1], ..., aggrs[m-1] repeated
      * @p rounds times. The first pass resolves each repeat-vs-first
      * weight from the row's live lastDisturber; from the second pass on
      * each add follows the previous aggressor of the round robin, so
-     * the weights are fixed and the remaining passes take the same
-     * exact binade-stepped accumulation as addDisturbanceRun(). The
-     * charge and lastDisturber end bit-identical to the matching
-     * interpreter-issued addDisturbance() calls.
+     * the weights are fixed. The remaining passes are not performed
+     * one add at a time: within one binade of the charge every pass
+     * moves it by the same whole number of ulps, so the exact sum
+     * advances one integer step per binade, with real additions only
+     * where rounding could differ (DESIGN.md §17). The charge and
+     * lastDisturber end bit-identical to the matching
+     * interpreter-issued addDisturbance() calls; m = 1 is a
+     * single-row run.
      */
     void addDisturbanceRoundRobin(const Row *aggrs, const double *w_first,
                                   const double *w_repeat, int m,

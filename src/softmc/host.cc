@@ -413,7 +413,11 @@ SoftMcHost::hammer(Bank bank, Row row, int count)
     // lookups.
     const std::pair<Bank, Row> target{bank, row};
     foldHammerRounds(&cachedPlan(bank, row, clock), &target, 1, count);
-    checkWatchdog();
+    // The fused span polls cancellation once instead of per ACT. The
+    // watchdog was pre-checked up to the last ACT's poll point; a
+    // deadline inside that ACT's PRE fires on the next command, as in
+    // the interpreter, whose PRE does not poll.
+    pollStopFlag();
 }
 
 void

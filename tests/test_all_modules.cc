@@ -79,14 +79,15 @@ TEST_P(EveryModule, CustomParamsAreExecutable)
     DramModule module(s, 6);
     SoftMcHost host(module);
     const DiscoveredMapping mapping(s.scramble, s.rowsPerBank);
-    auto pattern =
-        makeCustomPattern(params, host, mapping, 0, 5'000);
-    pattern->begin(host);
+    const HammerPattern pattern = customPattern(params, host.timing());
+    const PatternBinding binding =
+        bindCustomPattern(pattern, s, mapping, 0, 5'000);
+    AttackEvaluator evaluator(host);
     const Time slot_budget =
         host.timing().tREFI - host.timing().tRFC;
     for (std::uint64_t slot = 0; slot < 4; ++slot) {
         const Time start = host.now();
-        pattern->runSlot(host, slot);
+        evaluator.runSlot(pattern, binding, slot);
         EXPECT_LE(host.now() - start, slot_budget) << "slot " << slot;
         host.wait(slot_budget - (host.now() - start));
         host.ref();

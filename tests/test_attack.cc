@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "attack/evaluator.hh"
-#include "attack/pattern.hh"
 #include "attack/sweep.hh"
 #include "attack/synth.hh"
 #include "attack/trrespass.hh"
@@ -42,13 +41,14 @@ TEST(Patterns, SlotBudgetsRespected)
     const Timing timing = fix.host.timing();
     const Time slot_budget = timing.tREFI - timing.tRFC;
 
-    CustomPatternParams params = defaultCustomParams(fix.spec);
-    auto pattern = makeCustomPattern(params, fix.host, fix.mapping, 0,
-                                     5'000);
-    pattern->begin(fix.host);
+    const HammerPattern pattern =
+        customPattern(defaultCustomParams(fix.spec), timing);
+    const PatternBinding binding =
+        bindCustomPattern(pattern, fix.spec, fix.mapping, 0, 5'000);
+    AttackEvaluator evaluator(fix.host);
     for (std::uint64_t slot = 0; slot < 32; ++slot) {
         const Time start = fix.host.now();
-        pattern->runSlot(fix.host, slot);
+        evaluator.runSlot(pattern, binding, slot);
         EXPECT_LE(fix.host.now() - start, slot_budget)
             << "slot " << slot;
         fix.host.wait(slot_budget - (fix.host.now() - start));
@@ -59,12 +59,13 @@ TEST(Patterns, SlotBudgetsRespected)
 TEST(Patterns, VendorAHammerCounts)
 {
     AttackFixture fix("A5");
-    CustomPatternParams params = defaultCustomParams(fix.spec);
-    auto pattern = makeCustomPattern(params, fix.host, fix.mapping, 0,
-                                     5'000);
+    const HammerPattern pattern =
+        customPattern(defaultCustomParams(fix.spec), fix.host.timing());
+    const PatternBinding binding =
+        bindCustomPattern(pattern, fix.spec, fix.mapping, 0, 5'000);
+    AttackEvaluator evaluator(fix.host);
     const std::uint64_t before = fix.host.actCount();
-    pattern->begin(fix.host);
-    pattern->runSlot(fix.host, 0);
+    evaluator.runSlot(pattern, binding, 0);
     // 2 aggressors x 24 + 16 dummies x 6 = 144 ACTs per slot.
     EXPECT_EQ(fix.host.actCount() - before, 144u);
 }
@@ -72,14 +73,14 @@ TEST(Patterns, VendorAHammerCounts)
 TEST(Patterns, AggressorRowsAreVictimNeighbours)
 {
     AttackFixture fix("A5");
-    CustomPatternParams params = defaultCustomParams(fix.spec);
     const Row anchor = 5'000;
-    auto pattern = makeCustomPattern(params, fix.host, fix.mapping, 0,
-                                     anchor);
-    const auto aggressors = pattern->aggressorRows();
-    ASSERT_EQ(aggressors.size(), 2u);
+    const HammerPattern pattern =
+        customPattern(defaultCustomParams(fix.spec), fix.host.timing());
+    const PatternBinding binding =
+        bindCustomPattern(pattern, fix.spec, fix.mapping, 0, anchor);
+    ASSERT_EQ(binding.aggressors.size(), 2u);
     std::vector<Row> phys;
-    for (const auto &[bank, logical] : aggressors)
+    for (const Row logical : binding.aggressors)
         phys.push_back(fix.mapping.toPhysical(logical));
     std::sort(phys.begin(), phys.end());
     EXPECT_EQ(phys[0], anchor - 1);
@@ -92,16 +93,18 @@ TEST(Patterns, PairedAggressorsArePairRows)
     CustomPatternParams params = defaultCustomParams(fix.spec);
     ASSERT_TRUE(params.paired);
     const Row anchor = 5'000; // even
-    auto pattern = makeCustomPattern(params, fix.host, fix.mapping, 0,
-                                     anchor);
+    const HammerPattern pattern =
+        customPattern(params, fix.host.timing());
+    const PatternBinding binding =
+        bindCustomPattern(pattern, fix.spec, fix.mapping, 0, anchor);
     std::vector<Row> phys;
-    for (const auto &[bank, logical] : pattern->aggressorRows())
+    for (const Row logical : binding.aggressors)
         phys.push_back(fix.mapping.toPhysical(logical));
     std::sort(phys.begin(), phys.end());
     EXPECT_EQ(phys[0], anchor + 1);     // pair of anchor
     EXPECT_EQ(phys[1], anchor + 3);     // pair of anchor + 2
     const auto victims =
-        customPatternVictims(params, fix.mapping, anchor);
+        patternVictims(pattern, fix.spec, fix.mapping, 0, anchor);
     EXPECT_EQ(victims.size(), 2u);
 }
 
@@ -110,13 +113,15 @@ TEST(Patterns, VendorBUsesMultipleBanksForDummies)
     AttackFixture fix("B8");
     CustomPatternParams params = defaultCustomParams(fix.spec);
     EXPECT_FALSE(params.perBankSampler);
-    auto pattern = makeCustomPattern(params, fix.host, fix.mapping, 0,
-                                     5'000);
-    pattern->begin(fix.host);
+    const HammerPattern pattern =
+        customPattern(params, fix.host.timing());
+    const PatternBinding binding =
+        bindCustomPattern(pattern, fix.spec, fix.mapping, 0, 5'000);
+    AttackEvaluator evaluator(fix.host);
     // Dummy hammering happens in banks other than the aggressor bank;
     // run a full window and check ACT distribution.
     for (std::uint64_t slot = 0; slot < 4; ++slot) {
-        pattern->runSlot(fix.host, slot);
+        evaluator.runSlot(pattern, binding, slot);
         fix.host.ref();
     }
     int banks_with_acts = 0;
@@ -131,11 +136,13 @@ TEST(Patterns, VendorB3DummySharesAggressorBank)
     AttackFixture fix("B13");
     CustomPatternParams params = defaultCustomParams(fix.spec);
     EXPECT_TRUE(params.perBankSampler);
-    auto pattern = makeCustomPattern(params, fix.host, fix.mapping, 0,
-                                     5'000);
-    pattern->begin(fix.host);
+    const HammerPattern pattern =
+        customPattern(params, fix.host.timing());
+    const PatternBinding binding =
+        bindCustomPattern(pattern, fix.spec, fix.mapping, 0, 5'000);
+    AttackEvaluator evaluator(fix.host);
     for (std::uint64_t slot = 0; slot < 2; ++slot) {
-        pattern->runSlot(fix.host, slot);
+        evaluator.runSlot(pattern, binding, slot);
         fix.host.ref();
     }
     for (Bank b = 1; b < fix.spec.banks; ++b)
@@ -248,8 +255,6 @@ TEST(Sweeps, DefaultParamsPerVendor)
         defaultCustomParams(*findModuleSpec("B13")).aggressorHammers,
         73);
     EXPECT_TRUE(defaultCustomParams(*findModuleSpec("C7")).paired);
-    EXPECT_EQ(defaultCustomParams(*findModuleSpec("C12")).windowActs,
-              1'024);
 }
 
 } // namespace

@@ -177,6 +177,14 @@ struct ChaosCase
     const char *module;
 };
 
+/** Keeps the pointer out of the test names gtest prints (and ctest
+ *  copies into its own). */
+void
+PrintTo(const ChaosCase &c, std::ostream *os)
+{
+    *os << c.module;
+}
+
 class ChaosIdentification : public testing::TestWithParam<ChaosCase>
 {
 };

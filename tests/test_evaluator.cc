@@ -66,10 +66,9 @@ TEST(Evaluator, WordHistogramMatchesVictimFlips)
     AttackEvaluator evaluator(host);
 
     const Row anchor = 3'000;
-    DoubleSidedPattern pattern(0, mapping.toLogical(anchor - 1),
-                               mapping.toLogical(anchor + 1), 74);
     const AttackOutcome outcome = evaluator.run(
-        pattern, {{0, mapping.toLogical(anchor)}}, 1'024);
+        uniformPattern(2, 74), bindComb(mapping, 0, anchor - 1, 2, 2),
+        {{0, mapping.toLogical(anchor)}}, 1'024);
 
     std::uint64_t flips_from_words = 0;
     for (const auto &[count, n] : outcome.wordFlips.bins())
@@ -85,10 +84,11 @@ TEST(Evaluator, RefsIssuedOncePerSlot)
     DramModule module(spec, 84);
     SoftMcHost host(module);
     AttackEvaluator evaluator(host);
-    SingleSidedPattern pattern(0, 100, 10);
+    PatternBinding binding;
+    binding.aggressors = {100};
     const std::uint64_t refs = host.refCommandCount();
     const Time start = host.now();
-    evaluator.run(pattern, {{0, 200}}, 64);
+    evaluator.run(uniformPattern(1, 10), binding, {{0, 200}}, 64);
     EXPECT_EQ(host.refCommandCount() - refs, 64u);
     // Wall time: 64 slots at tREFI each (plus init/readback).
     EXPECT_GE(host.now() - start, 64 * host.timing().tREFI);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "dram/module.hh"
 #include "fault/fault_injector.hh"
@@ -244,6 +245,36 @@ TEST(Watchdog, GenerousBudgetNeverFires)
     host.hammer(0, 11, 100);
     host.refAtDefaultRate(8);
     EXPECT_NO_THROW(host.waitWithRefresh(100 * kNsPerMs));
+}
+
+// A deadline after the last hammer ACT's poll point but inside its PRE:
+// in both tiers the burst completes, and the next command throws the
+// same timeout (the interpreter polls after each ACT, never after a
+// PRE, and the compiled fold must not poll later than it does).
+TEST(Watchdog, DeadlineInsideTheLastPreFiresOnTheNextCommand)
+{
+    using Fired = std::tuple<Time, Time, Time, std::uint64_t,
+                             std::uint64_t>;
+    const auto probe = [](ExecMode mode) {
+        DramModule module(*findModuleSpec("A0"), 7);
+        SoftMcHost host(module);
+        host.setExecMode(mode);
+        const Timing &timing = host.timing();
+        host.setWatchdogBudget(99 * timing.hammerCycle() + timing.tRAS);
+        EXPECT_NO_THROW(host.hammer(0, 1'000, 100));
+        EXPECT_EQ(host.now(), 100 * timing.hammerCycle());
+        try {
+            host.ref();
+        } catch (const WatchdogTimeout &e) {
+            return Fired{e.budgetNs, e.deadlineNs, e.nowNs, e.actsIssued,
+                         e.refsIssued};
+        }
+        ADD_FAILURE() << "watchdog did not fire on the next command";
+        return Fired{};
+    };
+    const Fired compiled = probe(ExecMode::kCompiled);
+    EXPECT_EQ(std::get<3>(compiled), 100U);
+    EXPECT_EQ(compiled, probe(ExecMode::kInterpreted));
 }
 
 } // namespace

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "attack/evaluator.hh"
-#include "attack/pattern.hh"
 #include "attack/sweep.hh"
 #include "dram/module.hh"
+#include "mitigation/mitigation.hh"
 #include "softmc/host.hh"
 
 namespace utrr
@@ -29,12 +31,17 @@ TEST_F(PatternFixture, VendorBFrontLoadsAggressors)
 {
     // Aggressors hammer right after the TRR-capable REF (window slot
     // 0), dummies fill the later slots.
-    VendorBPattern pattern(0, 100, 102, {{1, 5'000}, {2, 5'000}}, 220,
-                           4, host.timing());
-    pattern.begin(host);
+    CustomPatternParams params;
+    params.vendor = 'B';
+    params.trrPeriod = 4;
+    params.aggressorHammers = 220;
+    const HammerPattern pattern = customPattern(params, host.timing());
+    const PatternBinding binding =
+        bindCustomPattern(pattern, spec, mapping, 0, 101);
+    AttackEvaluator evaluator(host);
 
     const std::uint64_t acts0 = host.actCount();
-    pattern.runSlot(host, 0);
+    evaluator.runSlot(pattern, binding, 0);
     const std::uint64_t after0 = host.actCount();
     // Slot 0: up to 74 hammers per aggressor (capacity/2) + dummies.
     const std::uint64_t aggr_bank_acts =
@@ -44,14 +51,14 @@ TEST_F(PatternFixture, VendorBFrontLoadsAggressors)
 
     // By the last slot of the window the aggressor quota is exhausted:
     // only dummies hammer.
-    pattern.runSlot(host, 1);
-    pattern.runSlot(host, 2);
+    evaluator.runSlot(pattern, binding, 1);
+    evaluator.runSlot(pattern, binding, 2);
     const std::uint64_t bank0_before = module.bankAt(0).actCount();
-    pattern.runSlot(host, 3);
+    evaluator.runSlot(pattern, binding, 3);
     EXPECT_EQ(module.bankAt(0).actCount(), bank0_before);
 
     // A new window replenishes the quota.
-    pattern.runSlot(host, 4);
+    evaluator.runSlot(pattern, binding, 4);
     EXPECT_GT(module.bankAt(0).actCount(), bank0_before);
 }
 
@@ -61,17 +68,23 @@ TEST_F(PatternFixture, VendorCBurstPrecedesAggressors)
     DramModule c_module(c_spec, 72);
     SoftMcHost c_host(c_module);
     const Row dummy = 9'000;
-    VendorCPattern pattern(0, 100, 102, dummy, /*window_acts=*/400,
-                           /*trr_period=*/9, c_host.timing());
-    pattern.begin(c_host);
+    CustomPatternParams params;
+    params.vendor = 'C';
+    params.trrPeriod = 9;
+    params.aggressorHammers = 470; // leaves a 401-ACT dummy burst
+    const HammerPattern pattern = customPattern(params, c_host.timing());
+    PatternBinding binding;
+    binding.aggressors = {100, 102};
+    binding.dummies = {dummy};
+    AttackEvaluator evaluator(c_host);
 
-    // Slot 0 and 1: first 400 ACTs go to the dummy; remaining budget
+    // Slot 0 and 1: first 401 ACTs go to the dummy; remaining budget
     // to the aggressors.
-    pattern.runSlot(c_host, 0); // 149 dummy ACTs
-    pattern.runSlot(c_host, 1); // 149 dummy ACTs
-    pattern.runSlot(c_host, 2); // 102 dummy + 23 per aggressor
+    evaluator.runSlot(pattern, binding, 0); // 149 dummy ACTs
+    evaluator.runSlot(pattern, binding, 1); // 149 dummy ACTs
+    evaluator.runSlot(pattern, binding, 2); // 103 dummy + 23 per aggressor
     const Row dummy_phys = c_module.toPhysical(0, dummy);
-    // The dummy row itself was activated 400 times in this window.
+    // The dummy row itself was activated 401 times in this window.
     // (White-box check through the bank ACT counter is total-bank, so
     // check via the victim charge of the dummy's neighbour instead.)
     const RowState *neighbour =
@@ -82,68 +95,89 @@ TEST_F(PatternFixture, VendorCBurstPrecedesAggressors)
 
 TEST_F(PatternFixture, SingleAndManySidedActCounts)
 {
-    SingleSidedPattern single(0, 500, 10);
+    AttackEvaluator evaluator(host);
+    PatternBinding single;
+    single.aggressors = {500};
     const std::uint64_t before = host.actCount();
-    single.runSlot(host, 0);
+    evaluator.runSlot(uniformPattern(1, 10), single, 0);
     EXPECT_EQ(host.actCount() - before, 10u);
 
-    ManySidedPattern many(0, {600, 602, 604}, 5);
+    const HammerPattern many = uniformPattern(3, 5);
+    PatternBinding comb;
+    comb.aggressors = {600, 602, 604};
     const std::uint64_t before_many = host.actCount();
-    many.runSlot(host, 0);
+    evaluator.runSlot(many, comb, 0);
     EXPECT_EQ(host.actCount() - before_many, 15u);
-    EXPECT_EQ(many.name(), "3-sided");
-    EXPECT_EQ(many.aggressorRows().size(), 3u);
+    EXPECT_EQ(many.aggressorRowCount(), 3);
+    EXPECT_EQ(bindComb(mapping, 0, 599, 3, 2).aggressors.size(), 3u);
 }
+
+/** Delays every ACT, as a throttling mitigation does. */
+class ThrottleEveryAct : public ControllerMitigation
+{
+  public:
+    explicit ThrottleEveryAct(Time delay) : delay(delay) {}
+
+    MitigationAction
+    onActivate(Bank, Row row, Time) override
+    {
+        acts[row] += 1;
+        MitigationAction action;
+        action.delayNs = delay;
+        delayed += delay;
+        return action;
+    }
+
+    void reset() override { acts.clear(); }
+    std::string name() const override { return "throttle"; }
+
+    std::map<Row, int> acts;
+
+  private:
+    Time delay;
+};
 
 TEST_F(PatternFixture, EvaluatorKeepsRefCadenceUnderOverruns)
 {
-    // A pattern that overruns its slot (as if throttled) must lose
-    // hammer slots, not stretch the REF cadence.
-    class OverrunPattern : public AccessPattern
-    {
-      public:
-        std::string name() const override { return "overrun"; }
-        void
-        runSlot(SoftMcHost &host, std::uint64_t) override
-        {
-            ++slotsRun;
-            host.wait(3 * host.timing().tREFI); // 3x overrun
-        }
-        std::vector<std::pair<Bank, Row>>
-        aggressorRows() const override
-        {
-            return {};
-        }
-        int slotsRun = 0;
-    };
-
-    OverrunPattern pattern;
+    // A slot throttled to 3x its interval must lose hammer slots, not
+    // stretch the REF cadence.
+    const int hammers = 10;
+    ThrottleEveryAct throttle(3 * host.timing().tREFI / hammers);
+    host.attachMitigation(&throttle);
+    PatternBinding binding;
+    binding.aggressors = {60};
     AttackEvaluator evaluator(host);
     const std::uint64_t refs_before = host.refCommandCount();
-    evaluator.run(pattern, {{0, 50}}, 12);
+    evaluator.run(uniformPattern(1, hammers), binding, {{0, 50}}, 12);
     // All 12 REFs issued...
     EXPECT_EQ(host.refCommandCount() - refs_before, 12u);
-    // ...but the pattern only got to run in a fraction of the slots.
-    EXPECT_LE(pattern.slotsRun, 5);
+    // ...but the pattern only got to run in a fraction of the slots
+    // (one ACT of the aggressor is its data write).
+    const int slots_run = (throttle.acts[60] - 1) / hammers;
+    EXPECT_GE(slots_run, 1);
+    EXPECT_LE(slots_run, 5);
 }
 
 TEST_F(PatternFixture, CustomVictimsForNormalModules)
 {
-    CustomPatternParams params = defaultCustomParams(spec);
-    const auto victims = customPatternVictims(params, mapping, 5'000);
+    const HammerPattern pattern =
+        customPattern(defaultCustomParams(spec), host.timing());
+    const auto victims = patternVictims(pattern, spec, mapping, 0, 5'000);
     ASSERT_EQ(victims.size(), 1u);
-    EXPECT_EQ(mapping.toPhysical(victims[0]), 5'000);
+    EXPECT_EQ(mapping.toPhysical(victims[0].second), 5'000);
 }
 
 TEST_F(PatternFixture, FarDummySelectionRespectsDistance)
 {
-    CustomPatternParams params = defaultCustomParams(spec);
-    auto pattern = makeCustomPattern(params, host, mapping, 0, 5'000);
-    pattern->begin(host);
-    pattern->runSlot(host, 0);
-    pattern->runSlot(host, 1);
-    pattern->runSlot(host, 2);
-    pattern->runSlot(host, 3);
+    const HammerPattern pattern =
+        customPattern(defaultCustomParams(spec), host.timing());
+    const PatternBinding binding =
+        bindCustomPattern(pattern, spec, mapping, 0, 5'000);
+    AttackEvaluator evaluator(host);
+    evaluator.runSlot(pattern, binding, 0);
+    evaluator.runSlot(pattern, binding, 1);
+    evaluator.runSlot(pattern, binding, 2);
+    evaluator.runSlot(pattern, binding, 3);
     // No dummy activity may have disturbed the victim neighbourhood:
     // rows within +-2 of the victim got charge only from the two
     // aggressors.

@@ -390,8 +390,9 @@ TEST(DiffReadout, DenseDiffMatchesNaiveBitProbe)
 
 
 // ---------------------------------------------------------------------
-// Exact accumulation (DESIGN.md §17): addDisturbanceRoundRobin and
-// addDisturbanceRun against the per-ACT additions they stand for.
+// Exact accumulation (DESIGN.md §17): addDisturbanceRoundRobin against
+// the per-ACT additions it stands for, including its one-aggressor
+// form (one weight as first and repeat weight), a single-row run.
 // ---------------------------------------------------------------------
 
 /** The per-ACT loop: one live-weight add per aggressor per round. */
@@ -613,7 +614,8 @@ TEST(RowAccumulation, RunMatchesPerActAdditionsBitForBit)
         for (int i = 0; i < c.rounds; ++i)
             want += added;
         RowState row = chargedRow(c.charge, c.last);
-        row.addDisturbanceRun(42, added, c.rounds);
+        const Row aggr = 42;
+        row.addDisturbanceRoundRobin(&aggr, &added, &added, 1, c.rounds);
         ASSERT_EQ(std::bit_cast<std::uint64_t>(row.hammerCharge()),
                   std::bit_cast<std::uint64_t>(want))
             << "case " << n << ": start " << c.charge << ", added "
@@ -628,7 +630,8 @@ TEST(RowAccumulation, LongRunCrossesBinadesExactly)
     // into a fresh victim, through about eighteen binades.
     RowState row = makeRow(RowPhysics{});
     const double w = 0.8530000000000001;
-    row.addDisturbanceRun(9, w, 300'000);
+    const Row aggr = 9;
+    row.addDisturbanceRoundRobin(&aggr, &w, &w, 1, 300'000);
     double want = 0.0;
     for (int i = 0; i < 300'000; ++i)
         want += w;
@@ -682,7 +685,9 @@ TEST(RowAccumulation, ValuesThatCannotStepTakeRealAdds)
                 << want;
             if (m == 1) {
                 RowState run = chargedRow(c.charge, kInvalidRow);
-                run.addDisturbanceRun(42, c.adds.front(), rounds);
+                const Row aggr = 42;
+                run.addDisturbanceRoundRobin(&aggr, c.adds.data(),
+                                             c.adds.data(), 1, rounds);
                 EXPECT_EQ(std::bit_cast<std::uint64_t>(run.hammerCharge()),
                           std::bit_cast<std::uint64_t>(want))
                     << "run: start " << c.charge << ", rounds " << rounds;

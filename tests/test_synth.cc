@@ -4,8 +4,8 @@
  *
  * Pins the three contracts the synthesizer's determinism rests on:
  *  - lowering determinism: the same drawn pattern compiles to the same
- *    softmc::Program text, and the live SynthesizedPattern adapter
- *    emits exactly the command stream the lowering compiles;
+ *    softmc::Program text, and AttackEvaluator's live slots emit
+ *    exactly the command stream the lowering compiles;
  *  - protocol compliance: every lowered pattern keeps the REF cadence
  *    (one REF per tREFI, slot budget respected) and passes the DDR
  *    TimingChecker;
@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "attack/evaluator.hh"
 #include "attack/synth.hh"
 #include "dram/module.hh"
 #include "obs/json.hh"
@@ -130,8 +131,8 @@ TEST(Synth, LoweringIsDeterministic)
 
 TEST(Synth, LiveAdapterEmitsTheLoweredStream)
 {
-    // The SynthesizedPattern adapter (what AttackEvaluator executes)
-    // and lowerToProgram (what the corpus/timing tests compile) must
+    // AttackEvaluator's slots (what every attack executes) and
+    // lowerToProgram (what the corpus/timing tests compile) must
     // consume the same slot plan. Same-bank patterns match command for
     // command; multi-bank fills are truncated in the serial program
     // form, so there the aggressor stream and REF cadence must still
@@ -153,12 +154,12 @@ TEST(Synth, LiveAdapterEmitsTheLoweredStream)
         DramModule live_module(b0, 2021);
         SoftMcHost live_host(live_module);
         live_host.trace().enable(1 << 20);
-        SynthesizedPattern live(p, binding, live_host.timing());
+        AttackEvaluator live(live_host);
         const Time budget =
             live_host.timing().tREFI - live_host.timing().tRFC;
         for (int slot = 0; slot < slots; ++slot) {
             const Time start = live_host.now();
-            live.runSlot(live_host, static_cast<std::uint64_t>(slot));
+            live.runSlot(p, binding, static_cast<std::uint64_t>(slot));
             live_host.wait(budget - (live_host.now() - start));
             live_host.ref();
         }
