@@ -241,6 +241,23 @@ runSweep(SoftMcHost &host, const DiscoveredMapping &mapping,
     return result;
 }
 
+/** Aggressor rows of a baseline's one element. */
+int
+baselineRows(BaselineKind kind)
+{
+    switch (kind) {
+      case BaselineKind::kSingleSided:
+        return 1;
+      case BaselineKind::kDoubleSided:
+        return 2;
+      case BaselineKind::kManySided9:
+        return 9;
+      case BaselineKind::kManySided19:
+        return 19;
+    }
+    panic("unknown baseline kind");
+}
+
 } // namespace
 
 SweepResult
@@ -283,27 +300,11 @@ baselineName(BaselineKind kind)
     return "?";
 }
 
-HammerPattern
-baselinePattern(BaselineKind kind)
-{
-    switch (kind) {
-      case BaselineKind::kSingleSided:
-        return uniformPattern(1);
-      case BaselineKind::kDoubleSided:
-        return uniformPattern(2);
-      case BaselineKind::kManySided9:
-        return uniformPattern(9);
-      case BaselineKind::kManySided19:
-        return uniformPattern(19);
-    }
-    panic("unknown baseline kind");
-}
-
 SweepResult
 sweepBaseline(SoftMcHost &host, const DiscoveredMapping &mapping,
               BaselineKind kind, const SweepConfig &config)
 {
-    const HammerPattern pattern = baselinePattern(kind);
+    const HammerPattern pattern = uniformPattern(baselineRows(kind));
     const int budget = host.timing().hammersPerRefi();
     const double hammers = kind == BaselineKind::kDoubleSided
         ? budget / 2.0

@@ -156,11 +156,11 @@ enum class BaselineKind
 
 std::string baselineName(BaselineKind kind);
 
-/** The baseline as data: one aggressor element of 1, 2, 9 or 19 rows
- *  filling every slot. It binds at victim-1+2i (bindComb). */
-HammerPattern baselinePattern(BaselineKind kind);
-
-/** Sweep a baseline pattern over sampled victim positions. */
+/**
+ * Sweep a baseline pattern over sampled victim positions: one
+ * aggressor element of 1, 2, 9 or 19 rows filling every slot, bound at
+ * anchor-1+2i (bindComb) on every module.
+ */
 SweepResult sweepBaseline(SoftMcHost &host,
                           const DiscoveredMapping &mapping,
                           BaselineKind kind, const SweepConfig &config);
