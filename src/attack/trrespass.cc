@@ -1,7 +1,5 @@
 #include "attack/trrespass.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace utrr
