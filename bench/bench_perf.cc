@@ -40,6 +40,7 @@
 #include "core/row_scout.hh"
 #include "core/sim_backend.hh"
 #include "dram/module.hh"
+#include "fault/fault_injector.hh"
 #include "obs/profiler.hh"
 #include "obs/report.hh"
 #include "runner/journal.hh"
@@ -70,6 +71,24 @@ BM_HammerLoop(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1'000);
 }
 BENCHMARK(BM_HammerLoop);
+
+void
+BM_HammerLoopFaulted(benchmark::State &state)
+{
+    // BM_HammerLoop under a chaosDefaults() injector: the burst takes
+    // one drop draw per ACT, drawn ahead in ACT order, and folds its
+    // drop-free runs, so the delta against BM_HammerLoop is the draws
+    // plus the rare replayed drop (the interpreter would pay
+    // BM_HammerLoopInterpreted's per-ACT dispatch on top).
+    DramModule module(benchSpec(TrrVersion::kNone), 1);
+    SoftMcHost host(module);
+    FaultInjector injector(FaultConfig::chaosDefaults(), 1);
+    host.attachFaultInjector(&injector);
+    for (auto _ : state)
+        host.hammer(0, 5'000, 1'000);
+    state.SetItemsProcessed(state.iterations() * 1'000);
+}
+BENCHMARK(BM_HammerLoopFaulted);
 
 void
 BM_ProgramCompile(benchmark::State &state)

@@ -98,13 +98,32 @@ FaultInjector::shouldDropWr(Bank bank, Time now)
 bool
 FaultInjector::shouldDropHammerAct(Bank bank, Row row, Time now)
 {
-    if (!dropRng.chance(cfg.dropHammerActChance))
+    if (hammerActsBeforeDrop(1) != 0)
         return false;
+    dropHammerAct(bank, row, now);
+    return true;
+}
+
+std::int64_t
+FaultInjector::hammerActsBeforeDrop(std::int64_t limit)
+{
+    const double p = cfg.dropHammerActChance;
+    if (p <= 0.0)
+        return limit; // chance() draws nothing at rate zero
+    for (std::int64_t k = 0; k < limit; ++k) {
+        if (dropRng.chance(p))
+            return k;
+    }
+    return limit;
+}
+
+void
+FaultInjector::dropHammerAct(Bank bank, Row row, Time now)
+{
     ++tallies.droppedHammerActs;
     if (ctrDroppedHammerActs != nullptr)
         ctrDroppedHammerActs->inc();
     traceFault("drop_hammer_act", bank, row, now);
-    return true;
 }
 
 Time

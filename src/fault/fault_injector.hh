@@ -121,8 +121,33 @@ class FaultInjector
     /** Should this WR burst be dropped? */
     bool shouldDropWr(Bank bank, Time now);
 
-    /** Should this hammer ACT+PRE cycle be dropped? */
+    /**
+     * Should this hammer ACT+PRE cycle be dropped? One draw
+     * (hammerActsBeforeDrop(1)), then dropHammerAct() if it is: the
+     * per-ACT form the interpreter uses.
+     */
     bool shouldDropHammerAct(Bank bank, Row row, Time now);
+
+    /**
+     * Draw-only half of the hammer-ACT drop hook, for bursts: take the
+     * drop draws of up to @p limit upcoming hammer cycles in ACT order
+     * and return how many cycles run before the first dropped one — its
+     * index in the burst, whose draw is the last one taken — or
+     * @p limit when none of them is dropped. It never draws past
+     * @p limit, because REF and WR drops share the stream. Records
+     * nothing: the caller reports each dropped cycle through
+     * dropHammerAct(). The same draws as @p limit shouldDropHammerAct()
+     * calls up to the first drop, so a burst that pre-draws its drop
+     * runs stays bit-identical to one that asks per ACT.
+     */
+    std::int64_t hammerActsBeforeDrop(std::int64_t limit);
+
+    /**
+     * Side effects of one dropped hammer cycle: the tally, the
+     * "fault.dropped_hammer_acts" counter and the "drop_hammer_act"
+     * FAULT trace event at @p now.
+     */
+    void dropHammerAct(Bank bank, Row row, Time now);
 
     /** Signed jitter (ns) to add to one default-rate REF interval. */
     Time refJitter(Time now);

@@ -357,45 +357,126 @@ bool
 SoftMcHost::canBatchHammer(std::int64_t cycles) const
 {
     if (execModeV != ExecMode::kCompiled || mitigation != nullptr ||
-        fault != nullptr || cycles <= 1) {
+        cycles <= 1) {
         return false;
     }
     // The interpreter's watchdog fires after the ACT that crosses the
-    // deadline (mid-burst, with the bank left open); if any ACT of this
-    // burst could cross it, run the exact per-cycle path instead. The
-    // last ACT's poll point is at start + (cycles-1)*hammerCycle + tRAS.
-    return wdDeadline < 0 ||
-        clock + (cycles - 1) * timingParams.hammerCycle() +
-                timingParams.tRAS <=
-            wdDeadline;
+    // deadline (mid-burst, with the bank left open); if any poll of
+    // this burst could cross it, run the exact per-cycle path instead.
+    // The last ACT's poll point is at start + (cycles-1)*hammerCycle +
+    // tRAS; a dropped cycle polls only after its whole cycle, so with
+    // an injector attached the last poll can be at start +
+    // cycles*hammerCycle.
+    const Time last_poll = fault != nullptr
+        ? cycles * timingParams.hammerCycle()
+        : (cycles - 1) * timingParams.hammerCycle() + timingParams.tRAS;
+    return wdDeadline < 0 || clock + last_poll <= wdDeadline;
 }
 
-bool
-SoftMcHost::foldHammerRounds(const DramModule::ActPlan *plans,
-                             const std::pair<Bank, Row> *rows, int n,
-                             int rounds)
+std::int64_t
+SoftMcHost::nextHammerDrop(std::int64_t cycle, std::int64_t total)
+{
+    return cycle +
+        (fault != nullptr ? fault->hammerActsBeforeDrop(total - cycle)
+                          : total - cycle);
+}
+
+void
+SoftMcHost::planBurstAggressor(HammerBurst &burst, int i, Time first_act)
+{
+    // A default ActPlan has no bank: the aggressor is not planned yet.
+    if (burst.plans[i].bankPtr == nullptr) {
+        burst.plans[i] = cachedPlan(burst.rows[i].first,
+                                    burst.rows[i].second, first_act);
+    }
+}
+
+void
+SoftMcHost::hammerRounds(HammerBurst &burst, int rounds)
+{
+    const bool foldable = burst.n <= DramBank::kMaxInterleavedFold;
+    while (rounds > 0) {
+        // Whole drop-free rounds ahead of the cursor, which sits at a
+        // round boundary (no division when every round is drop-free,
+        // as in a fault-free call).
+        const std::int64_t ahead = burst.nextDrop - burst.cycle;
+        const int free =
+            ahead >= static_cast<std::int64_t>(rounds) * burst.n
+            ? rounds : static_cast<int>(ahead / burst.n);
+        if (foldable && free > 0) {
+            foldHammerRounds(burst, free);
+            rounds -= free;
+            continue;
+        }
+        // The round that holds the next drop replays per ACT — and so
+        // does every round of more aggressors than one fold takes.
+        const int replay = foldable ? 1 : rounds;
+        for (int k = 0; k < replay; ++k) {
+            for (int i = 0; i < burst.n; ++i)
+                replayHammerCycle(burst, i);
+        }
+        rounds -= replay;
+    }
+}
+
+void
+SoftMcHost::foldHammerRounds(HammerBurst &burst, int rounds)
 {
     const Time ras = timingParams.tRAS;
-    const Time cycle = timingParams.hammerCycle();
-    if (!dram.actInterleavedBurst(plans, n, rounds, clock, cycle))
-        return false;
+    const Time stride = burst.multiBank ? 0 : timingParams.hammerCycle();
+    // Every ACT of the first folded round survives, so an aggressor
+    // not planned yet has its first surviving ACT there.
+    for (int i = 0; i < burst.n; ++i)
+        planBurstAggressor(burst, i, clock + static_cast<Time>(i) * stride);
+    dram.actInterleavedBurst(burst.plans, burst.n, rounds, clock, stride);
     if (cmdTrace.enabled()) {
         Time t = clock;
         for (int k = 0; k < rounds; ++k) {
-            for (int i = 0; i < n; ++i) {
-                cmdTrace.record(TraceKind::kAct, rows[i].first,
-                                rows[i].second, t, ras);
-                cmdTrace.record(TraceKind::kPre, rows[i].first,
-                                kInvalidRow, t + ras, timingParams.tRP);
-                t += cycle;
+            for (int i = 0; i < burst.n; ++i) {
+                const auto &[bank, row] = burst.rows[i];
+                cmdTrace.record(TraceKind::kAct, bank, row, t, ras);
+                if (!burst.multiBank) {
+                    cmdTrace.record(TraceKind::kPre, bank, kInvalidRow,
+                                    t + ras, timingParams.tRP);
+                }
+                t += stride;
             }
         }
     }
-    const auto cycles = static_cast<std::uint64_t>(n) *
-        static_cast<std::uint64_t>(rounds);
-    clock += static_cast<Time>(cycles) * cycle;
-    acts += cycles;
-    return true;
+    const auto cycles = static_cast<std::int64_t>(burst.n) * rounds;
+    burst.cycle += cycles;
+    acts += static_cast<std::uint64_t>(cycles);
+    clock += cycles * stride;
+}
+
+void
+SoftMcHost::replayHammerCycle(HammerBurst &burst, int i)
+{
+    const auto &[bank, row] = burst.rows[i];
+    const Time ras = timingParams.tRAS;
+    if (burst.cycle == burst.nextDrop) {
+        // The bus slot burns and the module never sees the ACT. The
+        // FAULT event lands where the interpreter records it: before
+        // the ACT in hammerOnce, after it in the multi-bank loop.
+        if (!burst.multiBank)
+            fault->dropHammerAct(bank, row, clock);
+        cmdTrace.record(TraceKind::kAct, bank, row, clock, ras);
+        if (burst.multiBank)
+            fault->dropHammerAct(bank, row, clock);
+        burst.nextDrop = nextHammerDrop(burst.cycle + 1, burst.total);
+    } else {
+        planBurstAggressor(burst, i, clock);
+        dram.actPlanned(burst.plans[i], clock);
+        cmdTrace.record(TraceKind::kAct, bank, row, clock, ras);
+        if (!burst.multiBank) {
+            cmdTrace.record(TraceKind::kPre, bank, kInvalidRow, clock + ras,
+                            timingParams.tRP);
+        }
+    }
+    if (!burst.multiBank)
+        clock += timingParams.hammerCycle();
+    ++burst.cycle;
+    ++acts;
 }
 
 void
@@ -412,11 +493,14 @@ SoftMcHost::hammer(Bank bank, Row row, int count)
     // hammer the same handful every REF slot) skip translation and row
     // lookups.
     const std::pair<Bank, Row> target{bank, row};
-    foldHammerRounds(&cachedPlan(bank, row, clock), &target, 1, count);
+    DramModule::ActPlan plan;
+    HammerBurst burst{&target, &plan, 1, false, 0, count,
+                      nextHammerDrop(0, count)};
+    hammerRounds(burst, count);
     // The fused span polls cancellation once instead of per ACT. The
-    // watchdog was pre-checked up to the last ACT's poll point; a
-    // deadline inside that ACT's PRE fires on the next command, as in
-    // the interpreter, whose PRE does not poll.
+    // watchdog was pre-checked up to the last poll point; a deadline
+    // inside the last ACT's PRE fires on the next command, as in the
+    // interpreter, whose PRE does not poll.
     pollStopFlag();
 }
 
@@ -447,75 +531,59 @@ SoftMcHost::hammerInterleaved(
         return;
     }
 
-    // Batched round-robin. Each aggressor's plan is built at the time
-    // of its first ACT, so rows materialize exactly when the
-    // interpreter's first pass touches them. The uniform min(counts)
-    // rounds then run as one fold; stragglers with larger counts — and
-    // every round past kMaxInterleavedFold aggressors, which the fold
-    // declines — finish per cycle off the same plans, where alternating
-    // aggressors keep the lastDisturber branch live inside actPlanned.
-    const std::size_t n = rows.size();
+    // Batched round robin, in phases: the aggressors still running
+    // share min(left) more rounds, then those that finished leave
+    // (order kept), exactly as the interpreter's passes skip them.
     // Scratch stays on the stack for the common small fan-outs; a
     // heap-allocated vector per call would eat a measurable slice of
     // the fold's win (the batched path runs once per REF slot).
+    const std::size_t n = rows.size();
     constexpr std::size_t kStackAggr = 16;
+    std::pair<Bank, Row> rowsBuf[kStackAggr];
     DramModule::ActPlan plansBuf[kStackAggr];
     int leftBuf[kStackAggr];
+    std::vector<std::pair<Bank, Row>> rowsHeap;
     std::vector<DramModule::ActPlan> plansHeap;
     std::vector<int> leftHeap;
+    std::pair<Bank, Row> *live = rowsBuf;
     DramModule::ActPlan *plans = plansBuf;
     int *left = leftBuf;
     if (n > kStackAggr) {
+        rowsHeap.resize(n);
         plansHeap.resize(n);
         leftHeap.resize(n);
+        live = rowsHeap.data();
         plans = plansHeap.data();
         left = leftHeap.data();
     }
-    const Time ras = timingParams.tRAS;
-    const Time rp = timingParams.tRP;
-    Time first_act = clock;
-    int rounds = counts[0];
+    int m = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        left[i] = counts[i];
-        rounds = std::min(rounds, counts[i]);
-        if (counts[i] > 0) {
-            plans[i] = cachedPlan(rows[i].first, rows[i].second, first_act);
-            first_act += ras + rp;
-        }
+        if (counts[i] <= 0)
+            continue;
+        live[m] = rows[i];
+        left[m] = counts[i];
+        ++m;
     }
-    if (rounds >= 1 &&
-        foldHammerRounds(plans, rows.data(), static_cast<int>(n), rounds)) {
-        for (std::size_t i = 0; i < n; ++i)
+    HammerBurst burst{live, plans, m, false, 0, total,
+                      nextHammerDrop(0, total)};
+    while (burst.n > 0) {
+        const int rounds = *std::min_element(left, left + burst.n);
+        hammerRounds(burst, rounds);
+        int kept = 0;
+        for (int i = 0; i < burst.n; ++i) {
             left[i] -= rounds;
-        // The fused span polls cancellation once instead of per ACT
-        // (the watchdog was pre-checked for the whole run).
-        pollStopFlag();
-    }
-
-    bool remaining = false;
-    for (std::size_t i = 0; i < n; ++i)
-        remaining = remaining || left[i] > 0;
-    while (remaining) {
-        remaining = false;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (left[i] <= 0)
+            if (left[i] == 0)
                 continue;
-            dram.actPlanned(plans[i], clock);
-            cmdTrace.record(TraceKind::kAct, rows[i].first, rows[i].second,
-                            clock, ras);
-            clock += ras;
-            ++acts;
-            // The interpreter polls the stop flag after every ACT; keep
-            // the same cancellation latency (the watchdog itself was
-            // pre-checked for the whole run).
-            pollStopFlag();
-            cmdTrace.record(TraceKind::kPre, rows[i].first, kInvalidRow,
-                            clock, rp);
-            clock += rp;
-            if (--left[i] > 0)
-                remaining = true;
+            live[kept] = live[i];
+            plans[kept] = plans[i];
+            left[kept] = left[i];
+            ++kept;
         }
+        burst.n = kept;
     }
+    // The fused span polls cancellation once instead of per ACT (the
+    // watchdog was pre-checked for the whole run).
+    pollStopFlag();
 }
 
 void
@@ -542,29 +610,19 @@ SoftMcHost::hammerMultiBank(
 
     // Every ACT of the call issues at its start time, so in the compiled
     // tier the call is an interleaved burst at stride 0 (plans built at
-    // that time materialize rows as the loop would); per-command hooks
-    // and more rows than one fold takes keep the per-ACT loop.
+    // that time materialize rows as the loop would; dropped cycles
+    // replay their round per ACT); a mitigation and more rows than one
+    // fold takes keep the per-ACT loop.
     const Time start = clock;
     const int n = static_cast<int>(banks);
     Time penalty = 0;
     if (execModeV == ExecMode::kCompiled && mitigation == nullptr &&
-        fault == nullptr && n <= DramBank::kMaxInterleavedFold) {
+        n <= DramBank::kMaxInterleavedFold) {
         DramModule::ActPlan plans[DramBank::kMaxInterleavedFold];
-        for (int i = 0; i < n; ++i) {
-            const auto &[bank, row] = rows[static_cast<std::size_t>(i)];
-            plans[i] = cachedPlan(bank, row, start);
-        }
-        dram.actInterleavedBurst(plans, n, count_each, start, 0);
-        if (cmdTrace.enabled()) {
-            for (int k = 0; k < count_each; ++k) {
-                for (const auto &[bank, row] : rows) {
-                    cmdTrace.record(TraceKind::kAct, bank, row, start,
-                                    timingParams.tRAS);
-                }
-            }
-        }
-        acts += static_cast<std::uint64_t>(n) *
-            static_cast<std::uint64_t>(count_each);
+        const std::int64_t total = banks * count_each;
+        HammerBurst burst{rows.data(), plans, n, true, 0, total,
+                          nextHammerDrop(0, total)};
+        hammerRounds(burst, count_each);
     } else {
         for (int i = 0; i < count_each; ++i) {
             for (const auto &[bank, row] : rows) {
@@ -596,10 +654,11 @@ SoftMcHost::hammerMultiBank(
 ExecResult
 SoftMcHost::execute(const Program &program)
 {
-    // Mitigation and fault injection hook individual commands (e.g. a
-    // dropped hammer ACT exists only on the immediate API); programs
+    // Mitigation and fault injection hook individual commands; programs
     // run under them stay on the interpreter so every per-command hook
-    // fires exactly as recorded.
+    // fires exactly as recorded. (A dropped hammer ACT exists only on
+    // the immediate API: lowered to kHammer, a program's ACT/PRE pairs
+    // would draw drops their interpreted commands never draw.)
     if (execModeV != ExecMode::kCompiled || mitigation != nullptr ||
         fault != nullptr) {
         return executeInterpreted(program);

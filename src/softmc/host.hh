@@ -46,7 +46,9 @@ enum class ExecMode
      * Pre-compile programs into fused op streams and run immediate-API
      * hammer bursts — single-row, interleaved and multi-bank alike — as
      * round-robin folds through DramModule::actInterleavedBurst
-     * (default).
+     * (default). An attached fault injector does not force per-ACT
+     * hammering: its drops are drawn ahead in ACT order, the drop-free
+     * runs fold and each round that holds a drop replays per ACT.
      */
     kCompiled,
     /** One command at a time — the reference path (`--no-compile`). */
@@ -181,9 +183,11 @@ class SoftMcHost
      * parallelism is bounded by tFAW (footnote 12 of the paper).
      * Advances time by the tFAW-constrained duration. Every ACT issues
      * at the call's start time, so in kCompiled mode with no mitigation
-     * or fault injector and at most DramBank::kMaxInterleavedFold rows,
-     * the call runs as one DramModule::actInterleavedBurst at stride 0
-     * (a bank that cannot fold replays its own ACTs there).
+     * and at most DramBank::kMaxInterleavedFold rows, the call's
+     * drop-free rounds run as DramModule::actInterleavedBurst folds at
+     * stride 0 (a bank that cannot fold replays its own ACTs there) and
+     * a round that holds an injected drop replays per ACT, each drop's
+     * FAULT event after its ACT record, as in the per-ACT loop.
      */
     void hammerMultiBank(const std::vector<std::pair<Bank, Row>> &rows,
                          int count_each);
@@ -192,10 +196,13 @@ class SoftMcHost
 
     /**
      * Execute a recorded program, capturing reads. In kCompiled mode
-     * (and with no mitigation or fault injector attached — those need
-     * per-command hooks) the program is lowered by ProgramCompiler and
-     * run through the batched tier; otherwise it is interpreted one
-     * command at a time. Results are bit-identical either way.
+     * (and with no mitigation or fault injector attached) the program
+     * is lowered by ProgramCompiler and run through the batched tier;
+     * otherwise it is interpreted one command at a time. Results are
+     * bit-identical either way. A mitigation hooks every ACT, and an
+     * injector stays on the interpreter because a program's ACT/PRE
+     * pairs are plain commands there, while a compiled kHammer op runs
+     * through hammer(), whose cycles draw hammer-ACT drops.
      */
     ExecResult execute(const Program &program);
 
@@ -339,22 +346,70 @@ class SoftMcHost
     void pollStopFlag();
     void checkWatchdog();
     ExecResult executeInterpreted(const Program &program);
-    /** True when a hammer burst of @p cycles can run fused: compiled
-     *  mode, no per-command collaborators, and the watchdog provably
-     *  cannot fire before the burst completes. */
+    /**
+     * True when a hammer burst of @p cycles can run fused: compiled
+     * mode, no mitigation, more than one cycle, and the watchdog
+     * provably cannot fire before the burst completes. An attached
+     * fault injector does not decline the burst (its drops split it
+     * into folded drop-free runs), but it moves the last poll point to
+     * the end of the last cycle, where a dropped cycle polls.
+     */
     bool canBatchHammer(std::int64_t cycles) const;
 
     /**
-     * Run @p rounds round-robin ACT+PRE passes over the @p n @p rows
-     * (plans prebuilt) from the current clock as one
+     * One compiled hammer call in flight (hammer, hammerInterleaved,
+     * hammerMultiBank): the round robin's aggressors, their plans —
+     * each built at its first surviving ACT, because a dropped ACT
+     * materializes nothing; a default plan (no bank) is not built yet —
+     * and the cycle cursor against the attached injector's next drop.
+     */
+    struct HammerBurst
+    {
+        const std::pair<Bank, Row> *rows;
+        DramModule::ActPlan *plans;
+        int n;
+        /**
+         * Every ACT at the call's start and ACT-only trace records,
+         * with a drop's FAULT event after its ACT (the hammerMultiBank
+         * loop); otherwise one ACT+PRE cycle per hammerCycle(), with
+         * the FAULT event first (hammerOnce).
+         */
+        bool multiBank;
+        /** Cycles issued so far, and in the whole call. */
+        std::int64_t cycle;
+        std::int64_t total;
+        /** Index of the next dropped cycle; `total` when none is left. */
+        std::int64_t nextDrop;
+    };
+
+    /**
+     * Index of the first dropped cycle at or after @p cycle of a
+     * @p total-cycle burst, or @p total: the injector's drop draws for
+     * those cycles, in ACT order (none without an injector).
+     */
+    std::int64_t nextHammerDrop(std::int64_t cycle, std::int64_t total);
+
+    /** Build aggressor @p i's plan at @p first_act unless it is built. */
+    void planBurstAggressor(HammerBurst &burst, int i, Time first_act);
+
+    /**
+     * Run @p rounds round-robin passes of the burst from its cursor (at
+     * a round boundary): runs of drop-free rounds fold
+     * (foldHammerRounds), a round that holds a drop replays per ACT
+     * (replayHammerCycle), and so does every round of more than
+     * DramBank::kMaxInterleavedFold aggressors. Polls nothing.
+     */
+    void hammerRounds(HammerBurst &burst, int rounds);
+
+    /**
+     * Run @p rounds drop-free passes as one
      * DramModule::actInterleavedBurst, then replay what the per-cycle
      * loop leaves on the host side: trace records, clock and ACT count.
-     * Returns false with nothing done when the module declines (more
-     * than DramBank::kMaxInterleavedFold rows). Polls nothing.
      */
-    bool foldHammerRounds(const DramModule::ActPlan *plans,
-                          const std::pair<Bank, Row> *rows, int n,
-                          int rounds);
+    void foldHammerRounds(HammerBurst &burst, int rounds);
+
+    /** One cycle of the burst per ACT: aggressor @p i, dropped or not. */
+    void replayHammerCycle(HammerBurst &burst, int i);
 
     /**
      * Cross-call ActPlan cache for the batched hammer paths. A plan

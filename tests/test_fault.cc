@@ -277,5 +277,40 @@ TEST(Watchdog, DeadlineInsideTheLastPreFiresOnTheNextCommand)
     EXPECT_EQ(compiled, probe(ExecMode::kInterpreted));
 }
 
+// A dropped hammer cycle polls the watchdog only after its whole cycle,
+// so with every cycle dropped (chance(1) draws nothing) the deadline
+// inside the last PRE lies before the last poll point: the interpreter
+// throws inside the call, after the 100th ACT, and the compiled tier
+// must throw the same timeout rather than fold the burst past it.
+TEST(Watchdog, DroppedLastCycleFiresInsideTheBurstInBothTiers)
+{
+    using Fired = std::tuple<Time, Time, Time, std::uint64_t,
+                             std::uint64_t>;
+    const auto probe = [](ExecMode mode) {
+        DramModule module(*findModuleSpec("A0"), 7);
+        SoftMcHost host(module);
+        host.setExecMode(mode);
+        FaultConfig cfg;
+        cfg.dropHammerActChance = 1.0;
+        FaultInjector injector(cfg, 3);
+        host.attachFaultInjector(&injector);
+        const Timing &timing = host.timing();
+        host.setWatchdogBudget(99 * timing.hammerCycle() + timing.tRAS);
+        try {
+            host.hammer(0, 1'000, 100);
+        } catch (const WatchdogTimeout &e) {
+            EXPECT_EQ(injector.stats().droppedHammerActs, 100U);
+            return Fired{e.budgetNs, e.deadlineNs, e.nowNs, e.actsIssued,
+                         e.refsIssued};
+        }
+        ADD_FAILURE() << "watchdog did not fire inside the burst";
+        return Fired{};
+    };
+    const Fired interpreted = probe(ExecMode::kInterpreted);
+    EXPECT_EQ(std::get<2>(interpreted), 5'000);
+    EXPECT_EQ(std::get<3>(interpreted), 100U);
+    EXPECT_EQ(probe(ExecMode::kCompiled), interpreted);
+}
+
 } // namespace
 } // namespace utrr

@@ -1088,6 +1088,303 @@ INSTANTIATE_TEST_SUITE_P(Modules, MultiBankFoldProperty,
                          });
 
 // ---------------------------------------------------------------------
+// Fault-injected folds (DESIGN.md §9, §17): with an injector that drops
+// hammer ACTs attached, the compiled tier folds the drop-free runs of
+// hammer, hammerInterleaved and hammerMultiBank and replays the rounds
+// that hold a drop, while the interpreter asks the injector per ACT.
+// ---------------------------------------------------------------------
+
+class FaultFoldProperty : public ::testing::TestWithParam<const char *>
+{
+};
+
+// A compiled and an interpreted host over identically seeded silicon,
+// each with an identically seeded injector whose only nonzero rate is
+// dropHammerActChance, run the same random mix of single-row,
+// interleaved and multi-bank bursts (fresh rows, stragglers, the VRT
+// row, more rows than one fold takes) with REF bursts, writes and reads
+// in between, at drop rates from the chaos default to every cycle.
+// After every op the clock, ACT count, command trace (FAULT events
+// included), injector tallies, metrics, fast-path tallies, ground truth
+// and every tracked row's charge, last disturber and last restore time
+// must agree.
+TEST_P(FaultFoldProperty, CompiledMatchesInterpretedBitForBit)
+{
+    const ModuleSpec spec = *findModuleSpec(GetParam());
+    const Bank banks = static_cast<Bank>(spec.banks);
+    constexpr Row kBand = 200; // logical rows [kBand, kBand + 24)
+    // A VRT row of bank 1, found on a third identically seeded module
+    // (row physics is a pure function of seed, bank and row).
+    DramModule probe(spec, 2021);
+    SoftMcHost probe_host(probe);
+    Row vrt_row = kInvalidRow;
+    for (Row r = kBand + 24; r < kBand + 1'024 && vrt_row == kInvalidRow;
+         ++r) {
+        probe_host.writeRow(1, r, DataPattern::allOnes());
+        for (const WeakCell &cell :
+             probe.bankAt(1).peekRow(probe.toPhysical(1, r))->physics()
+                 .weakCells) {
+            if (cell.vrt)
+                vrt_row = r;
+        }
+    }
+    ASSERT_NE(vrt_row, kInvalidRow);
+    const std::pair<Bank, Row> vrt{1, vrt_row};
+
+    // Ops that dropped at least one cycle, per shape, over all rates.
+    std::map<std::string, int> dropped;
+    for (const double rate : {1e-4, 0.02, 0.3, 1.0}) {
+        SCOPED_TRACE(logFmt("dropHammerActChance ", rate));
+        FaultConfig faults;
+        faults.dropHammerActChance = rate;
+        DramModule fold_module(spec, 2021);
+        DramModule loop_module(spec, 2021);
+        SoftMcHost fold(fold_module);
+        SoftMcHost loop(loop_module);
+        fold.setExecMode(ExecMode::kCompiled);
+        loop.setExecMode(ExecMode::kInterpreted);
+        FaultInjector fold_faults(faults, 77);
+        FaultInjector loop_faults(faults, 77);
+        fold.attachFaultInjector(&fold_faults);
+        loop.attachFaultInjector(&loop_faults);
+        MetricsRegistry fold_metrics;
+        MetricsRegistry loop_metrics;
+        fold.attachMetrics(&fold_metrics);
+        loop.attachMetrics(&loop_metrics);
+        fold.trace().enable(1 << 16);
+        loop.trace().enable(1 << 16);
+        Rng rng(hashMix(static_cast<std::uint64_t>(spec.trr) * 977 +
+                        std::bit_cast<std::uint64_t>(rate)));
+
+        std::set<std::pair<Bank, Row>> tracked;
+        const auto track = [&](Bank b, Row logical) {
+            const Row p = fold_module.toPhysical(b, logical);
+            for (Row q : {p - 2, p - 1, p, p + 1, p + 2, p ^ 1}) {
+                if (q >= 0 && q < spec.physRowsPerBank())
+                    tracked.insert({b, q});
+            }
+        };
+        const auto check = [&](const std::string &op) {
+            SCOPED_TRACE(op);
+            ASSERT_EQ(fold.now(), loop.now());
+            ASSERT_EQ(fold.actCount(), loop.actCount());
+            ASSERT_EQ(fold.trace().recorded(), loop.trace().recorded());
+            ASSERT_EQ(fold.trace().contentHash(),
+                      loop.trace().contentHash());
+            fold.trace().clear();
+            loop.trace().clear();
+            const FaultInjector::Stats &x = fold_faults.stats();
+            const FaultInjector::Stats &y = loop_faults.stats();
+            ASSERT_EQ(x.droppedHammerActs, y.droppedHammerActs);
+            ASSERT_EQ(x.droppedCommands(), y.droppedCommands());
+            ASSERT_EQ(x.vrtFlips + x.noiseBits + x.jitteredRefs + x.tempSteps,
+                      0U);
+            ASSERT_EQ(y.vrtFlips + y.noiseBits + y.jitteredRefs + y.tempSteps,
+                      0U);
+            fold.publishPerfCounters();
+            loop.publishPerfCounters();
+            ASSERT_EQ(fold_metrics.toJson().dump(),
+                      loop_metrics.toJson().dump());
+            ASSERT_EQ(fold_module.groundTruthProbe().snapshot().dump(),
+                      loop_module.groundTruthProbe().snapshot().dump());
+            std::vector<std::size_t> compared(static_cast<std::size_t>(banks));
+            for (const auto &[b, p] : tracked) {
+                const RowState *u = fold_module.bankAt(b).peekRow(p);
+                const RowState *v = loop_module.bankAt(b).peekRow(p);
+                ASSERT_EQ(u == nullptr, v == nullptr)
+                    << "bank " << b << " phys row " << p;
+                if (u == nullptr)
+                    continue;
+                ++compared[static_cast<std::size_t>(b)];
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(u->hammerCharge()),
+                          std::bit_cast<std::uint64_t>(v->hammerCharge()))
+                    << "bank " << b << " phys row " << p;
+                ASSERT_EQ(u->lastDisturber(), v->lastDisturber())
+                    << "bank " << b << " phys row " << p;
+                ASSERT_EQ(u->lastRefresh(), v->lastRefresh())
+                    << "bank " << b << " phys row " << p;
+            }
+            // Every materialized row was among those compared.
+            for (Bank b = 0; b < banks; ++b) {
+                ASSERT_EQ(fold_module.bankAt(b).materializedRows(),
+                          compared[static_cast<std::size_t>(b)]);
+                ASSERT_EQ(loop_module.bankAt(b).materializedRows(),
+                          compared[static_cast<std::size_t>(b)]);
+            }
+        };
+        const auto both = [&](const auto &run) {
+            run(fold);
+            run(loop);
+        };
+        const auto band_row = [&] {
+            return static_cast<Row>(rng.uniformInt(kBand, kBand + 23));
+        };
+        const auto any_bank = [&] {
+            return static_cast<Bank>(rng.uniformInt(0, banks - 1));
+        };
+        Row fresh = 4'096; // rows no op has touched yet
+        const auto fresh_row = [&] {
+            fresh += 7;
+            return fresh;
+        };
+
+        for (Bank b = 0; b < banks; ++b) {
+            for (Row r = kBand; r < kBand + 24; ++r) {
+                both([&](SoftMcHost &h) {
+                    h.writeRow(b, r, r % 2 == 0 ? DataPattern::allOnes()
+                                                 : DataPattern::checkerboard());
+                });
+                track(b, r);
+            }
+        }
+        both([&](SoftMcHost &h) {
+            h.writeRow(1, vrt_row, DataPattern::allOnes());
+        });
+        track(1, vrt_row);
+        check("setup");
+
+        std::map<std::string, int> ran;
+        for (int op = 0; op < 72; ++op) {
+            const std::uint64_t drops_before =
+                loop_faults.stats().droppedHammerActs;
+            std::string shape;
+            std::string what;
+            const auto kind = rng.uniformInt(0, 9);
+            if (kind <= 2) {
+                // Single-row burst: 2 to 3·10^5 cycles on a band row,
+                // the VRT row or a fresh row.
+                shape = "hammer";
+                Bank b = any_bank();
+                Row r = band_row();
+                const auto pick = rng.uniformInt(0, 3);
+                if (pick == 0) {
+                    std::tie(b, r) = vrt;
+                } else if (pick == 1) {
+                    r = fresh_row();
+                }
+                const int count = static_cast<int>(std::exp(
+                    rng.uniformReal(std::log(2.0), std::log(3e5))));
+                track(b, r);
+                both([&](SoftMcHost &h) { h.hammer(b, r, count); });
+                what = logFmt("hammer(", b, ", ", r, ", ", count, ")");
+            } else if (kind <= 5) {
+                // Interleaved: two rows of one bank, at times a third in
+                // the next bank, with the VRT row or a fresh row among
+                // them, and stragglers with larger counts.
+                shape = "hammerInterleaved";
+                std::vector<std::pair<Bank, Row>> rows;
+                const Bank b = any_bank();
+                const Row r = band_row();
+                rows = {{b, r}, {b, r + 2}};
+                if (rng.chance(0.5))
+                    rows.push_back({(b + 1) % banks, band_row()});
+                Row fresh_aggr = kInvalidRow;
+                const auto pick = rng.uniformInt(0, 2);
+                if (pick == 0) {
+                    rows.insert(rows.begin() + rng.uniformInt(0, 1), vrt);
+                } else if (pick == 1) {
+                    fresh_aggr = fresh_row();
+                    rows.insert(rows.begin() + rng.uniformInt(0, 1),
+                                {b, fresh_aggr});
+                }
+                const int n = static_cast<int>(rng.uniformInt(2, 5'000));
+                std::vector<int> counts;
+                for (std::size_t i = 0; i < rows.size(); ++i) {
+                    counts.push_back(rng.chance(0.3)
+                        ? static_cast<int>(rng.uniformInt(1, n)) : n);
+                }
+                ran["stragglers"] +=
+                    *std::min_element(counts.begin(), counts.end()) < n;
+                for (const auto &[bank, row] : rows)
+                    track(bank, row);
+                both([&](SoftMcHost &h) { h.hammerInterleaved(rows, counts); });
+                what = logFmt("hammerInterleaved of ", rows.size(),
+                              " rows, up to ", n, " each");
+                // A fresh aggressor whose first ACT was dropped: the
+                // interpreter records FAULT then ACT for it before any
+                // surviving ACT of that row.
+                if (fresh_aggr != kInvalidRow) {
+                    for (const TraceEvent &e : loop.trace().events()) {
+                        if (e.row != fresh_aggr)
+                            continue;
+                        ran["fresh first ACT dropped"] +=
+                            e.kind == TraceKind::kFault;
+                        break;
+                    }
+                }
+            } else if (kind <= 7) {
+                // Multi-bank: one row in each of 1-8 banks (the VRT row
+                // among them at times), or nine rows, which one fold
+                // does not take.
+                shape = "hammerMultiBank";
+                std::vector<std::pair<Bank, Row>> rows;
+                if (rng.chance(0.15)) {
+                    for (int i = 0; i < 9; ++i)
+                        rows.push_back({static_cast<Bank>(i % banks),
+                                        band_row()});
+                    ++ran["nine rows"];
+                } else {
+                    const auto k =
+                        rng.uniformInt(1, std::min<Bank>(banks, 8));
+                    for (Bank i = 0; i < k; ++i)
+                        rows.push_back({i, band_row()});
+                    if (rng.chance(0.3))
+                        rows[std::min<std::size_t>(1, rows.size() - 1)] = vrt;
+                }
+                const int count_each =
+                    static_cast<int>(rng.uniformInt(1, 1'000));
+                for (const auto &[bank, row] : rows)
+                    track(bank, row);
+                both([&](SoftMcHost &h) {
+                    h.hammerMultiBank(rows, count_each);
+                });
+                what = logFmt("hammerMultiBank of ", rows.size(), " rows x ",
+                              count_each);
+            } else if (kind == 8) {
+                // A write moves the plan epoch; a read shows the flips.
+                const Bank b = any_bank();
+                const Row w = band_row();
+                const Row r = band_row();
+                both([&](SoftMcHost &h) {
+                    h.writeRow(b, w, DataPattern::allZeros());
+                });
+                EXPECT_EQ(fold.readRow(b, r).rawFlips(),
+                          loop.readRow(b, r).rawFlips());
+                what = "writeRow, readRow";
+            } else {
+                const int refs = static_cast<int>(rng.uniformInt(1, 32));
+                both([&](SoftMcHost &h) { h.refBurst(refs); });
+                what = "refBurst";
+            }
+            check(what);
+            if (::testing::Test::HasFatalFailure())
+                return;
+            if (!shape.empty()) {
+                ++ran[shape];
+                ran[shape + " dropped"] +=
+                    loop_faults.stats().droppedHammerActs > drops_before;
+            }
+        }
+        for (const char *shape :
+             {"hammer", "hammerInterleaved", "hammerMultiBank"}) {
+            EXPECT_GT(ran[std::string(shape) + " dropped"], 0) << shape;
+            dropped[shape] += ran[std::string(shape) + " dropped"];
+        }
+        EXPECT_GT(ran["stragglers"], 0);
+        dropped["fresh first ACT dropped"] += ran["fresh first ACT dropped"];
+        dropped["nine rows"] += ran["nine rows"];
+    }
+    EXPECT_GT(dropped["fresh first ACT dropped"], 0);
+    EXPECT_GT(dropped["nine rows"], 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modules, FaultFoldProperty,
+                         ::testing::Values("A0", "B0", "B13", "C0", "C9"),
+                         [](const auto &info) {
+                             return std::string(info.param);
+                         });
+
+// ---------------------------------------------------------------------
 // Snapshot/fork (DESIGN.md §16): fork isolation, restore bit-identity
 // under chaos faults, and path-independence at random program points.
 // ---------------------------------------------------------------------
