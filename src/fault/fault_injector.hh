@@ -129,16 +129,13 @@ class FaultInjector
     bool shouldDropHammerAct(Bank bank, Row row, Time now);
 
     /**
-     * Draw-only half of the hammer-ACT drop hook, for bursts: take the
-     * drop draws of up to @p limit upcoming hammer cycles in ACT order
-     * and return how many cycles run before the first dropped one — its
-     * index in the burst, whose draw is the last one taken — or
-     * @p limit when none of them is dropped. It never draws past
-     * @p limit, because REF and WR drops share the stream. Records
-     * nothing: the caller reports each dropped cycle through
-     * dropHammerAct(). The same draws as @p limit shouldDropHammerAct()
-     * calls up to the first drop, so a burst that pre-draws its drop
-     * runs stays bit-identical to one that asks per ACT.
+     * Draw-only half of the hammer-ACT drop hook, for bursts: draw for
+     * the next @p limit hammer cycles in ACT order, stopping at the
+     * first dropped one, and return its index — or @p limit when none
+     * is dropped. These are exactly the draws shouldDropHammerAct()
+     * takes cycle by cycle, and none is taken past @p limit, because
+     * REF and WR drops share the stream. Records nothing: the caller
+     * reports the dropped cycle through dropHammerAct().
      */
     std::int64_t hammerActsBeforeDrop(std::int64_t limit);
 

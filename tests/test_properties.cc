@@ -1131,8 +1131,8 @@ TEST_P(FaultFoldProperty, CompiledMatchesInterpretedBitForBit)
     ASSERT_NE(vrt_row, kInvalidRow);
     const std::pair<Bank, Row> vrt{1, vrt_row};
 
-    // Ops that dropped at least one cycle, per shape, over all rates.
-    std::map<std::string, int> dropped;
+    // Rarer shapes, counted over all rates.
+    std::map<std::string, int> seen;
     for (const double rate : {1e-4, 0.02, 0.3, 1.0}) {
         SCOPED_TRACE(logFmt("dropHammerActChance ", rate));
         FaultConfig faults;
@@ -1360,22 +1360,20 @@ TEST_P(FaultFoldProperty, CompiledMatchesInterpretedBitForBit)
             if (::testing::Test::HasFatalFailure())
                 return;
             if (!shape.empty()) {
-                ++ran[shape];
                 ran[shape + " dropped"] +=
                     loop_faults.stats().droppedHammerActs > drops_before;
             }
         }
         for (const char *shape :
-             {"hammer", "hammerInterleaved", "hammerMultiBank"}) {
-            EXPECT_GT(ran[std::string(shape) + " dropped"], 0) << shape;
-            dropped[shape] += ran[std::string(shape) + " dropped"];
+             {"hammer dropped", "hammerInterleaved dropped",
+              "hammerMultiBank dropped", "stragglers"}) {
+            EXPECT_GT(ran[shape], 0) << shape;
         }
-        EXPECT_GT(ran["stragglers"], 0);
-        dropped["fresh first ACT dropped"] += ran["fresh first ACT dropped"];
-        dropped["nine rows"] += ran["nine rows"];
+        seen["fresh first ACT dropped"] += ran["fresh first ACT dropped"];
+        seen["nine rows"] += ran["nine rows"];
     }
-    EXPECT_GT(dropped["fresh first ACT dropped"], 0);
-    EXPECT_GT(dropped["nine rows"], 0);
+    EXPECT_GT(seen["fresh first ACT dropped"], 0);
+    EXPECT_GT(seen["nine rows"], 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modules, FaultFoldProperty,
