@@ -270,12 +270,38 @@ BM_RetentionScan(benchmark::State &state)
 BENCHMARK(BM_RetentionScan)->Arg(1'024)->Arg(8'192);
 
 void
+BM_RetentionScanFaulted(benchmark::State &state)
+{
+    // BM_RetentionScan/8192 under a chaosDefaults() injector: the range
+    // ops stay fused, and the injector's WR-drop draw, VRT-flip and
+    // read-noise hooks run per row through the module's range hook, on
+    // a readout built for each read. The delta against
+    // BM_RetentionScan/8192 is that per-row host work.
+    DramModule module(benchSpec(TrrVersion::kNone), 2);
+    SoftMcHost host(module);
+    FaultInjector injector(FaultConfig::chaosDefaults(), 1);
+    host.attachFaultInjector(&injector);
+    RowScoutConfig cfg;
+    cfg.rowEnd = static_cast<Row>(state.range(0));
+    cfg.consistencyChecks = 10;
+    RowScout scout(host,
+                   DiscoveredMapping::identity(
+                       module.spec().rowsPerBank),
+                   cfg);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(scout.scanFailingRows(msToNs(500)));
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RetentionScanFaulted)->Arg(8'192);
+
+void
 BM_RetentionScanInterpreted(benchmark::State &state)
 {
-    // Interpreted-tier pair of BM_RetentionScan. The scan path is
-    // wait/write/read dominated (no hammer bursts), so the two tiers
-    // should stay within noise of each other — a growing gap here
-    // means non-hammer work leaked onto the batch path.
+    // Interpreted-tier pair of BM_RetentionScan: one writeRow/readRow
+    // per row, each paying host dispatch, a trace check, a watchdog
+    // poll and a RowReadout. The compiled scan runs each range as one
+    // DramModule call and counts flips without a readout, so it reads
+    // faster by design; the gap is that per-row host work.
     DramModule module(benchSpec(TrrVersion::kNone), 2);
     SoftMcHost host(module);
     host.setExecMode(ExecMode::kInterpreted);

@@ -25,17 +25,13 @@ RetentionProfiler::RetentionProfiler(SoftMcHost &host, Config config)
 std::vector<bool>
 RetentionProfiler::failingAt(Time t)
 {
-    const Row count = cfg.rowEnd - cfg.rowStart;
-    std::vector<bool> failing(static_cast<std::size_t>(count), false);
-    for (Row r = cfg.rowStart; r < cfg.rowEnd; ++r)
-        host.writeRow(cfg.bank, r, cfg.pattern);
+    host.writeRows(cfg.bank, cfg.rowStart, cfg.rowEnd, cfg.pattern);
     host.wait(t);
-    for (Row r = cfg.rowStart; r < cfg.rowEnd; ++r) {
-        const int flips = host.readRow(cfg.bank, r)
-                              .countFlipsVs(cfg.pattern, r);
-        failing[static_cast<std::size_t>(r - cfg.rowStart)] =
-            flips > 0;
-    }
+    const std::vector<int> flips =
+        host.readRows(cfg.bank, cfg.rowStart, cfg.rowEnd, cfg.pattern);
+    std::vector<bool> failing(flips.size());
+    for (std::size_t i = 0; i < flips.size(); ++i)
+        failing[i] = flips[i] > 0;
     return failing;
 }
 

@@ -1,7 +1,6 @@
 #include "core/row_scout.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "common/logging.hh"
 #include "obs/profiler.hh"
@@ -20,7 +19,7 @@ RowScout::RowScout(SoftMcHost &host, DiscoveredMapping mapping,
     burnedPhys.insert(cfg.excludePhys.begin(), cfg.excludePhys.end());
 }
 
-std::map<Row, int>
+std::vector<std::pair<Row, int>>
 RowScout::scanFailingRows(Time t)
 {
     // Batch profiling pass: initialize every row in the range, let the
@@ -28,16 +27,16 @@ RowScout::scanFailingRows(Time t)
     UTRR_PROF_SCOPE_SIM("row_scout.scan", host.clockPtr());
     ScopedTimer timer(host.attachedMetrics(), "row_scout.scan");
     SimPhase phase(&host.trace(), "rs_scan", [this] { return host.now(); });
-    for (Row r = cfg.rowStart; r < cfg.rowEnd; ++r)
-        host.writeRow(cfg.bank, r, cfg.pattern);
+    host.writeRows(cfg.bank, cfg.rowStart, cfg.rowEnd, cfg.pattern);
     host.wait(t);
+    const std::vector<int> flips =
+        host.readRows(cfg.bank, cfg.rowStart, cfg.rowEnd, cfg.pattern);
 
-    std::map<Row, int> failing;
-    for (Row r = cfg.rowStart; r < cfg.rowEnd; ++r) {
-        const RowReadout readout = host.readRow(cfg.bank, r);
-        const int flips = readout.countFlipsVs(cfg.pattern, r);
-        if (flips > 0)
-            failing[r] = flips;
+    std::vector<std::pair<Row, int>> failing;
+    for (std::size_t i = 0; i < flips.size(); ++i) {
+        if (flips[i] > 0)
+            failing.emplace_back(cfg.rowStart + static_cast<Row>(i),
+                                 flips[i]);
     }
     return failing;
 }
@@ -71,16 +70,32 @@ RowScout::validateRetention(Row logical_row, Time t, int checks)
     return true;
 }
 
+PhysRowSet::PhysRowSet(Row rows)
+    : flags(static_cast<std::size_t>(std::max<Row>(rows, 0)), 0)
+{
+}
+
+void
+PhysRowSet::insert(Row phys)
+{
+    UTRR_ASSERT(phys >= 0, logFmt("physical row ", phys, " out of range"));
+    if (phys >= bound())
+        flags.resize(static_cast<std::size_t>(phys) + 1, 0);
+    flags[static_cast<std::size_t>(phys)] = 1;
+}
+
 std::vector<RowGroup>
-RowScout::formCandidateGroups(const std::map<Row, Time> &first_fail,
+RowScout::formCandidateGroups(const std::vector<Time> &first_fail,
                               Time t) const
 {
     // Eligible rows: failed first in (t/2, t], so they hold for t/2 and
     // fail by t — exactly the side-channel requirement.
-    std::set<Row> eligible_phys;
-    for (const auto &[logical, fail_t] : first_fail) {
+    PhysRowSet eligible_phys(mapping.rows());
+    for (std::size_t i = 0; i < first_fail.size(); ++i) {
+        const Time fail_t = first_fail[i];
         if (fail_t <= t / 2 || fail_t > t)
             continue;
+        const Row logical = cfg.rowStart + static_cast<Row>(i);
         if (mapping.isAnomalous(logical))
             continue;
         const Row phys = mapping.toPhysical(logical);
@@ -91,10 +106,12 @@ RowScout::formCandidateGroups(const std::map<Row, Time> &first_fail,
 
     std::vector<RowGroup> candidates;
     const auto &offsets = cfg.layout.profiledOffsets();
-    for (Row base : eligible_phys) {
+    for (Row base = 0; base < eligible_phys.bound(); ++base) {
+        if (!eligible_phys.contains(base))
+            continue;
         bool ok = true;
         for (int off : offsets) {
-            if (!eligible_phys.count(base + off)) {
+            if (!eligible_phys.contains(base + off)) {
                 ok = false;
                 break;
             }
@@ -132,13 +149,51 @@ RowScout::formCandidateGroups(const std::map<Row, Time> &first_fail,
     return candidates;
 }
 
+void
+RowScout::acceptGroups(std::vector<RowGroup> candidates, Time t,
+                       PhysRowSet &reserved, std::vector<RowGroup> &groups,
+                       int needed)
+{
+    const auto overlaps_reserved = [&](const RowGroup &group) {
+        for (int d = -cfg.groupSeparation;
+             d < cfg.layout.span() + cfg.groupSeparation; ++d) {
+            if (reserved.contains(group.basePhysRow + d))
+                return true;
+        }
+        return false;
+    };
+    for (RowGroup &group : candidates) {
+        if (overlaps_reserved(group))
+            continue;
+        bool consistent = true;
+        for (const ProfiledRow &row : group.rows) {
+            if (!validateRetention(row.logicalRow, t,
+                                   cfg.consistencyChecks)) {
+                consistent = false;
+                UTRR_DEBUG("row ", row.logicalRow,
+                           " failed consistency (VRT?)");
+                break;
+            }
+        }
+        if (!consistent)
+            continue;
+        for (int d = 0; d < cfg.layout.span(); ++d)
+            reserved.insert(group.basePhysRow + d);
+        groups.push_back(std::move(group));
+        if (static_cast<int>(groups.size()) >= needed)
+            return;
+    }
+}
+
 std::vector<RowGroup>
 RowScout::scout()
 {
     // All returned groups must share one retention time T (paper §4.1:
     // "multiple rows that have the same retention times"), so every T
     // escalation restarts group selection from scratch (Fig. 6).
-    std::map<Row, Time> first_fail;
+    // first_fail[i]: the first T row rowStart + i failed at, or 0.
+    std::vector<Time> first_fail(
+        static_cast<std::size_t>(cfg.rowEnd - cfg.rowStart), 0);
     std::vector<RowGroup> best;
 
     UTRR_PROF_SCOPE_SIM("row_scout.scout", host.clockPtr());
@@ -147,44 +202,19 @@ RowScout::scout()
                    [this] { return host.now(); });
     for (Time t = cfg.initialT; t <= cfg.maxT; t += cfg.stepT) {
         UTRR_DEBUG("row scout: scanning at T = ", nsToMs(t), " ms");
-        const std::map<Row, int> failing = scanFailingRows(t);
-        for (const auto &[row, flips] : failing) {
-            if (!first_fail.count(row))
-                first_fail[row] = t;
+        for (const auto &[row, flips] : scanFailingRows(t)) {
+            Time &first = first_fail[static_cast<std::size_t>(
+                row - cfg.rowStart)];
+            if (first == 0)
+                first = t;
         }
 
         std::vector<RowGroup> groups;
-        std::set<Row> reserved_phys;
-        auto overlaps_reserved = [&](const RowGroup &group) {
-            for (int d = -cfg.groupSeparation;
-                 d < cfg.layout.span() + cfg.groupSeparation; ++d) {
-                if (reserved_phys.count(group.basePhysRow + d))
-                    return true;
-            }
-            return false;
-        };
-
-        for (RowGroup &group : formCandidateGroups(first_fail, t)) {
-            if (overlaps_reserved(group))
-                continue;
-            bool consistent = true;
-            for (const ProfiledRow &row : group.rows) {
-                if (!validateRetention(row.logicalRow, t,
-                                       cfg.consistencyChecks)) {
-                    consistent = false;
-                    UTRR_DEBUG("row ", row.logicalRow,
-                               " failed consistency (VRT?)");
-                    break;
-                }
-            }
-            if (!consistent)
-                continue;
-            for (int d = 0; d < cfg.layout.span(); ++d)
-                reserved_phys.insert(group.basePhysRow + d);
-            groups.push_back(std::move(group));
-            if (static_cast<int>(groups.size()) >= cfg.groupCount)
-                return revalidateAndReplace(std::move(groups));
-        }
+        PhysRowSet reserved_phys(mapping.rows());
+        acceptGroups(formCandidateGroups(first_fail, t), t, reserved_phys,
+                     groups, cfg.groupCount);
+        if (static_cast<int>(groups.size()) >= cfg.groupCount)
+            return revalidateAndReplace(std::move(groups));
         if (groups.size() > best.size())
             best = std::move(groups);
     }
@@ -203,48 +233,25 @@ RowScout::scoutReplacements(const std::vector<RowGroup> &existing, Time t,
     // §4.1), so eligibility is rebuilt at exactly that T: one scan at
     // the hold point marks early failers ineligible, one scan at T
     // marks the rest eligible.
-    std::map<Row, Time> first_fail;
-    for (const auto &[row, flips] : scanFailingRows(t / 2))
-        first_fail[row] = t / 2;
-    for (const auto &[row, flips] : scanFailingRows(t)) {
-        if (!first_fail.count(row))
-            first_fail[row] = t;
+    std::vector<Time> first_fail(
+        static_cast<std::size_t>(cfg.rowEnd - cfg.rowStart), 0);
+    for (const Time scan_t : {t / 2, t}) {
+        for (const auto &[row, flips] : scanFailingRows(scan_t)) {
+            Time &first = first_fail[static_cast<std::size_t>(
+                row - cfg.rowStart)];
+            if (first == 0)
+                first = scan_t;
+        }
     }
 
-    std::set<Row> reserved_phys;
+    PhysRowSet reserved_phys(mapping.rows());
     for (const RowGroup &group : existing) {
         for (int d = 0; d < cfg.layout.span(); ++d)
             reserved_phys.insert(group.basePhysRow + d);
     }
-    auto overlaps_reserved = [&](const RowGroup &group) {
-        for (int d = -cfg.groupSeparation;
-             d < cfg.layout.span() + cfg.groupSeparation; ++d) {
-            if (reserved_phys.count(group.basePhysRow + d))
-                return true;
-        }
-        return false;
-    };
-
     std::vector<RowGroup> found;
-    for (RowGroup &group : formCandidateGroups(first_fail, t)) {
-        if (overlaps_reserved(group))
-            continue;
-        bool consistent = true;
-        for (const ProfiledRow &row : group.rows) {
-            if (!validateRetention(row.logicalRow, t,
-                                   cfg.consistencyChecks)) {
-                consistent = false;
-                break;
-            }
-        }
-        if (!consistent)
-            continue;
-        for (int d = 0; d < cfg.layout.span(); ++d)
-            reserved_phys.insert(group.basePhysRow + d);
-        found.push_back(std::move(group));
-        if (static_cast<int>(found.size()) >= needed)
-            break;
-    }
+    acceptGroups(formCandidateGroups(first_fail, t), t, reserved_phys,
+                 found, needed);
     return found;
 }
 

@@ -21,8 +21,8 @@
 #ifndef UTRR_CORE_ROW_SCOUT_HH
 #define UTRR_CORE_ROW_SCOUT_HH
 
-#include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -80,6 +80,32 @@ struct RowScoutConfig
 };
 
 /**
+ * A set of physical rows as one flag per row: O(1) membership and
+ * ascending iteration for Row Scout's per-scan bookkeeping.
+ */
+class PhysRowSet
+{
+  public:
+    /** Room for rows [0, @p rows); larger rows grow the set. */
+    explicit PhysRowSet(Row rows = 0);
+
+    void insert(Row phys);
+
+    bool
+    contains(Row phys) const
+    {
+        return phys >= 0 && phys < static_cast<Row>(flags.size()) &&
+            flags[static_cast<std::size_t>(phys)] != 0;
+    }
+
+    /** One past the largest row the set can hold without growing. */
+    Row bound() const { return static_cast<Row>(flags.size()); }
+
+  private:
+    std::vector<std::uint8_t> flags;
+};
+
+/**
  * Row Scout.
  */
 class RowScout
@@ -95,10 +121,11 @@ class RowScout
     std::vector<RowGroup> scout();
 
     /**
-     * Scan the configured range once: rows that fail within @p t.
-     * Returned map: logical row -> observed flip count.
+     * Scan the configured range once: the rows that fail within @p t,
+     * as (logical row, observed flip count) in ascending row order.
+     * The range is written and read back with one host range op each.
      */
-    std::map<Row, int> scanFailingRows(Time t);
+    std::vector<std::pair<Row, int>> scanFailingRows(Time t);
 
     /**
      * Validate that a row holds data for T/2 and fails after T,
@@ -133,8 +160,23 @@ class RowScout
     ExperimentReport makeReport(const std::vector<RowGroup> &groups) const;
 
   private:
+    /**
+     * Candidate groups at @p t, in ascending physical base row, from
+     * @p first_fail: per row of the range (index row - rowStart), the
+     * smallest scanned T the row failed at, or 0.
+     */
     std::vector<RowGroup> formCandidateGroups(
-        const std::map<Row, Time> &first_fail, Time t) const;
+        const std::vector<Time> &first_fail, Time t) const;
+
+    /**
+     * Validate @p candidates in order and append to @p groups each
+     * consistent one that keeps clear of the rows in @p reserved (which
+     * every kept group's span joins), stopping once @p groups holds
+     * @p needed groups.
+     */
+    void acceptGroups(std::vector<RowGroup> candidates, Time t,
+                      PhysRowSet &reserved, std::vector<RowGroup> &groups,
+                      int needed);
     std::vector<RowGroup> scoutReplacements(
         const std::vector<RowGroup> &existing, Time t, int needed);
 

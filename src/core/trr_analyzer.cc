@@ -86,12 +86,19 @@ TrrAnalyzer::resetTrrState(Bank bank, const std::vector<Row> &avoid_phys,
     UTRR_PROF_SCOPE_SIM("trr_analyzer.reset_trr_state", host.clockPtr());
     const std::vector<Row> dummy_rows =
         pickDummyRows(bank, avoid_phys, dummies);
+    // Each REF slot's dummy ACTs issue as one round of an interleaved
+    // burst (one ACT per listed row, in list order): the same ACTs at
+    // the same times as one-ACT hammers, at one call per slot.
+    std::vector<std::pair<Bank, Row>> slot(
+        static_cast<std::size_t>(std::max(hammers_per_refi, 0)));
+    const std::vector<int> once(slot.size(), 1);
     std::size_t next = 0;
     for (int i = 0; i < refs; ++i) {
-        for (int h = 0; h < hammers_per_refi; ++h) {
-            host.hammer(bank, dummy_rows[next], 1);
+        for (auto &aggressor : slot) {
+            aggressor = {bank, dummy_rows[next]};
             next = (next + 1) % dummy_rows.size();
         }
+        host.hammerInterleaved(slot, once);
         host.ref();
         // Pad to the default REF rate.
         const Time used = static_cast<Time>(hammers_per_refi) *

@@ -79,14 +79,16 @@ DramBank::peekRow(Row phys_row) const
     return slot < 0 ? nullptr : &states[static_cast<std::size_t>(slot)];
 }
 
-void
+RowState &
 DramBank::activate(Row phys_row, Time now)
 {
     UTRR_ASSERT(open == kInvalidRow,
                 logFmt("ACT to bank ", id, " with row ", open,
                        " still open"));
-    activatePlanned(buildActPlan(phys_row, now), now);
+    const ActPlan plan = buildActPlan(phys_row, now);
+    activatePlanned(plan, now);
     open = phys_row;
+    return *plan.aggr;
 }
 
 void

@@ -48,9 +48,10 @@ class DramBank
 
     /**
      * Open a row: restore its charge, disturb its neighbours — one
-     * activatePlanned() of a plan built at @p now.
+     * activatePlanned() of a plan built at @p now. Returns the opened
+     * row's state.
      */
-    void activate(Row phys_row, Time now);
+    RowState &activate(Row phys_row, Time now);
 
     /** Close the open row. */
     void precharge(Time now);

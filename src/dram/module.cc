@@ -173,6 +173,64 @@ DramModule::actPlanned(const ActPlan &plan, Time now)
     }
 }
 
+template <typename Access>
+void
+DramModule::accessRows(Bank bank, Row first, Row last, Time start,
+                       const Timing &timing, Access &&access)
+{
+    UTRR_ASSERT(first >= 0 && first <= last &&
+                    last <= moduleSpec.rowsPerBank,
+                logFmt("row range [", first, ", ", last, ") out of range"));
+    DramBank &target = bankAt(bank);
+    const RowMapping &map = mapping(bank);
+    const Time cycle = timing.rowCycle();
+    Time act = start;
+    for (Row logical = first; logical < last; ++logical, act += cycle) {
+        const Row phys = map.toPhysical(logical);
+        RowState &row = target.activate(phys, act);
+        trr->onActivate(bank, phys);
+        access(logical, row, act);
+        target.precharge(act + timing.tRAS + timing.tBURST);
+    }
+    if (ctrActs != nullptr) {
+        const auto n = static_cast<std::uint64_t>(last - first);
+        ctrActs->inc(n);
+        ctrBankActs[static_cast<std::size_t>(bank)]->inc(n);
+    }
+}
+
+void
+DramModule::writeRows(Bank bank, Row first, Row last,
+                      const DataPattern &pattern, Time start,
+                      const Timing &timing, RowRangeHook *hook)
+{
+    accessRows(bank, first, last, start, timing,
+               [&](Row logical, RowState &row, Time act) {
+                   if (hook != nullptr && !hook->writeRow(bank, logical, act))
+                       return; // dropped: the row keeps its old data
+                   row.writePattern(pattern, logical, act + timing.tRAS);
+                   ++planEpochV;
+               });
+}
+
+void
+DramModule::readRows(Bank bank, Row first, Row last,
+                     const DataPattern &expected, Time start,
+                     const Timing &timing, int *flips, RowRangeHook *hook)
+{
+    accessRows(bank, first, last, start, timing,
+               [&](Row logical, RowState &row, Time act) {
+                   int &out = flips[logical - first];
+                   if (hook != nullptr) {
+                       out = hook->readRow(bank, logical, act, expected);
+                       return;
+                   }
+                   if (ctrReadFlipBits != nullptr)
+                       ctrReadFlipBits->inc(row.committedFlipCount());
+                   out = row.readFlipCount(expected, logical);
+               });
+}
+
 void
 DramModule::pre(Bank bank, Time now)
 {

@@ -28,6 +28,7 @@
 #include "dram/module_spec.hh"
 #include "dram/physics.hh"
 #include "dram/refresh_engine.hh"
+#include "dram/timing.hh"
 #include "obs/metrics.hh"
 #include "trr/trr.hh"
 
@@ -114,6 +115,61 @@ class DramModule
      */
     bool actInterleavedBurst(const ActPlan *plans, int n, int rounds,
                              Time start, Time stride);
+
+    // ------------------------------------------------------------------
+    // Row-range access (the compiled tier's retention scans, DESIGN.md
+    // §17). Bit-identical to the equivalent per-row act()/wr()/rd()/
+    // pre() loops.
+    // ------------------------------------------------------------------
+
+    /**
+     * The host side of each row of a range op, for an attached fault
+     * injector or command trace: called once per row, right after the
+     * row's ACT, while the row is open.
+     */
+    class RowRangeHook
+    {
+      public:
+        virtual ~RowRangeHook() = default;
+
+        /**
+         * Row @p logical of writeRows() opened at @p act; its WR issues
+         * tRAS later. Returns false when the WR is dropped.
+         */
+        virtual bool writeRow(Bank bank, Row logical, Time act) = 0;
+
+        /**
+         * Row @p logical of readRows() opened at @p act; its RD issues
+         * tRAS later. Returns the readout's flips against @p expected
+         * at the row's own address.
+         */
+        virtual int readRow(Bank bank, Row logical, Time act,
+                            const DataPattern &expected) = 0;
+    };
+
+    /**
+     * Write @p pattern to logical rows [@p first, @p last) of @p bank
+     * in one call: row i opens at @p start + i·timing.rowCycle() and is
+     * written tRAS later, and every row's plan is built at its own ACT
+     * (rows materialize then). Each write advances the plan epoch: it
+     * changes the stored word the next rows' same-data weights read.
+     * The bank must be precharged; @p hook may be null.
+     */
+    void writeRows(Bank bank, Row first, Row last,
+                   const DataPattern &pattern, Time start,
+                   const Timing &timing, RowRangeHook *hook);
+
+    /**
+     * Read logical rows [@p first, @p last) of @p bank back at the
+     * writeRows() times, storing in @p flips[i] row first + i's flips
+     * against @p expected at its own address. Without a hook no
+     * readout is built (RowState::readFlipCount); dram.read_flip_bits
+     * and the readout-share tally count as rd() would. The bank must
+     * be precharged; @p hook may be null.
+     */
+    void readRows(Bank bank, Row first, Row last,
+                  const DataPattern &expected, Time start,
+                  const Timing &timing, int *flips, RowRangeHook *hook);
 
     /**
      * Monotonic counter that advances whenever a cached ActPlan could
@@ -259,6 +315,16 @@ class DramModule
     void publishPerfCounters();
 
   private:
+    /**
+     * The shared loop of writeRows() and readRows(): per row, in
+     * order, translate, activate (plan at the ACT), let TRR observe
+     * the ACT, run @p access(logical, row state, ACT time) and
+     * precharge; then bump the ACT counters once.
+     */
+    template <typename Access>
+    void accessRows(Bank bank, Row first, Row last, Time start,
+                    const Timing &timing, Access &&access);
+
     std::vector<Row> victimRowsOf(Row aggressor_phys) const;
     Counter &gtVictimCounter(Bank bank, Row phys_row);
 

@@ -519,6 +519,20 @@ RowState::read() const
     return RowReadout(pattern, patRow, overrides, flips, bits);
 }
 
+int
+RowState::readFlipCount(const DataPattern &expected, Row expected_row) const
+{
+    if (bank != nullptr)
+        ++bank->perf.readoutShares;
+    if ((!overrides || overrides->empty()) && expected == pattern &&
+        expected_row == patRow) {
+        return static_cast<int>(committedFlipCount());
+    }
+    return diffReadoutCount(
+        RowReadout(pattern, patRow, overrides, flips, bits), expected,
+        expected_row);
+}
+
 std::uint64_t
 RowState::storedWord0() const
 {

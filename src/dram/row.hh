@@ -250,6 +250,14 @@ class RowState
     /** Read the row's current contents. Only valid right after ACT. */
     RowReadout read() const;
 
+    /**
+     * read().countFlipsVs(@p expected, @p expected_row) without
+     * building the readout, tallying the share read() would. The
+     * common case — the expectation is the pattern last written, with
+     * no word overrides — is the committed flip count.
+     */
+    int readFlipCount(const DataPattern &expected, Row expected_row) const;
+
     /** The pattern last written (defaults to all-zeros). */
     const DataPattern &storedPattern() const { return pattern; }
 

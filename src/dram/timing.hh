@@ -45,6 +45,9 @@ struct Timing
     /** One full ACT+PRE hammer cycle. */
     Time hammerCycle() const { return tRAS + tRP; }
 
+    /** One ACT + WR/RD burst + PRE row access (writeRow, readRow). */
+    Time rowCycle() const { return tRAS + tBURST + tRP; }
+
     /**
      * Maximum number of single-bank hammers that fit between two REF
      * commands at the default refresh rate (149 with default values).

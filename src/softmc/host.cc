@@ -335,6 +335,129 @@ SoftMcHost::readRow(Bank bank, Row row)
     return readout;
 }
 
+class SoftMcHost::RangeHook final : public DramModule::RowRangeHook
+{
+  public:
+    explicit RangeHook(SoftMcHost &host) : host(host) {}
+
+    bool
+    writeRow(Bank bank, Row logical, Time act) override
+    {
+        const Time wr = recordAct(bank, logical, act);
+        const bool kept =
+            host.fault == nullptr || !host.fault->shouldDropWr(bank, wr);
+        recordBurst(TraceKind::kWr, bank, wr);
+        return kept;
+    }
+
+    int
+    readRow(Bank bank, Row logical, Time act,
+            const DataPattern &expected) override
+    {
+        const Time rd = recordAct(bank, logical, act);
+        FaultInjector *fault = host.fault;
+        if (fault != nullptr) {
+            fault->onRowRead(host.dram, bank,
+                             host.dram.bankAt(bank).openRow(), rd);
+        }
+        RowReadout readout = host.dram.rd(bank);
+        if (fault != nullptr)
+            fault->corruptReadout(readout, bank, rd);
+        recordBurst(TraceKind::kRd, bank, rd);
+        return readout.countFlipsVs(expected, logical);
+    }
+
+  private:
+    /** The ACT record; returns the time of the row's WR or RD. */
+    Time
+    recordAct(Bank bank, Row logical, Time act)
+    {
+        const Time ras = host.timingParams.tRAS;
+        host.cmdTrace.record(TraceKind::kAct, bank, logical, act, ras);
+        return act + ras;
+    }
+
+    /** The WR or RD record at @p at, then the row's PRE record. */
+    void
+    recordBurst(TraceKind kind, Bank bank, Time at)
+    {
+        const Timing &t = host.timingParams;
+        host.cmdTrace.record(kind, bank, kInvalidRow, at, t.tBURST);
+        host.cmdTrace.record(TraceKind::kPre, bank, kInvalidRow,
+                             at + t.tBURST, t.tRP);
+    }
+
+    SoftMcHost &host;
+};
+
+bool
+SoftMcHost::canBatchRows(Row rows) const
+{
+    if (execModeV != ExecMode::kCompiled || mitigation != nullptr ||
+        rows <= 0) {
+        return false;
+    }
+    // Every row's ACT polls the watchdog; the last one does at start +
+    // (rows-1)*rowCycle + tRAS.
+    const Time last_poll =
+        (rows - 1) * timingParams.rowCycle() + timingParams.tRAS;
+    return wdDeadline < 0 || clock + last_poll <= wdDeadline;
+}
+
+DramModule::RowRangeHook *
+SoftMcHost::rangeHook(RangeHook &hook)
+{
+    return fault != nullptr || cmdTrace.enabled() ? &hook : nullptr;
+}
+
+void
+SoftMcHost::finishRows(Row rows)
+{
+    acts += static_cast<std::uint64_t>(rows);
+    clock += rows * timingParams.rowCycle();
+    // One poll for the range, as for a fused hammer; a deadline inside
+    // the last row's burst or PRE fires on the next command, as in the
+    // per-row loop, whose WR, RD and PRE do not poll.
+    pollStopFlag();
+}
+
+void
+SoftMcHost::writeRows(Bank bank, Row first, Row last,
+                      const DataPattern &pattern)
+{
+    UTRR_PROF_SCOPE_SIM("softmc.write_rows", &clock);
+    if (!canBatchRows(last - first)) {
+        for (Row r = first; r < last; ++r)
+            writeRow(bank, r, pattern);
+        return;
+    }
+    RangeHook hook(*this);
+    dram.writeRows(bank, first, last, pattern, clock, timingParams,
+                   rangeHook(hook));
+    finishRows(last - first);
+}
+
+std::vector<int>
+SoftMcHost::readRows(Bank bank, Row first, Row last,
+                     const DataPattern &expected)
+{
+    UTRR_PROF_SCOPE_SIM("softmc.read_rows", &clock);
+    std::vector<int> flips(
+        static_cast<std::size_t>(std::max<Row>(last - first, 0)));
+    if (!canBatchRows(last - first)) {
+        for (Row r = first; r < last; ++r) {
+            flips[static_cast<std::size_t>(r - first)] =
+                readRow(bank, r).countFlipsVs(expected, r);
+        }
+        return flips;
+    }
+    RangeHook hook(*this);
+    dram.readRows(bank, first, last, expected, clock, timingParams,
+                  flips.data(), rangeHook(hook));
+    finishRows(last - first);
+    return flips;
+}
+
 void
 SoftMcHost::hammerOnce(Bank bank, Row row)
 {

@@ -160,6 +160,30 @@ class SoftMcHost
     /** ACT + RD + PRE. */
     RowReadout readRow(Bank bank, Row row);
 
+    /**
+     * writeRow() of @p pattern to each logical row of [@p first,
+     * @p last) of @p bank, in order. In kCompiled mode with no
+     * mitigation, and when no ACT of the range can poll past the
+     * watchdog deadline, the range runs as one DramModule::writeRows()
+     * call: the watchdog is checked once up front, the stop flag is
+     * polled once after the range, and an attached fault injector or
+     * command trace runs per row through the module's range hook, in
+     * the per-row order (ACT, FAULT, WR, PRE).
+     */
+    void writeRows(Bank bank, Row first, Row last,
+                   const DataPattern &pattern);
+
+    /**
+     * readRow() of each logical row of [@p first, @p last) of @p bank,
+     * in order, reduced to its flips against @p expected at the row's
+     * own address (element i is row first + i). Runs as one
+     * DramModule::readRows() call under the writeRows() gate; an
+     * injector's read hooks (onRowRead, then corruptReadout) run per
+     * row through the range hook.
+     */
+    std::vector<int> readRows(Bank bank, Row first, Row last,
+                              const DataPattern &expected);
+
     /** `count` ACT+PRE cycles on one row. */
     void hammer(Bank bank, Row row, int count);
 
@@ -355,6 +379,23 @@ class SoftMcHost
      * the end of the last cycle, where a dropped cycle polls.
      */
     bool canBatchHammer(std::int64_t cycles) const;
+
+    /**
+     * True when a range of @p rows row accesses can run as one module
+     * call: compiled mode, no mitigation, and no ACT of the range polls
+     * past the watchdog deadline (the per-row loop throws after the
+     * crossing ACT, with that row open).
+     */
+    bool canBatchRows(Row rows) const;
+
+    /** The per-row trace records and fault hooks of a fused range. */
+    class RangeHook;
+
+    /** Range hook to pass the module: null with no injector or trace. */
+    DramModule::RowRangeHook *rangeHook(RangeHook &hook);
+
+    /** Host-side rest of a fused range: clock, ACT count, stop flag. */
+    void finishRows(Row rows);
 
     /**
      * One compiled hammer call in flight (hammer, hammerInterleaved,

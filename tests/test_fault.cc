@@ -312,5 +312,49 @@ TEST(Watchdog, DroppedLastCycleFiresInsideTheBurstInBothTiers)
     EXPECT_EQ(probe(ExecMode::kCompiled), interpreted);
 }
 
+// A deadline inside a row range: the compiled tier declines the fused
+// range op and runs the per-row loop, so in both tiers writeRows and
+// readRows throw the same timeout after the ACT whose poll crosses the
+// deadline, with that row open; a deadline at the last ACT's poll
+// point lets the range finish in both tiers.
+TEST(Watchdog, DeadlineInsideARowRangeFiresAtTheSameCommandInBothTiers)
+{
+    using Fired = std::tuple<Time, Time, Time, std::uint64_t,
+                             std::uint64_t, Row>;
+    const auto probe = [](ExecMode mode, bool read, Time poll_slack) {
+        DramModule module(*findModuleSpec("C0"), 7);
+        SoftMcHost host(module);
+        host.setExecMode(mode);
+        host.writeRows(0, 1'000, 1'100, DataPattern::allOnes());
+        const Timing &timing = host.timing();
+        // The 50th row's ACT polls at 49 row cycles + tRAS.
+        host.setWatchdogBudget(49 * timing.rowCycle() + timing.tRAS +
+                               poll_slack);
+        try {
+            if (read)
+                host.readRows(0, 1'000, 1'100, DataPattern::allOnes());
+            else
+                host.writeRows(0, 1'000, 1'100, DataPattern::random(3));
+        } catch (const WatchdogTimeout &e) {
+            return Fired{e.budgetNs, e.deadlineNs, e.nowNs, e.actsIssued,
+                         e.refsIssued, module.bankAt(0).openRow()};
+        }
+        return Fired{0, 0, host.now(), host.actCount(),
+                     host.refCommandCount(), module.bankAt(0).openRow()};
+    };
+    for (const bool read : {false, true}) {
+        SCOPED_TRACE(read ? "readRows" : "writeRows");
+        const Fired inside = probe(ExecMode::kInterpreted, read, -1);
+        EXPECT_EQ(std::get<3>(inside), 150U); // 100 written, 50 more
+        EXPECT_NE(std::get<5>(inside), kInvalidRow);
+        EXPECT_EQ(probe(ExecMode::kCompiled, read, -1), inside);
+        // A budget that reaches the 50th poll moves the deadline to
+        // the 51st ACT's.
+        const Fired later = probe(ExecMode::kInterpreted, read, 0);
+        EXPECT_EQ(std::get<3>(later), 151U);
+        EXPECT_EQ(probe(ExecMode::kCompiled, read, 0), later);
+    }
+}
+
 } // namespace
 } // namespace utrr

@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <set>
+#include <string_view>
 #include <tuple>
 
 #include "attack/synth.hh"
@@ -1377,6 +1379,268 @@ TEST_P(FaultFoldProperty, CompiledMatchesInterpretedBitForBit)
 }
 
 INSTANTIATE_TEST_SUITE_P(Modules, FaultFoldProperty,
+                         ::testing::Values("A0", "B0", "B13", "C0", "C9"),
+                         [](const auto &info) {
+                             return std::string(info.param);
+                         });
+
+// ---------------------------------------------------------------------
+// Fused row ranges (DESIGN.md §17): the compiled tier runs writeRows and
+// readRows as one DramModule call each, with an attached injector or
+// trace entering per row through the range hook, while the interpreter
+// issues writeRow/readRow per row.
+// ---------------------------------------------------------------------
+
+class RangeScanProperty : public ::testing::TestWithParam<const char *>
+{
+};
+
+// A compiled and an interpreted host over identically seeded silicon
+// run the same seeded mix of range writes and reads — subranges at
+// both bank edges and in the middle, ranges of one row, all-ones,
+// checkerboard and random patterns, expectations that differ from
+// what was written, wrWord overrides inside a written range — with
+// hammers on rows of the same bands (so cached hammer plans must see
+// every write), REF bursts and retention waits in between. Each runs
+// with no injector, under chaosDefaults() and with WR drops, VRT flips
+// and read noise at 0.3, once traced and once not. After every op the
+// flip counts, clock, ACT count, trace, metrics, injector tallies,
+// ground truth and every materialized row's charge, last disturber,
+// last restore and flip list must agree.
+TEST_P(RangeScanProperty, CompiledMatchesInterpretedBitForBit)
+{
+    const ModuleSpec spec = *findModuleSpec(GetParam());
+    const Bank banks = static_cast<Bank>(spec.banks);
+    constexpr Row kEdge = 96;
+    // Bands of logical rows: both bank edges and one in the middle.
+    const std::array<std::pair<Row, Row>, 3> bands{{
+        {0, kEdge},
+        {spec.rowsPerBank - kEdge, spec.rowsPerBank},
+        {2'000, 2'400},
+    }};
+    FaultConfig heavy;
+    heavy.dropWrChance = 0.3;
+    heavy.vrtFlipChancePerRead = 0.3;
+    heavy.readNoiseChancePerRead = 0.3;
+    const std::array<std::pair<const char *, std::optional<FaultConfig>>, 3>
+        configs{{{"no injector", std::nullopt},
+                 {"chaosDefaults", FaultConfig::chaosDefaults()},
+                 {"heavy", heavy}}};
+
+    // Op shapes and fired hooks, counted over every run.
+    std::map<std::string, int> ran;
+    for (const auto &[config_name, faults] : configs) {
+        for (const bool traced : {false, true}) {
+            SCOPED_TRACE(logFmt(config_name, traced ? ", traced" : ""));
+            DramModule fused_module(spec, 2021);
+            DramModule loop_module(spec, 2021);
+            SoftMcHost fused(fused_module);
+            SoftMcHost loop(loop_module);
+            fused.setExecMode(ExecMode::kCompiled);
+            loop.setExecMode(ExecMode::kInterpreted);
+            FaultInjector fused_faults(faults.value_or(FaultConfig{}), 91);
+            FaultInjector loop_faults(faults.value_or(FaultConfig{}), 91);
+            if (faults) {
+                fused.attachFaultInjector(&fused_faults);
+                loop.attachFaultInjector(&loop_faults);
+            }
+            MetricsRegistry fused_metrics;
+            MetricsRegistry loop_metrics;
+            fused.attachMetrics(&fused_metrics);
+            loop.attachMetrics(&loop_metrics);
+            if (traced) {
+                fused.trace().enable(1 << 18);
+                loop.trace().enable(1 << 18);
+            }
+            Rng rng(hashMix(static_cast<std::uint64_t>(spec.trr) * 131 +
+                            std::string_view(config_name).size() * 7 +
+                            (traced ? 1 : 0)));
+
+            const auto check = [&](const std::string &op) {
+                SCOPED_TRACE(op);
+                ASSERT_EQ(fused.now(), loop.now());
+                ASSERT_EQ(fused.actCount(), loop.actCount());
+                ASSERT_EQ(fused.trace().recorded(), loop.trace().recorded());
+                ASSERT_EQ(fused.trace().contentHash(),
+                          loop.trace().contentHash());
+                fused.trace().clear();
+                loop.trace().clear();
+                const FaultInjector::Stats &x = fused_faults.stats();
+                const FaultInjector::Stats &y = loop_faults.stats();
+                ASSERT_EQ(std::tie(x.vrtFlips, x.noiseBits, x.jitteredRefs,
+                                   x.droppedRefs, x.droppedWrs,
+                                   x.droppedHammerActs, x.tempSteps),
+                          std::tie(y.vrtFlips, y.noiseBits, y.jitteredRefs,
+                                   y.droppedRefs, y.droppedWrs,
+                                   y.droppedHammerActs, y.tempSteps));
+                fused.publishPerfCounters();
+                loop.publishPerfCounters();
+                ASSERT_EQ(fused_metrics.toJson().dump(),
+                          loop_metrics.toJson().dump());
+                ASSERT_EQ(fused_module.groundTruthProbe().snapshot().dump(),
+                          loop_module.groundTruthProbe().snapshot().dump());
+                for (Bank b = 0; b < banks; ++b) {
+                    const DramBank &u_bank = fused_module.bankAt(b);
+                    const DramBank &v_bank = loop_module.bankAt(b);
+                    ASSERT_EQ(u_bank.materializedRows(),
+                              v_bank.materializedRows());
+                    ASSERT_EQ(u_bank.actCount(), v_bank.actCount());
+                    // Only banks 0 and 1 see commands.
+                    const Row rows = b < 2 ? u_bank.physRows() : 0;
+                    ASSERT_TRUE(b < 2 || u_bank.materializedRows() == 0);
+                    for (Row p = 0; p < rows; ++p) {
+                        const RowState *u = u_bank.peekRow(p);
+                        const RowState *v = v_bank.peekRow(p);
+                        ASSERT_EQ(u == nullptr, v == nullptr)
+                            << "bank " << b << " phys row " << p;
+                        if (u == nullptr)
+                            continue;
+                        ASSERT_EQ(
+                            std::bit_cast<std::uint64_t>(u->hammerCharge()),
+                            std::bit_cast<std::uint64_t>(v->hammerCharge()))
+                            << "bank " << b << " phys row " << p;
+                        ASSERT_EQ(u->lastDisturber(), v->lastDisturber())
+                            << "bank " << b << " phys row " << p;
+                        ASSERT_EQ(u->lastRefresh(), v->lastRefresh())
+                            << "bank " << b << " phys row " << p;
+                        ASSERT_EQ(u->retentionScale(), v->retentionScale())
+                            << "bank " << b << " phys row " << p;
+                        ASSERT_EQ(u->read().rawFlips(), v->read().rawFlips())
+                            << "bank " << b << " phys row " << p;
+                    }
+                }
+            };
+            const auto both = [&](const auto &run) {
+                run(fused);
+                run(loop);
+            };
+            const auto pick_bank = [&] {
+                return static_cast<Bank>(rng.uniformInt(0, 1));
+            };
+            const auto pick_range = [&] {
+                const auto &[lo, hi] =
+                    bands[static_cast<std::size_t>(rng.uniformInt(0, 2))];
+                if (rng.chance(0.2)) {
+                    const Row r = static_cast<Row>(rng.uniformInt(lo, hi - 1));
+                    return std::pair<Row, Row>{r, r + 1};
+                }
+                // Half the ranges run to the band's end (a bank edge for
+                // the edge bands).
+                const Row first =
+                    static_cast<Row>(rng.uniformInt(lo, hi - 2));
+                const Row last = rng.chance(0.5)
+                    ? hi : static_cast<Row>(rng.uniformInt(first + 1, hi));
+                return std::pair<Row, Row>{first, last};
+            };
+            const auto pick_pattern = [&] {
+                switch (rng.uniformInt(0, 2)) {
+                  case 0:
+                    return DataPattern::allOnes();
+                  case 1:
+                    return DataPattern::checkerboard();
+                  default:
+                    return DataPattern::random(rng.uniformInt(1, 9));
+                }
+            };
+            const auto band_row = [&] {
+                const auto &[lo, hi] =
+                    bands[static_cast<std::size_t>(rng.uniformInt(0, 2))];
+                return static_cast<Row>(rng.uniformInt(lo + 2, hi - 3));
+            };
+
+            // Fill every band of both banks, so every op starts from
+            // written rows.
+            for (Bank b = 0; b < 2; ++b) {
+                for (const auto &[lo, hi] : bands) {
+                    both([&](SoftMcHost &h) {
+                        h.writeRows(b, lo, hi, DataPattern::allOnes());
+                    });
+                }
+            }
+            check("setup");
+            for (int op = 0; op < 48; ++op) {
+                std::string what;
+                const auto kind = rng.uniformInt(0, 9);
+                if (kind <= 2) {
+                    const Bank b = pick_bank();
+                    const auto [first, last] = pick_range();
+                    const DataPattern pattern = pick_pattern();
+                    both([&](SoftMcHost &h) {
+                        h.writeRows(b, first, last, pattern);
+                    });
+                    what = logFmt("writeRows(", b, ", ", first, ", ", last,
+                                  ", ", pattern.name(), ")");
+                    ++ran[last - first == 1 ? "one-row range" : "range"];
+                } else if (kind <= 5) {
+                    const Bank b = pick_bank();
+                    const auto [first, last] = pick_range();
+                    // Mostly the written all-ones; at times a pattern
+                    // nothing wrote.
+                    const DataPattern expected = rng.chance(0.7)
+                        ? DataPattern::allOnes() : pick_pattern();
+                    const std::vector<int> x =
+                        fused.readRows(b, first, last, expected);
+                    const std::vector<int> y =
+                        loop.readRows(b, first, last, expected);
+                    ASSERT_EQ(x, y) << "readRows(" << b << ", " << first
+                                    << ", " << last << ")";
+                    what = logFmt("readRows(", b, ", ", first, ", ", last,
+                                  ", ", expected.name(), ")");
+                    ran["flips read"] +=
+                        std::count_if(x.begin(), x.end(),
+                                      [](int f) { return f > 0; }) > 0;
+                } else if (kind == 6) {
+                    // A word override inside a written range.
+                    const Bank b = pick_bank();
+                    const Row r = band_row();
+                    const int word = static_cast<int>(rng.uniformInt(0, 7));
+                    const std::uint64_t value = rng.next();
+                    both([&](SoftMcHost &h) {
+                        h.act(b, r);
+                        h.wrWord(b, word, value);
+                        h.pre(b);
+                    });
+                    what = logFmt("wrWord(", b, ", ", r, ", ", word, ")");
+                    ++ran["wrWord"];
+                } else if (kind == 7) {
+                    const Bank b = pick_bank();
+                    const Row r = band_row();
+                    const int count =
+                        static_cast<int>(rng.uniformInt(2, 20'000));
+                    both([&](SoftMcHost &h) {
+                        h.hammer(b, r, count);
+                        h.hammerInterleaved({{b, r - 2}, {b, r}},
+                                            {count / 2 + 1, count / 2 + 1});
+                    });
+                    what = logFmt("hammer(", b, ", ", r, ", ", count, ")");
+                } else if (kind == 8) {
+                    const int refs = static_cast<int>(rng.uniformInt(1, 16));
+                    both([&](SoftMcHost &h) { h.refBurst(refs); });
+                    what = "refBurst";
+                } else {
+                    const Time t = msToNs(rng.uniformInt(100, 2'000));
+                    both([&](SoftMcHost &h) { h.wait(t); });
+                    what = "wait";
+                }
+                check(what);
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+            const FaultInjector::Stats &fired = loop_faults.stats();
+            ran["dropped WR"] += fired.droppedWrs > 0;
+            ran["VRT flip"] += fired.vrtFlips > 0;
+            ran["read noise"] += fired.noiseBits > 0;
+            ran["temperature step"] += fired.tempSteps > 0;
+        }
+    }
+    for (const char *shape :
+         {"range", "one-row range", "wrWord", "flips read", "dropped WR",
+          "VRT flip", "read noise", "temperature step"}) {
+        EXPECT_GT(ran[shape], 0) << shape;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modules, RangeScanProperty,
                          ::testing::Values("A0", "B0", "B13", "C0", "C9"),
                          [](const auto &info) {
                              return std::string(info.param);
