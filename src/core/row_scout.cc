@@ -9,6 +9,43 @@
 namespace utrr
 {
 
+/**
+ * A set of physical rows as one flag per row: O(1) membership and
+ * ascending iteration for the per-scan bookkeeping.
+ */
+class RowScout::PhysRowSet
+{
+  public:
+    /** Room for rows [0, @p rows); larger rows grow the set. */
+    explicit PhysRowSet(Row rows)
+        : flags(static_cast<std::size_t>(std::max<Row>(rows, 0)), 0)
+    {
+    }
+
+    void
+    insert(Row phys)
+    {
+        UTRR_ASSERT(phys >= 0,
+                    logFmt("physical row ", phys, " out of range"));
+        if (phys >= bound())
+            flags.resize(static_cast<std::size_t>(phys) + 1, 0);
+        flags[static_cast<std::size_t>(phys)] = 1;
+    }
+
+    bool
+    contains(Row phys) const
+    {
+        return phys >= 0 && phys < bound() &&
+            flags[static_cast<std::size_t>(phys)] != 0;
+    }
+
+    /** One past the largest row the set holds without growing. */
+    Row bound() const { return static_cast<Row>(flags.size()); }
+
+  private:
+    std::vector<std::uint8_t> flags;
+};
+
 RowScout::RowScout(SoftMcHost &host, DiscoveredMapping mapping,
                    RowScoutConfig config)
     : host(host), mapping(std::move(mapping)), cfg(std::move(config))
@@ -68,20 +105,6 @@ RowScout::validateRetention(Row logical_row, Time t, int checks)
         }
     }
     return true;
-}
-
-PhysRowSet::PhysRowSet(Row rows)
-    : flags(static_cast<std::size_t>(std::max<Row>(rows, 0)), 0)
-{
-}
-
-void
-PhysRowSet::insert(Row phys)
-{
-    UTRR_ASSERT(phys >= 0, logFmt("physical row ", phys, " out of range"));
-    if (phys >= bound())
-        flags.resize(static_cast<std::size_t>(phys) + 1, 0);
-    flags[static_cast<std::size_t>(phys)] = 1;
 }
 
 std::vector<RowGroup>

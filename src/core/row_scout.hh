@@ -80,32 +80,6 @@ struct RowScoutConfig
 };
 
 /**
- * A set of physical rows as one flag per row: O(1) membership and
- * ascending iteration for Row Scout's per-scan bookkeeping.
- */
-class PhysRowSet
-{
-  public:
-    /** Room for rows [0, @p rows); larger rows grow the set. */
-    explicit PhysRowSet(Row rows = 0);
-
-    void insert(Row phys);
-
-    bool
-    contains(Row phys) const
-    {
-        return phys >= 0 && phys < static_cast<Row>(flags.size()) &&
-            flags[static_cast<std::size_t>(phys)] != 0;
-    }
-
-    /** One past the largest row the set can hold without growing. */
-    Row bound() const { return static_cast<Row>(flags.size()); }
-
-  private:
-    std::vector<std::uint8_t> flags;
-};
-
-/**
  * Row Scout.
  */
 class RowScout
@@ -160,6 +134,9 @@ class RowScout
     ExperimentReport makeReport(const std::vector<RowGroup> &groups) const;
 
   private:
+    /** Physical rows as one flag each (row_scout.cc). */
+    class PhysRowSet;
+
     /**
      * Candidate groups at @p t, in ascending physical base row, from
      * @p first_fail: per row of the range (index row - rowStart), the

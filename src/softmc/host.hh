@@ -3,8 +3,8 @@
  * SoftMC-like host: precise command-level control over a DRAM module.
  *
  * The host offers two equivalent interfaces:
- *  - an immediate API (writeRow, readRow, hammer, refBurst, wait, ...)
- *    used by Row Scout and the TRR Analyzer, and
+ *  - an immediate API (writeRow, readRow, writeRows, readRows, hammer,
+ *    refBurst, wait, ...) used by Row Scout and the TRR Analyzer, and
  *  - a Program executor for recorded command sequences (attack
  *    patterns).
  *

@@ -1542,10 +1542,14 @@ TEST_P(RangeScanProperty, CompiledMatchesInterpretedBitForBit)
                     return DataPattern::random(rng.uniformInt(1, 9));
                 }
             };
-            const auto band_row = [&] {
+            // Hammers and word writes return to a few rows of each band,
+            // so the compiled host's cached plans for them must see
+            // every range write that changes their coupling words.
+            const auto hot_row = [&] {
                 const auto &[lo, hi] =
                     bands[static_cast<std::size_t>(rng.uniformInt(0, 2))];
-                return static_cast<Row>(rng.uniformInt(lo + 2, hi - 3));
+                const Row offsets[] = {8, 29, hi - lo - 9};
+                return lo + offsets[rng.uniformInt(0, 2)];
             };
 
             // Fill every band of both banks, so every op starts from
@@ -1558,6 +1562,25 @@ TEST_P(RangeScanProperty, CompiledMatchesInterpretedBitForBit)
                 }
             }
             check("setup");
+            // A plan cached before a range write must not outlive it:
+            // hammer rows of the middle band, rewrite the band with a
+            // pattern whose coupling words differ between neighbours,
+            // then hammer the same rows again.
+            const auto &[mid_lo, mid_hi] = bands[2];
+            for (const DataPattern &pattern :
+                 {DataPattern::checkerboard(), DataPattern::allOnes()}) {
+                for (int pass = 0; pass < 2; ++pass) {
+                    for (const Row r : {mid_lo + 8, mid_lo + 29}) {
+                        both([&](SoftMcHost &h) { h.hammer(0, r, 1'000); });
+                    }
+                    if (pass == 0) {
+                        both([&](SoftMcHost &h) {
+                            h.writeRows(0, mid_lo, mid_hi, pattern);
+                        });
+                    }
+                }
+                check("hammers around a range write of " + pattern.name());
+            }
             for (int op = 0; op < 48; ++op) {
                 std::string what;
                 const auto kind = rng.uniformInt(0, 9);
@@ -1592,7 +1615,7 @@ TEST_P(RangeScanProperty, CompiledMatchesInterpretedBitForBit)
                 } else if (kind == 6) {
                     // A word override inside a written range.
                     const Bank b = pick_bank();
-                    const Row r = band_row();
+                    const Row r = hot_row();
                     const int word = static_cast<int>(rng.uniformInt(0, 7));
                     const std::uint64_t value = rng.next();
                     both([&](SoftMcHost &h) {
@@ -1604,7 +1627,7 @@ TEST_P(RangeScanProperty, CompiledMatchesInterpretedBitForBit)
                     ++ran["wrWord"];
                 } else if (kind == 7) {
                     const Bank b = pick_bank();
-                    const Row r = band_row();
+                    const Row r = hot_row();
                     const int count =
                         static_cast<int>(rng.uniformInt(2, 20'000));
                     both([&](SoftMcHost &h) {
