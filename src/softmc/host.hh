@@ -43,9 +43,10 @@ struct CompiledProgram;
 enum class ExecMode
 {
     /**
-     * Pre-compile programs into fused op streams and run immediate-API
+     * Pre-compile programs into fused op streams, run immediate-API
      * hammer bursts — single-row, interleaved and multi-bank alike — as
-     * round-robin folds through DramModule::actInterleavedBurst
+     * round-robin folds through DramModule::actInterleavedBurst, and
+     * row ranges (writeRows, readRows) as one DramModule call each
      * (default). An attached fault injector does not force per-ACT
      * hammering: its drops are drawn ahead in ACT order, the drop-free
      * runs fold and each round that holds a drop replays per ACT.
