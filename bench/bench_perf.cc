@@ -492,35 +492,6 @@ BM_SnapshotFork(benchmark::State &state)
 }
 BENCHMARK(BM_SnapshotFork);
 
-void
-BM_ProfileReuse(benchmark::State &state)
-{
-    // The profile-cache hit path: one RowScout profile up front, then
-    // every "experiment" rewinds to the post-profile snapshot instead
-    // of re-scanning. Compare against BM_RetentionScan/1024 — the
-    // miss path this restore replaces.
-    SimBackend sim(benchSpec(TrrVersion::kNone), 2);
-    RowScoutConfig cfg;
-    cfg.rowEnd = 1'024;
-    cfg.consistencyChecks = 10;
-    RowScout scout(sim.host(),
-                   DiscoveredMapping::identity(
-                       sim.module().spec().rowsPerBank),
-                   cfg);
-    benchmark::DoNotOptimize(scout.scanFailingRows(msToNs(500)));
-    const std::uint64_t token = sim.snapshot();
-    Program probe;
-    probe.hammer(0, 500, 256);
-    probe.ref(4);
-    probe.readRow(0, 499);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sim.execute(probe));
-        sim.restore(token);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProfileReuse);
-
 /**
  * Console reporter that additionally captures every run into a metrics
  * registry ("<benchmark>.real_ns" / ".items_per_second" gauges and

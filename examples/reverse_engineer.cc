@@ -91,7 +91,6 @@
 #include "obs/report.hh"
 #include "obs/telemetry.hh"
 #include "runner/cancellation.hh"
-#include "runner/profile_cache.hh"
 #include "runner/reveng_job.hh"
 #include "softmc/host.hh"
 
@@ -190,13 +189,6 @@ runBatteryCampaign(bool chaos, std::uint64_t seed, int jobs,
     const IdentifyJobConfig job_cfg =
         chaos ? IdentifyJobConfig::chaos() : IdentifyJobConfig::battery();
 
-    // Snapshot-at-profile-completion reuse (DESIGN.md §16): watchdog
-    // retries restore the scouted device instead of re-scouting. Chaos
-    // campaigns bypass the cache inside profiled(), so attaching it
-    // unconditionally is safe.
-    ProfileCache profiles;
-    campaign.profileCache = &profiles;
-
     CampaignRunner runner(campaign);
     std::cout << "== " << (chaos ? "Chaos" : "Battery")
               << " identification campaign: 45 modules"
@@ -270,12 +262,6 @@ runBatteryCampaign(bool chaos, std::uint64_t seed, int jobs,
               << " ms wall, " << result.watchdogRetries
               << " watchdog retries, " << result.quarantinedJobs
               << " quarantined\n";
-    const ProfileCache::Stats cache_stats = profiles.stats();
-    if (cache_stats.hits + cache_stats.misses > 0) {
-        std::cout << "Profile cache: " << cache_stats.hits << " hit(s), "
-                  << cache_stats.misses << " miss(es) ("
-                  << profiles.size() << " profile(s) cached)\n";
-    }
     if (result.journaledJobs > 0) {
         std::cout << "Resumed from journal: " << result.journaledJobs
                   << " job(s) restored, " << result.scheduledJobs

@@ -6,12 +6,10 @@ The deterministic projection (``deterministicProjection`` in
 src/obs/report.hh, DESIGN.md §14) removes every wall-clock-dependent
 key — ``wall_ms``, ``job_wall_ms``, ``eta_ms``, ``campaign_wall_ms``,
 the ``campaign.wall_ms`` gauge, every ``<name>.us`` ScopedTimer
-histogram and the whole top-level ``profile`` section — and every
-memory-management tally (keys ending in ``.cow_copies``,
-``.cow_shares``, ``.restore.fast_path`` or ``.restore.slow_path``). What
-remains is a pure function of the campaign inputs, so a
-campaign that was SIGKILLed and resumed (``--journal FILE --resume``)
-must reproduce it exactly. This script is the CI-side check of that
+histogram and the whole top-level ``profile`` section. What remains is
+a pure function of the campaign inputs, so a campaign that was
+SIGKILLed and resumed (``--journal FILE --resume``) must reproduce it
+exactly. This script is the CI-side check of that
 invariant:
 
     reverse_engineer --battery --report clean.json
@@ -36,17 +34,6 @@ WALL_CLOCK_KEYS = {
 }
 
 
-# Mirrors memoryArtifactKey() in src/obs/report.cc: RowState
-# copy-on-write tallies move when a snapshot pins row containers, so a
-# cached-profile run and a from-scratch run differ in them.
-MEMORY_ARTIFACT_SUFFIXES = (
-    ".cow_copies",
-    ".cow_shares",
-    ".restore.fast_path",
-    ".restore.slow_path",
-)
-
-
 def has_suffix(key, suffix):
     # A key equal to the bare suffix is kept, as in the C++ check.
     return len(key) > len(suffix) and key.endswith(suffix)
@@ -58,9 +45,6 @@ def wall_clock_key(key):
     return key in WALL_CLOCK_KEYS or has_suffix(key, ".us")
 
 
-def memory_artifact_key(key):
-    return any(has_suffix(key, s) for s in MEMORY_ARTIFACT_SUFFIXES)
-
 MAX_REPORTED_DIVERGENCES = 20
 
 
@@ -71,7 +55,6 @@ def project(value, top_level=False):
             key: project(member)
             for key, member in value.items()
             if not wall_clock_key(key)
-            and not memory_artifact_key(key)
             and not (top_level and key == "profile")
         }
     if isinstance(value, list):

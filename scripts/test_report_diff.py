@@ -63,16 +63,12 @@ class ReportDiffTest(unittest.TestCase):
                     contextlib.redirect_stdout(io.StringIO()):
                 return report_diff.main()
 
-    def test_memory_artifact_keys_are_dropped(self):
-        # A cached-profile run COW-copies rows a from-scratch run
-        # mutates in place; the C++ projection ignores those tallies.
-        reused = make_report()
-        counters = reused["metrics"]["counters"]
-        counters["dram.readout.cow_copies"] = 4096
-        counters["dram.readout.cow_shares"] = 1
-        counters["dram.restore.fast_path"] = 3900
-        counters["dram.restore.slow_path"] = 1100
-        self.assertEqual(self.run_main(make_report(), reused), 0)
+    def test_cow_counter_change_is_a_divergence(self):
+        # Copy-on-write tallies are a pure function of the campaign
+        # inputs, so the projection keeps them.
+        changed = make_report()
+        changed["metrics"]["counters"]["dram.readout.cow_copies"] = 4096
+        self.assertEqual(self.run_main(make_report(), changed), 1)
 
     def test_wall_clock_keys_are_dropped(self):
         slower = make_report()
@@ -95,10 +91,9 @@ class ReportDiffTest(unittest.TestCase):
 
     def test_projection_keeps_a_key_equal_to_a_bare_suffix(self):
         # Mirrors the C++ length check: only "<name><suffix>" is dropped.
-        report = {".cow_copies": 1, ".us": 2, "x.cow_copies": 3,
-                  "x.us": 4}
+        report = {".us": 2, "x.us": 4}
         self.assertEqual(report_diff.project(copy.deepcopy(report)),
-                         {".cow_copies": 1, ".us": 2})
+                         {".us": 2})
 
 
 if __name__ == "__main__":

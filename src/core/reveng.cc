@@ -254,126 +254,6 @@ TrrReveng::warmUp()
     groupsRR(16, cfg.bank);
 }
 
-namespace
-{
-
-Json
-groupToJson(const RowGroup &group)
-{
-    Json out = Json::object();
-    out["layout"] = Json(group.layout.text());
-    out["base"] = Json(static_cast<std::int64_t>(group.basePhysRow));
-    out["bank"] = Json(static_cast<std::int64_t>(group.bank));
-    out["retention"] =
-        Json(static_cast<std::int64_t>(group.retention));
-    Json rows = Json::array();
-    for (const ProfiledRow &row : group.rows) {
-        Json entry = Json::object();
-        entry["bank"] = Json(static_cast<std::int64_t>(row.bank));
-        entry["logical"] =
-            Json(static_cast<std::int64_t>(row.logicalRow));
-        entry["phys"] = Json(static_cast<std::int64_t>(row.physRow));
-        entry["retention"] =
-            Json(static_cast<std::int64_t>(row.retention));
-        rows.push(std::move(entry));
-    }
-    out["rows"] = std::move(rows);
-    return out;
-}
-
-RowGroup
-groupFromJson(const Json &json)
-{
-    RowGroup group;
-    if (const Json *layout = json.find("layout"))
-        group.layout = RowGroupLayout::parse(layout->asString());
-    if (const Json *base = json.find("base"))
-        group.basePhysRow = static_cast<Row>(base->asInt());
-    if (const Json *bank = json.find("bank"))
-        group.bank = static_cast<Bank>(bank->asInt());
-    if (const Json *retention = json.find("retention"))
-        group.retention = static_cast<Time>(retention->asInt());
-    if (const Json *rows = json.find("rows")) {
-        for (std::size_t i = 0; i < rows->size(); ++i) {
-            const Json &entry = rows->at(i);
-            ProfiledRow row;
-            if (const Json *bank = entry.find("bank"))
-                row.bank = static_cast<Bank>(bank->asInt());
-            if (const Json *logical = entry.find("logical"))
-                row.logicalRow = static_cast<Row>(logical->asInt());
-            if (const Json *phys = entry.find("phys"))
-                row.physRow = static_cast<Row>(phys->asInt());
-            if (const Json *retention = entry.find("retention"))
-                row.retention = static_cast<Time>(retention->asInt());
-            group.rows.push_back(row);
-        }
-    }
-    return group;
-}
-
-} // namespace
-
-Json
-TrrReveng::exportPools() const
-{
-    Json out = Json::object();
-    Json rr = Json::object();
-    for (const auto &[bank, pool] : rrPools) {
-        Json groups = Json::array();
-        for (const RowGroup &group : pool)
-            groups.push(groupToJson(group));
-        rr[logFmt(bank)] = std::move(groups);
-    }
-    out["rr"] = std::move(rr);
-    Json wide = Json::array();
-    for (const RowGroup &group : widePool)
-        wide.push(groupToJson(group));
-    out["wide"] = std::move(wide);
-    Json burned = Json::object();
-    for (const auto &[bank, rows] : burnedByBank) {
-        Json list = Json::array();
-        for (const Row row : rows)
-            list.push(Json(static_cast<std::int64_t>(row)));
-        burned[logFmt(bank)] = std::move(list);
-    }
-    out["burned"] = std::move(burned);
-    out["fresh_row_retries"] = Json(freshRowRetries);
-    return out;
-}
-
-void
-TrrReveng::importPools(const Json &pools)
-{
-    rrPools.clear();
-    widePool.clear();
-    burnedByBank.clear();
-    if (const Json *rr = pools.find("rr")) {
-        for (const auto &[bank_text, groups] : rr->members()) {
-            const Bank bank =
-                static_cast<Bank>(std::stoll(bank_text));
-            std::vector<RowGroup> &pool = rrPools[bank];
-            for (std::size_t i = 0; i < groups.size(); ++i)
-                pool.push_back(groupFromJson(groups.at(i)));
-        }
-    }
-    if (const Json *wide = pools.find("wide")) {
-        for (std::size_t i = 0; i < wide->size(); ++i)
-            widePool.push_back(groupFromJson(wide->at(i)));
-    }
-    if (const Json *burned = pools.find("burned")) {
-        for (const auto &[bank_text, rows] : burned->members()) {
-            const Bank bank =
-                static_cast<Bank>(std::stoll(bank_text));
-            std::vector<Row> &list = burnedByBank[bank];
-            for (std::size_t i = 0; i < rows.size(); ++i)
-                list.push_back(static_cast<Row>(rows.at(i).asInt()));
-        }
-    }
-    if (const Json *retries = pools.find("fresh_row_retries"))
-        freshRowRetries =
-            static_cast<std::uint64_t>(retries->asInt());
-}
-
 TrrExperimentConfig
 TrrReveng::configFor(const std::vector<RowGroup> &groups,
                      const IterationPlan &plan) const

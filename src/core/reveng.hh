@@ -31,7 +31,6 @@
 #include "common/types.hh"
 #include "core/row_scout.hh"
 #include "core/trr_analyzer.hh"
-#include "obs/json.hh"
 
 namespace utrr
 {
@@ -188,34 +187,17 @@ class TrrReveng
      */
     IdentifyOutcome identify();
 
-    // --- profile reuse (DESIGN.md §16) --------------------------------
-
     /**
      * Pre-scout the 16-group R-R pool of cfg.bank — the first pool
-     * identify() consumes — without running any discovery. Campaign
-     * jobs wrap this call in JobContext::profiled() so the scouting is
-     * snapshotted once per module and restored on every later job over
-     * the same silicon. The wide (RRR-RRR) group is deliberately left
-     * to its lazy scouting point between the period and neighbour
-     * experiments: hoisting it ahead of the period experiments shifts
-     * the refresh-engine interleaving and can flip identifications.
+     * identify() consumes — without running any discovery. The
+     * identification job calls it before identify(), so the scouting
+     * runs before identify() arms the watchdog. The wide (RRR-RRR)
+     * group is deliberately left to its lazy scouting point between the
+     * period and neighbour experiments: hoisting it ahead of the period
+     * experiments shifts the refresh-engine interleaving and can flip
+     * identifications.
      */
     void warmUp();
-
-    /**
-     * Serialize the scouted pools (R-R pools, wide pool, burned rows,
-     * fresh-row-retry count) as JSON. All fields are integers or
-     * layout strings, so an export/import round trip is exact.
-     */
-    Json exportPools() const;
-
-    /**
-     * Replace the pools with a previously exported state. Importing
-     * what exportPools() just returned is a no-op by construction;
-     * importing into a fresh TrrReveng over a restored device snapshot
-     * reconstructs the scouted state without re-scouting.
-     */
-    void importPools(const Json &pools);
 
     // --- primitives shared by the procedures (public for tests) ------
 

@@ -6,15 +6,8 @@ namespace utrr
 SimBackend::SimBackend(const ModuleSpec &spec, std::uint64_t seed,
                        const RetentionModelConfig *retention_overrides,
                        Timing timing)
-    : ownedModule(
-          std::make_unique<DramModule>(spec, seed, retention_overrides)),
-      ownedHost(std::make_unique<SoftMcHost>(*ownedModule, timing)),
-      mod(ownedModule.get()), mc(ownedHost.get()), masterSeed(seed)
-{
-}
-
-SimBackend::SimBackend(DramModule &module, SoftMcHost &host)
-    : mod(&module), mc(&host), masterSeed(module.seed())
+    : mod(std::make_unique<DramModule>(spec, seed, retention_overrides)),
+      mc(std::make_unique<SoftMcHost>(*mod, timing))
 {
 }
 
@@ -95,7 +88,7 @@ SimBackend::restoreDevice(const DeviceSnapshot &snap)
 std::unique_ptr<SimBackend>
 SimBackend::fork(const DeviceSnapshot &snap) const
 {
-    auto child = std::make_unique<SimBackend>(mod->spec(), masterSeed,
+    auto child = std::make_unique<SimBackend>(mod->spec(), mod->seed(),
                                               nullptr, mc->timing());
     child->restoreDevice(snap);
     return child;

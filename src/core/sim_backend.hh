@@ -2,15 +2,12 @@
  * @file
  * The production simulator behind the DeviceBackend seam.
  *
- * SimBackend pairs a DramModule with a SoftMcHost. It can own the pair
- * (standalone use: conformance tests, oracles, recording sessions) or
- * borrow one that already exists (the campaign runner's per-job
- * module/host, which job bodies also drive through the immediate host
- * API). Snapshots combine DramModule::snapshot() with
- * SoftMcHost::snapshotState(), so a token rewinds the full device —
- * bank state, TRR mechanism, refresh-engine position, clock, command
- * counters and trace — and fork() stamps a snapshot into a freshly
- * built module, the profile-reuse primitive of DESIGN.md §16.
+ * SimBackend builds and owns a DramModule and the SoftMcHost driving
+ * it (conformance tests, oracles, recording sessions). Snapshots
+ * combine DramModule::snapshot() with SoftMcHost::snapshotState(), so
+ * a token rewinds the full device — bank state, TRR mechanism,
+ * refresh-engine position, clock, command counters and trace — and
+ * fork() stamps a snapshot into a freshly built module (DESIGN.md §16).
  */
 
 #ifndef UTRR_CORE_SIM_BACKEND_HH
@@ -36,14 +33,10 @@ struct DeviceSnapshot
 class SimBackend : public DeviceBackend
 {
   public:
-    /** Owning: build a fresh module + host. */
+    /** Build a fresh module + host. */
     SimBackend(const ModuleSpec &spec, std::uint64_t seed,
                const RetentionModelConfig *retention_overrides = nullptr,
                Timing timing = {});
-
-    /** Borrowing: wrap an existing pair (not owned; must outlive the
-     *  backend). @p host must drive @p module. */
-    SimBackend(DramModule &module, SoftMcHost &host);
 
     std::string name() const override { return "sim"; }
     const ModuleSpec &spec() const override { return mod->spec(); }
@@ -96,11 +89,8 @@ class SimBackend : public DeviceBackend
     const SoftMcHost &host() const { return *mc; }
 
   private:
-    std::unique_ptr<DramModule> ownedModule;
-    std::unique_ptr<SoftMcHost> ownedHost;
-    DramModule *mod = nullptr;
-    SoftMcHost *mc = nullptr;
-    std::uint64_t masterSeed = 0;
+    std::unique_ptr<DramModule> mod;
+    std::unique_ptr<SoftMcHost> mc;
     std::map<std::uint64_t, DeviceSnapshot> snapshots;
     std::uint64_t nextToken = 1;
 };

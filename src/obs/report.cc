@@ -97,27 +97,6 @@ wallClockKey(const std::string &key)
         key == "campaign.wall_ms";
 }
 
-/**
- * Keys whose values depend on host memory management rather than
- * simulated device behaviour: the RowState copy-on-write tallies
- * change when a snapshot pins row containers (a cached-profile
- * campaign COW-copies rows a from-scratch run mutates in place), so
- * they cannot be part of the reuse-vs-scratch equality surface.
- */
-bool
-memoryArtifactKey(const std::string &key)
-{
-    for (const char *suffix :
-         {".cow_copies", ".cow_shares", ".restore.fast_path",
-          ".restore.slow_path"}) {
-        const std::size_t len = std::char_traits<char>::length(suffix);
-        if (key.size() > len &&
-            key.compare(key.size() - len, len, suffix) == 0)
-            return true;
-    }
-    return false;
-}
-
 Json
 stripWallClock(const Json &value)
 {
@@ -125,7 +104,7 @@ stripWallClock(const Json &value)
       case Json::Type::kObject: {
         Json out = Json::object();
         for (const auto &[key, member] : value.members()) {
-            if (wallClockKey(key) || memoryArtifactKey(key))
+            if (wallClockKey(key))
                 continue;
             out[key] = stripWallClock(member);
         }
@@ -152,8 +131,7 @@ deterministicProjection(const Json &report)
     Json out = Json::object();
     for (const auto &[key, member] : report.members()) {
         // The profile section is wall time through and through.
-        if (key == "profile" || wallClockKey(key) ||
-            memoryArtifactKey(key))
+        if (key == "profile" || wallClockKey(key))
             continue;
         out[key] = stripWallClock(member);
     }

@@ -96,11 +96,8 @@ class ExperimentReport
  * wall-clock-dependent key removed — timing.wall_ms, per-round
  * wall_ms, the "campaign.wall_ms" gauge, every "<name>.us"
  * ScopedTimer histogram (obs/timer.hh), and the whole profile
- * section (span wall times) — along with the host memory-management
- * tallies (RowState COW copy/share and restore-path counters), which
- * shift when a snapshot pins row containers and would otherwise
- * separate a cached-profile campaign from an identically-behaving
- * from-scratch one. What remains is a pure function of the
+ * section (span wall times). What remains, the RowState COW and
+ * restore-path counters included, is a pure function of the
  * campaign inputs, so an interrupted-then-resumed campaign must
  * reproduce it byte-for-byte (DESIGN.md §14); the crash-recovery
  * tests and scripts/report_diff.py compare dump()s of this value.

@@ -7,10 +7,8 @@
 #include <thread>
 
 #include "common/logging.hh"
-#include "core/sim_backend.hh"
 #include "obs/profiler.hh"
 #include "runner/journal.hh"
-#include "runner/profile_cache.hh"
 
 namespace utrr
 {
@@ -48,39 +46,6 @@ faultEventCount(const FaultInjector::Stats &stats)
 
 CampaignRunner::CampaignRunner(CampaignConfig config) : cfg(config)
 {
-}
-
-Json
-JobContext::profiled(const std::string &tag,
-                     const std::function<Json()> &fn)
-{
-    // Fault injection bypasses the cache entirely: the injector draws
-    // from its own RNG during profiling, and a restore cannot replay
-    // those draws — skipping them would shift every later fault.
-    if (profiles == nullptr || fault != nullptr)
-        return fn();
-
-    const std::string cache_key =
-        ProfileCache::key(spec, moduleSeed, tag);
-    if (std::shared_ptr<const ProfileCache::Entry> entry =
-            profiles->find(cache_key)) {
-        module.restore(entry->module);
-        host.restoreState(entry->host);
-        // Registry value-assignment may reseat map nodes; re-attaching
-        // re-resolves every cached counter handle in module and host.
-        metrics = entry->metrics;
-        host.attachMetrics(&metrics);
-        return entry->payload;
-    }
-
-    Json payload = fn();
-    auto entry = std::make_shared<ProfileCache::Entry>();
-    entry->module = module.snapshot();
-    entry->host = host.snapshotState();
-    entry->metrics = metrics;
-    entry->payload = payload;
-    profiles->insert(cache_key, std::move(entry));
-    return payload;
 }
 
 int
@@ -141,8 +106,6 @@ CampaignRunner::runJob(const ModuleSpec &spec, std::uint64_t index,
         if (attempt > 0)
             job_rng = job_rng.fork(static_cast<std::uint64_t>(attempt));
 
-        SimBackend backend(module, host);
-
         JobContext ctx{spec,
                        index,
                        attempt,
@@ -152,9 +115,7 @@ CampaignRunner::runJob(const ModuleSpec &spec, std::uint64_t index,
                        injector ? &*injector : nullptr,
                        metrics,
                        cfg.moduleSeed,
-                       cfg.stopFlag,
-                       backend,
-                       cfg.profileCache};
+                       cfg.stopFlag};
 
         // Root-anchored so jobs-1 (inline on the caller's thread) and
         // jobs-N (worker threads) merge to identical profile paths.

@@ -57,8 +57,7 @@
 namespace utrr
 {
 
-class ProfileCache;
-class SimBackend;
+struct ProfileCache;
 
 /**
  * Campaign-wide knobs. The defaults reproduce the historical serial
@@ -150,14 +149,9 @@ struct CampaignConfig
     std::optional<JournalWriteFault> journalFault;
 
     /**
-     * Cross-job profile cache (not owned; nullptr = caching off).
-     * Job bodies that wrap their profiling phase in
-     * JobContext::profiled() snapshot the device at profile completion
-     * into this cache, keyed by (module, moduleSeed, tag); later jobs
-     * — watchdog retries, repeated batteries over the same silicon —
-     * restore instead of re-profiling. Fault-injected campaigns bypass
-     * the cache (an injector's RNG draws during profiling cannot be
-     * replayed by a restore), so chaos sweeps are never perturbed.
+     * Unread. The frozen end-to-end benchmark (perfbench/driver.cc)
+     * still sets it; it is kept only so that file builds unchanged
+     * (runner/profile_cache.hh).
      */
     ProfileCache *profileCache = nullptr;
 };
@@ -191,35 +185,6 @@ struct JobContext
      * boundaries.
      */
     const std::atomic<bool> *stopFlag;
-    /**
-     * The job's module + host behind the DeviceBackend seam
-     * (src/core/device_backend.hh). Job bodies written against the
-     * interface — execute / accounting / snapshot — run unchanged on
-     * any conforming backend; bodies needing the immediate host API
-     * keep using `host` (the same underlying pair).
-     */
-    SimBackend &backend;
-    /** Campaign profile cache (nullptr = caching off). */
-    ProfileCache *profiles;
-
-    /**
-     * Run @p fn once per (module, moduleSeed, tag), campaign-wide.
-     *
-     * On a cache miss, runs @p fn, then snapshots the device (module +
-     * host), the job's metrics registry and the returned payload into
-     * the cache. On a hit, restores all of that instead of calling
-     * @p fn — the job continues exactly as if it had just profiled.
-     * With caching off (no cache attached, or a fault injector
-     * present) this is a plain call to @p fn.
-     *
-     * Contract for @p fn: it must be a pure function of the device
-     * state and (spec, moduleSeed) — any randomness must come from a
-     * private fork (e.g. ctx.rng.fork(tag)), never from draws that
-     * advance state shared with the rest of the job, so hit and miss
-     * paths leave the job bit-identical.
-     */
-    Json profiled(const std::string &tag,
-                  const std::function<Json()> &fn);
 };
 
 /** What a job body returns. */

@@ -1,7 +1,5 @@
 #include "runner/reveng_job.hh"
 
-#include "common/logging.hh"
-
 namespace utrr
 {
 
@@ -45,22 +43,9 @@ makeIdentifyJob(const IdentifyJobConfig &config)
         const ModuleSpec &spec = ctx.spec;
         const DiscoveredMapping mapping(spec.scramble, spec.rowsPerBank);
         TrrReveng reveng(ctx.host, mapping, config.reveng);
-
-        // Scouting dominates identification wall time and is a pure
-        // function of (spec, moduleSeed); snapshot it at completion so
-        // retries and repeated batteries over the same silicon restore
-        // the scouted device + pools instead of re-scouting. The tag
-        // versions the profiling body and its knobs. With no cache
-        // attached (or under fault injection) this is a plain call.
-        const Json pools = ctx.profiled(
-            logFmt("identify:pools:v1:rows", config.reveng.scoutRowEnd,
-                   ":checks", config.reveng.consistencyChecks),
-            [&]() {
-                reveng.warmUp();
-                return reveng.exportPools();
-            });
-        reveng.importPools(pools);
-
+        // The first R-R pool is scouted here, before identify() arms
+        // its watchdog, so the budget does not count it.
+        reveng.warmUp();
         const TrrReveng::IdentifyOutcome measured = reveng.identify();
 
         const TrrTraits truth = spec.traits();

@@ -14,11 +14,6 @@
  *   3. a timing-legal command trace (when the backend records one);
  *   4. deterministic re-execution, and bit-identical replay across a
  *      snapshot/restore round trip.
- *
- * A second suite pins the campaign-level payoff of the snapshot work:
- * identification campaigns reusing cached profiles produce a
- * deterministicProjection-identical report to from-scratch runs, for
- * any worker count.
  */
 
 #include <gtest/gtest.h>
@@ -35,10 +30,6 @@
 #include "core/sim_backend.hh"
 #include "dram/module_spec.hh"
 #include "fault/fault_injector.hh"
-#include "obs/report.hh"
-#include "runner/campaign.hh"
-#include "runner/profile_cache.hh"
-#include "runner/reveng_job.hh"
 #include "softmc/timing_checker.hh"
 
 namespace utrr
@@ -399,160 +390,6 @@ TEST(TraceReplay, RecordingOwnsItsTraceLabels)
         }
     }
     EXPECT_TRUE(saw_label);
-}
-
-// ---------------------------------------------------------------------
-// Profile reuse: the campaign-level acceptance criterion.
-// ---------------------------------------------------------------------
-
-/** Full-size specs (shrunk modules lose their RRR-RRR groups). */
-std::vector<ModuleSpec>
-reuseSpecs()
-{
-    return {*findModuleSpec("A5"), *findModuleSpec("B2")};
-}
-
-/** Narrowed like test_runner's subset config: the suite re-identifies
- *  each module several times, full battery windows would dominate the
- *  tier-1 wall clock. */
-IdentifyJobConfig
-reuseIdentifyConfig()
-{
-    IdentifyJobConfig config = IdentifyJobConfig::battery();
-    config.reveng.scoutRowEnd = 2 * 1024;
-    config.reveng.wideScoutRowEnd = 16 * 1024;
-    config.reveng.consistencyChecks = 8;
-    config.reveng.periodIterations = 32;
-    return config;
-}
-
-CampaignResult
-runBattery(int jobs, ProfileCache *cache)
-{
-    CampaignConfig cfg;
-    cfg.jobs = jobs;
-    cfg.seed = 7;
-    cfg.profileCache = cache;
-    CampaignRunner runner(cfg);
-    return runner.run(reuseSpecs(),
-                      makeIdentifyJob(reuseIdentifyConfig()));
-}
-
-std::string
-projectedReport(const CampaignResult &result)
-{
-    ExperimentReport report("backend_profile_reuse");
-    result.fillReport(report);
-    return deterministicProjection(report.json()).dump();
-}
-
-TEST(ProfileReuse, CachedCampaignReportMatchesFromScratch)
-{
-    // First campaign populates the cache; the second restores every
-    // profile. Its report must be deterministicProjection-identical to
-    // a from-scratch (cache-free) campaign — the acceptance criterion
-    // for snapshot-based profile reuse.
-    ProfileCache cache;
-    runBattery(1, &cache);
-    ASSERT_EQ(cache.stats().misses, 2u);
-    ASSERT_EQ(cache.stats().hits, 0u);
-
-    const CampaignResult reused = runBattery(1, &cache);
-    EXPECT_EQ(cache.stats().hits, 2u);
-
-    const CampaignResult scratch = runBattery(1, nullptr);
-    EXPECT_TRUE(scratch.allOk());
-    EXPECT_TRUE(reused.allOk());
-    EXPECT_EQ(projectedReport(reused), projectedReport(scratch));
-}
-
-TEST(ProfileReuse, VerdictsIdenticalForAnyWorkerCount)
-{
-    // The "for any --jobs N" half: cached campaigns keep the runner's
-    // scheduling-independence guarantee.
-    ProfileCache cache_serial;
-    runBattery(1, &cache_serial);
-    const CampaignResult serial = runBattery(1, &cache_serial);
-
-    ProfileCache cache_parallel;
-    runBattery(4, &cache_parallel);
-    const CampaignResult parallel = runBattery(4, &cache_parallel);
-
-    EXPECT_EQ(serial.verdicts().dump(), parallel.verdicts().dump());
-    EXPECT_EQ(serial.verdicts().dump(),
-              runBattery(1, nullptr).verdicts().dump());
-}
-
-TEST(ProfileReuse, FaultInjectionBypassesCache)
-{
-    // profiled() must not consult the cache when an injector is
-    // attached: injector RNG draws during profiling cannot be replayed
-    // by a restore.
-    ProfileCache cache;
-    CampaignConfig cfg;
-    cfg.jobs = 1;
-    cfg.seed = 3;
-    cfg.faults.vrtFlipChancePerRead = 1e-3;
-    cfg.profileCache = &cache;
-    CampaignRunner runner(cfg);
-
-    int body_runs = 0;
-    const JobFn job = [&body_runs](JobContext &ctx) {
-        ctx.profiled("bypass:v1", [&]() {
-            ++body_runs;
-            return Json(42);
-        });
-        JobOutcome out;
-        out.ok = true;
-        out.verdict = Json::object();
-        return out;
-    };
-    const std::vector<ModuleSpec> specs = {*findModuleSpec("A0")};
-    runner.run(specs, job);
-    runner.run(specs, job);
-
-    EXPECT_EQ(body_runs, 2);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
-}
-
-TEST(ProfileReuse, HitRestoresDeviceAndPayload)
-{
-    // The hit path restores module + host + metrics and returns the
-    // cached payload: a job observing its own device state cannot tell
-    // a hit from having just profiled.
-    ProfileCache cache;
-    CampaignConfig cfg;
-    cfg.jobs = 1;
-    cfg.seed = 11;
-    cfg.profileCache = &cache;
-    CampaignRunner runner(cfg);
-
-    const JobFn job = [](JobContext &ctx) {
-        const Json payload = ctx.profiled("state:v1", [&]() {
-            ctx.host.writeRow(0, 123, DataPattern::allOnes());
-            ctx.host.refBurst(3);
-            Json out = Json::object();
-            out["stamp"] =
-                Json(static_cast<std::int64_t>(ctx.host.now()));
-            return out;
-        });
-        JobOutcome out;
-        out.ok = true;
-        Json verdict = Json::object();
-        verdict["payload_stamp"] = *payload.find("stamp");
-        verdict["now"] =
-            Json(static_cast<std::int64_t>(ctx.host.now()));
-        verdict["refs"] = Json(ctx.module.refCount());
-        out.verdict = std::move(verdict);
-        return out;
-    };
-    const std::vector<ModuleSpec> specs = {*findModuleSpec("A0")};
-    const CampaignResult miss = runner.run(specs, job);
-    const CampaignResult hit = runner.run(specs, job);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(miss.verdicts().dump(), hit.verdicts().dump());
 }
 
 } // namespace
