@@ -33,6 +33,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "attack/sweep.hh"
@@ -268,6 +269,38 @@ BM_RetentionScan(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RetentionScan)->Arg(1'024)->Arg(8'192);
+
+void
+BM_RetentionScanFresh(benchmark::State &state)
+{
+    // BM_RetentionScan on a module built per iteration outside the
+    // timed region, so every row the scan touches materializes
+    // (DramBank::materialize: generateRetention and the RowState
+    // build). BM_RetentionScan reuses one module, whose rows are all
+    // materialized after its first iteration; the delta is the
+    // first-touch cost, the largest a scan pays.
+    RowScoutConfig cfg;
+    cfg.rowEnd = static_cast<Row>(state.range(0));
+    cfg.consistencyChecks = 10;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto module =
+            std::make_unique<DramModule>(benchSpec(TrrVersion::kNone), 2);
+        auto host = std::make_unique<SoftMcHost>(*module);
+        auto scout = std::make_unique<RowScout>(
+            *host, DiscoveredMapping::identity(module->spec().rowsPerBank),
+            cfg);
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(scout->scanFailingRows(msToNs(500)));
+        state.PauseTiming();
+        scout.reset();
+        host.reset();
+        module.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RetentionScanFresh)->Arg(8'192);
 
 void
 BM_RetentionScanFaulted(benchmark::State &state)

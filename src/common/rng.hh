@@ -72,6 +72,32 @@ class Rng
         return uniform() < p;
     }
 
+    /**
+     * chance(@p p)'s test as an integer threshold on the raw draw: for
+     * 0 < p < 1, next() < chanceCut(p) makes exactly the decision
+     * uniform() < p makes on that draw. uniform() is (x >> 11)·2^-53 and
+     * p·2^53 is exact, so the test is x >> 11 < ceil(p·2^53), that is
+     * x < ceil(p·2^53)·2^11, which fits in 64 bits because p < 1 keeps
+     * the ceiling below 2^53. chance() draws nothing at its edges, so
+     * callers test p <= 0 (never a hit) and p >= 1 (always one)
+     * themselves; here a NaN or non-positive p gives 0 (no draw is
+     * below it) and p >= 1 gives 2^64 - 1.
+     */
+    static std::uint64_t
+    chanceCut(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return ~std::uint64_t{0};
+        const double scaled = p * 0x1.0p53; // exact, below 2^53
+        // Truncation is the floor here, and the floor is exact as a
+        // double, so one compare finds the ceiling.
+        auto ceil = static_cast<std::uint64_t>(scaled);
+        ceil += static_cast<double>(ceil) < scaled ? 1 : 0;
+        return ceil << 11;
+    }
+
     /** Standard normal via Box-Muller (deterministic, no cached spare). */
     double gaussian();
 

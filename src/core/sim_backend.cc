@@ -88,8 +88,9 @@ SimBackend::restoreDevice(const DeviceSnapshot &snap)
 std::unique_ptr<SimBackend>
 SimBackend::fork(const DeviceSnapshot &snap) const
 {
-    auto child = std::make_unique<SimBackend>(mod->spec(), mod->seed(),
-                                              nullptr, mc->timing());
+    auto child = std::make_unique<SimBackend>(
+        mod->spec(), mod->seed(), &mod->physics().retentionConfig(),
+        mc->timing());
     child->restoreDevice(snap);
     return child;
 }

@@ -56,7 +56,8 @@ class SimBackend : public DeviceBackend
     /**
      * Capture the device state as a standalone snapshot (not tracked
      * by a token). Restorable onto this backend or onto any SimBackend
-     * built from the same (spec, seed) — the fork path.
+     * built from the same (spec, seed, retention model) — the fork
+     * path.
      */
     DeviceSnapshot captureDevice() const;
 
@@ -65,9 +66,10 @@ class SimBackend : public DeviceBackend
 
     /**
      * Fork: a new owning SimBackend over a fresh module built from
-     * this backend's (spec, seed), rewound to @p snap. Mutating the
-     * fork never perturbs this backend (and vice versa) — row contents
-     * are shared copy-on-write, everything else is per-instance.
+     * this backend's (spec, seed, retention model), rewound to
+     * @p snap. Mutating the fork never perturbs this backend (and vice
+     * versa) — row contents are shared copy-on-write, everything else
+     * is per-instance.
      */
     std::unique_ptr<SimBackend> fork(const DeviceSnapshot &snap) const;
 

@@ -18,29 +18,24 @@ DramBank::DramBank(Bank id, Row phys_rows,
 }
 
 RowState &
-DramBank::rowAt(Row phys_row, Time now)
+DramBank::materialize(Row phys_row, Time now)
 {
-    UTRR_ASSERT(phys_row >= 0 && phys_row < physRowCount,
-                logFmt("physical row ", phys_row, " out of range in bank ",
-                       id));
-    std::int32_t &slot = slotOf[static_cast<std::size_t>(phys_row)];
-    if (slot < 0) {
-        // Materialize with retention physics only; hammer cells attach
-        // lazily once disturbance charge approaches the row's base
-        // threshold (they are ~30x larger to generate).
-        RowPhysics phys = gen->generateRetention(id, phys_row);
-        const auto &ret = gen->retentionConfig();
-        Rng vrt_rng = Rng(hashMix(
-            0x9e3779b9ULL ^ (static_cast<std::uint64_t>(id) << 44) ^
-            static_cast<std::uint64_t>(phys_row)));
-        slot = static_cast<std::int32_t>(states.size());
-        states.emplace_back(std::move(phys), now, vrt_rng, gen->rowBits(),
-                            msToNs(ret.vrtDwellMs), ret.vrtHighFactor);
-        // Born at scale 1.0 and step 0: the row adopts the bank-wide
-        // scale at its first use if temperature steps came before it.
-        states.back().attachBank(&context);
-    }
-    return states[static_cast<std::size_t>(slot)];
+    // Retention physics only; hammer cells attach lazily once
+    // disturbance charge approaches the row's base threshold (they are
+    // ~30x larger to generate).
+    RowPhysics phys = gen->generateRetention(id, phys_row);
+    const auto &ret = gen->retentionConfig();
+    Rng vrt_rng = Rng(hashMix(
+        0x9e3779b9ULL ^ (static_cast<std::uint64_t>(id) << 44) ^
+        static_cast<std::uint64_t>(phys_row)));
+    slotOf[static_cast<std::size_t>(phys_row)] =
+        static_cast<std::int32_t>(states.size());
+    states.emplace_back(std::move(phys), now, vrt_rng, gen->rowBits(),
+                        msToNs(ret.vrtDwellMs), ret.vrtHighFactor);
+    // Born at scale 1.0 and step 0: the row adopts the bank-wide scale
+    // at its first use if temperature steps came before it.
+    states.back().attachBank(&context);
+    return states.back();
 }
 
 void
@@ -343,8 +338,12 @@ DramBank::refreshRange(Row phys_lo, Row phys_hi, Time now)
     const Row lo = std::max<Row>(phys_lo, 0);
     const Row hi = std::min(phys_hi, physRowCount);
     for (Row r = lo; r < hi; ++r) {
+        // Most of a sweep's rows were never touched (a workload scans
+        // one bank of sixteen), so the skip is the fall-through: laid
+        // out the other way, it costs a taken branch per row and the
+        // inline restore below made REFs up to 1.4x slower.
         const std::int32_t slot = slotOf[static_cast<std::size_t>(r)];
-        if (slot < 0)
+        if (slot < 0) [[likely]]
             continue;
         ++rowRefreshes;
         RowState &state = states[static_cast<std::size_t>(slot)];

@@ -25,6 +25,7 @@
 #include <deque>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "dram/physics.hh"
 #include "dram/row.hh"
@@ -212,7 +213,20 @@ class DramBank
 
   private:
     /** Materialize (if needed) and return a row's state. */
-    RowState &rowAt(Row phys_row, Time now);
+    RowState &
+    rowAt(Row phys_row, Time now)
+    {
+        UTRR_ASSERT(phys_row >= 0 && phys_row < physRowCount,
+                    logFmt("physical row ", phys_row,
+                           " out of range in bank ", id));
+        const std::int32_t slot = slotOf[static_cast<std::size_t>(phys_row)];
+        if (slot < 0) [[unlikely]]
+            return materialize(phys_row, now);
+        return states[static_cast<std::size_t>(slot)];
+    }
+
+    /** First touch of @p phys_row: build its state, born at @p now. */
+    RowState &materialize(Row phys_row, Time now);
 
     /**
      * True when the round-robin ACT+PRE passes that follow a first

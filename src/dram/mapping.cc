@@ -52,12 +52,9 @@ RowMapping::RowMapping(RowScramble scramble, Row rows, int remap_count,
         ++guard;
         const Row victim = static_cast<Row>(
             rng.uniformInt(8, static_cast<std::int64_t>(rows) - 9));
-        if (remaps.count(victim))
+        if (isRemapped(victim))
             continue;
-        const Row spare = rowCount + placed;
-        remaps[victim] = spare;
-        reverseRemaps[spare] = victim;
-        vacated[scrambleRow(victim)] = true;
+        repairs.push_back({victim, rowCount + placed});
         ++placed;
     }
 }
@@ -80,9 +77,10 @@ RowMapping::toPhysical(Row logical) const
 {
     UTRR_ASSERT(logical >= 0 && logical < rowCount,
                 logFmt("logical row ", logical, " out of range"));
-    const auto it = remaps.find(logical);
-    if (it != remaps.end())
-        return it->second;
+    for (const Repair &repair : repairs) {
+        if (repair.logical == logical)
+            return repair.spare;
+    }
     return scrambleRow(logical);
 }
 
@@ -92,18 +90,26 @@ RowMapping::toLogical(Row physical) const
     UTRR_ASSERT(physical >= 0 && physical < physicalRows(),
                 logFmt("physical row ", physical, " out of range"));
     if (physical >= rowCount) {
-        const auto it = reverseRemaps.find(physical);
-        return it == reverseRemaps.end() ? kInvalidRow : it->second;
+        for (const Repair &repair : repairs) {
+            if (repair.spare == physical)
+                return repair.logical;
+        }
+        return kInvalidRow; // an unused spare
     }
-    if (vacated.count(physical))
-        return kInvalidRow;
-    return unscrambleRow(physical);
+    // The scramble is a bijection, so a repaired row's own slot is the
+    // one it vacated.
+    const Row logical = unscrambleRow(physical);
+    return isRemapped(logical) ? kInvalidRow : logical;
 }
 
 bool
 RowMapping::isRemapped(Row logical) const
 {
-    return remaps.count(logical) != 0;
+    for (const Repair &repair : repairs) {
+        if (repair.logical == logical)
+            return true;
+    }
+    return false;
 }
 
 } // namespace utrr

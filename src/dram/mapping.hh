@@ -18,7 +18,7 @@
 #define UTRR_DRAM_MAPPING_HH
 
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -86,21 +86,28 @@ class RowMapping
     bool isRemapped(Row logical) const;
 
     /** Number of remapped rows. */
-    int remapCount() const { return static_cast<int>(remaps.size()); }
+    int remapCount() const { return static_cast<int>(repairs.size()); }
 
   private:
+    /** A repaired row: its logical address and the spare it moved to. */
+    struct Repair
+    {
+        Row logical;
+        Row spare;
+    };
+
     Row scrambleRow(Row logical) const;
     Row unscrambleRow(Row physical) const;
 
     RowScramble scramble;
     Row rowCount;
     Row spareCount;
-    /** logical -> spare physical */
-    std::unordered_map<Row, Row> remaps;
-    /** spare physical -> logical */
-    std::unordered_map<Row, Row> reverseRemaps;
-    /** physical slots vacated by repair (toLogical -> invalid) */
-    std::unordered_map<Row, bool> vacated;
+    /**
+     * Every repair, in placement order. A few per bank and never more
+     * than the spares, so every lookup is a scan. The scrambled slot a
+     * repaired row vacated is unmapped (toLogical gives kInvalidRow).
+     */
+    std::vector<Repair> repairs;
 };
 
 } // namespace utrr

@@ -409,41 +409,6 @@ RowState::commitDueFlips(Time now)
     }
 }
 
-bool
-RowState::canSkipCommit(Time now) const
-{
-    if (vrtRow || charge >= hammerFloor)
-        return false;
-    return now - lastRestore <= minRetCache;
-}
-
-void
-RowState::restoreCharge(Time now)
-{
-    UTRR_ASSERT(hammerAttached || charge < phys.hammerBaseThreshold,
-                "hammer cells must be attached before a restore that "
-                "crosses the row's base threshold");
-    syncRetentionScale();
-    if (canSkipCommit(now)) {
-        if (bank != nullptr)
-            ++bank->perf.restoreFastPath;
-    } else {
-        if (bank != nullptr)
-            ++bank->perf.restoreSlowPath;
-        commitDueFlips(now);
-    }
-    lastRestore = now;
-    charge = 0.0;
-    lastAggressor = kInvalidRow;
-}
-
-void
-RowState::addDisturbance(Row aggressor_phys, double added)
-{
-    charge += added;
-    lastAggressor = aggressor_phys;
-}
-
 void
 RowState::addDisturbanceRoundRobin(const Row *aggrs, const double *w_first,
                                    const double *w_repeat, int m,
@@ -488,6 +453,7 @@ RowState::writePattern(const DataPattern &new_pattern, Row pattern_row,
                        Time now)
 {
     pattern = new_pattern;
+    word0 = new_pattern.word(pattern_row, 0);
     patRow = pattern_row;
     overrides.reset();
     flips.reset();
@@ -498,6 +464,15 @@ void
 RowState::writeWord(int word_idx, std::uint64_t value)
 {
     mutableOverrides()[word_idx] = value;
+#ifdef UTRR_MUTATION_STALE_COUPLING_WORD
+    // Deliberate mutation (-DUTRR_MUTATION=ON): the cached coupling
+    // word goes stale, so later plans weigh word 0's old value. The
+    // differential fuzzing oracle must flag this (mutation sanity
+    // test); never enable it in a real build.
+#else
+    if (word_idx == 0)
+        word0 = value;
+#endif
     // Writing a word recharges exactly its cells: drop flips within it.
     if (!flips || flips->empty())
         return;
@@ -531,17 +506,6 @@ RowState::readFlipCount(const DataPattern &expected, Row expected_row) const
     return diffReadoutCount(
         RowReadout(pattern, patRow, overrides, flips, bits), expected,
         expected_row);
-}
-
-std::uint64_t
-RowState::storedWord0() const
-{
-    if (overrides) {
-        const auto it = overrides->find(0);
-        if (it != overrides->end())
-            return it->second;
-    }
-    return pattern.word(patRow, 0);
 }
 
 void

@@ -16,7 +16,8 @@
  *    time, and hammer flips become due once accumulated disturbance
  *    charge exceeds a cell's threshold.
  *
- * Two hot-path optimizations keep this cheap without changing semantics:
+ * Three hot-path optimizations keep this cheap without changing
+ * semantics:
  *
  *  - restoreCharge() skips the cell scan entirely when the elapsed time
  *    is within the row's cached minimum effective retention and the
@@ -24,9 +25,14 @@
  *    take the fast path (their telegraph RNG draws are visible state);
  *    retention scaling recomputes the cache — for a bank-wide
  *    temperature step lazily, at the row's next use (RowBankContext).
+ *    That check and addDisturbance() are inline; only the cell scan
+ *    (commitDueFlips) is out of line.
  *  - read() returns a RowReadout that *shares* the overrides map and
  *    flip list with the row (copy-on-write at every mutation point), so
  *    a RD is O(1) instead of copying both containers.
+ *  - The first stored word, which the aggressor-data coupling reads for
+ *    the aggressor and every victim of each ACT plan, is kept at write
+ *    time (writePattern, writeWord) instead of being looked up.
  */
 
 #ifndef UTRR_DRAM_ROW_HH
@@ -38,6 +44,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "dram/data_pattern.hh"
@@ -190,10 +197,33 @@ class RowState
              Time vrt_dwell, double vrt_high_factor);
 
     /** Restore charge (ACT or REF): commit due flips, reset charge. */
-    void restoreCharge(Time now);
+    void
+    restoreCharge(Time now)
+    {
+        UTRR_ASSERT(hammerAttached || charge < phys.hammerBaseThreshold,
+                    "hammer cells must be attached before a restore that "
+                    "crosses the row's base threshold");
+        syncRetentionScale();
+        if (canSkipCommit(now)) {
+            if (bank != nullptr)
+                ++bank->perf.restoreFastPath;
+        } else {
+            if (bank != nullptr)
+                ++bank->perf.restoreSlowPath;
+            commitDueFlips(now);
+        }
+        lastRestore = now;
+        charge = 0.0;
+        lastAggressor = kInvalidRow;
+    }
 
     /** Record disturbance from an aggressor ACT. */
-    void addDisturbance(Row aggressor_phys, double charge);
+    void
+    addDisturbance(Row aggressor_phys, double added)
+    {
+        charge += added;
+        lastAggressor = aggressor_phys;
+    }
 
     /**
      * Batched equivalent of @p rounds round-robin passes over @p m
@@ -265,7 +295,7 @@ class RowState
     Row patternRow() const { return patRow; }
 
     /** First stored word; used for cheap aggressor-data coupling. */
-    std::uint64_t storedWord0() const;
+    std::uint64_t storedWord0() const { return word0; }
 
     /** Accumulated, uncommitted disturbance charge (units). */
     double hammerCharge() const { return charge; }
@@ -356,8 +386,16 @@ class RowState
     Time effectiveRetention(const WeakCell &cell, Time now);
     void commitDueFlips(Time now);
     void commitFlip(Col col);
-    bool canSkipCommit(Time now) const;
     void refreshMinRetention();
+
+    /** True when a restore at @p now provably commits no flip. */
+    bool
+    canSkipCommit(Time now) const
+    {
+        if (vrtRow || charge >= hammerFloor)
+            return false;
+        return now - lastRestore <= minRetCache;
+    }
 
     /** Copy-on-write accessors: clone when a readout shares the state. */
     std::unordered_map<int, std::uint64_t> &mutableOverrides();
@@ -365,6 +403,10 @@ class RowState
 
     RowPhysics phys;
     DataPattern pattern = DataPattern::allZeros();
+    /** Word 0 as stored (its override if any, else the pattern's).
+     *  With vrtHigh among the trailing flags it fills padding, so the
+     *  row stays 248 bytes on x86-64 (DESIGN.md §12). */
+    std::uint64_t word0 = 0;
     Row patRow = 0;
     /** Bits per row; sits in patRow's padding so scaleStep costs no
      *  size (rows dominate a module's memory). */
@@ -377,7 +419,6 @@ class RowState
     double charge = 0.0;
     Row lastAggressor = kInvalidRow;
     Rng vrtRng;
-    bool vrtHigh = false;
     Time lastVrtCheck;
     Time vrtDwell;
     double vrtHighFactor;
@@ -399,6 +440,8 @@ class RowState
     bool weakSorted = true;
     /** Hammer cells generated (or supplied at construction). */
     bool hammerAttached = false;
+    /** Telegraph state of the row's VRT cells. */
+    bool vrtHigh = false;
 };
 
 } // namespace utrr

@@ -110,11 +110,17 @@ FaultInjector::hammerActsBeforeDrop(std::int64_t limit)
     const double p = cfg.dropHammerActChance;
     if (p <= 0.0)
         return limit; // chance() draws nothing at rate zero
-    for (std::int64_t k = 0; k < limit; ++k) {
-        if (dropRng.chance(p))
-            return k;
-    }
-    return limit;
+    if (p >= 1.0)
+        return limit > 0 ? 0 : limit; // nor at rate one: cycle 0 drops
+    // chance(p)'s draws, each compared as an integer (Rng::chanceCut),
+    // on a local copy of the stream.
+    const std::uint64_t cut = Rng::chanceCut(p);
+    Rng stream = dropRng;
+    std::int64_t k = 0;
+    while (k < limit && stream.next() >= cut)
+        ++k;
+    dropRng = stream;
+    return k;
 }
 
 void

@@ -28,12 +28,19 @@ VendorATrr::entryOf(Bank bank, Row phys_row)
 void
 VendorATrr::onActivate(Bank bank, Row phys_row)
 {
-    if (Entry *entry = entryOf(bank, phys_row)) {
-        ++entry->count;
-        return;
+    // One walk finds the row's entry or, failing that, the first entry
+    // with the smallest counter (what std::min_element would pick).
+    auto &table = bankState.at(static_cast<std::size_t>(bank)).table;
+    Entry *victim = nullptr;
+    for (Entry &entry : table) {
+        if (entry.row == phys_row) {
+            ++entry.count;
+            return;
+        }
+        if (victim == nullptr || entry.count < victim->count)
+            victim = &entry;
     }
 
-    auto &table = bankState.at(static_cast<std::size_t>(bank)).table;
     if (table.size() <
         static_cast<std::size_t>(params.tableEntries)) {
         table.push_back({phys_row, 1});
@@ -41,9 +48,6 @@ VendorATrr::onActivate(Bank bank, Row phys_row)
     }
 
     // Table full: evict the entry with the smallest counter (Obs. A5).
-    auto victim = std::min_element(
-        table.begin(), table.end(),
-        [](const Entry &a, const Entry &b) { return a.count < b.count; });
     *victim = {phys_row, 1};
 }
 

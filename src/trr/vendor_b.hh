@@ -63,17 +63,25 @@ class VendorBTrr : public TrrMechanism
     /** White-box view of one bank's sample (per-bank mode). */
     std::optional<Row> currentSampleOf(Bank bank) const;
 
+    /** White-box copy of the sampler stream at its current position. */
+    Rng samplerStream() const { return rng; }
+
   protected:
     void onGroundTruthAttached() override;
 
   private:
-    /** A sampler hit: @p phys_row becomes the (bank's) sample. */
-    void takeSample(Bank bank, Row phys_row);
+    /**
+     * A sampler hit: @p phys_row becomes the (bank's) sample. The
+     * ground-truth tallies are the caller's.
+     */
+    void holdSample(Bank bank, Row phys_row);
 
     Params params;
     int banks;
     Rng rng;
     std::uint64_t seed;
+    /** Rng::chanceCut(params.sampleProbability). */
+    std::uint64_t sampleCut;
     std::uint64_t refCount = 0;
     /** Chip-wide sample (used when !params.perBank). */
     std::optional<TrrRefreshAction> sample;

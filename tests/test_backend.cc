@@ -325,6 +325,51 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
+// Fork contract: the child is the parent's device, retention model
+// included.
+// ---------------------------------------------------------------------
+
+TEST(SimBackendFork, KeepsTheParentsRetentionModel)
+{
+    // Every row weak, failing within 110-200 ms. A fork that fell back
+    // to the default model would generate the rows it first touches
+    // with other retention times, so the same program would read back
+    // other flips.
+    const ModuleSpec spec = *findModuleSpec("A0");
+    RetentionModelConfig retention;
+    retention.weakRowFraction = 1.0;
+    retention.weakRetMinMs = 110.0;
+    retention.weakRetMaxMs = 200.0;
+    SimBackend parent(spec, kSeed, &retention);
+    const std::unique_ptr<SimBackend> child =
+        parent.fork(parent.captureDevice());
+
+    Program p;
+    for (Row row = 0; row < 64; ++row)
+        p.writeRow(0, row, DataPattern::allOnes());
+    p.wait(msToNs(300));
+    for (Row row = 0; row < 64; ++row)
+        p.readRow(0, row);
+    const BackendResult ours = parent.execute(p);
+    const BackendResult theirs = child->execute(p);
+    ASSERT_EQ(ours.reads.size(), 64u);
+    ASSERT_EQ(theirs.reads.size(), 64u);
+    int decayed = 0;
+    for (std::size_t i = 0; i < ours.reads.size(); ++i) {
+        EXPECT_EQ(theirs.reads[i].words, ours.reads[i].words)
+            << "row " << ours.reads[i].row;
+        for (const std::uint64_t word : ours.reads[i].words) {
+            if (word != ~0ULL) {
+                ++decayed;
+                break;
+            }
+        }
+    }
+    // The overrides really are in force: most rows decayed in 300 ms.
+    EXPECT_GT(decayed, 32);
+}
+
+// ---------------------------------------------------------------------
 // Replay-specific contract: divergence is a hard error.
 // ---------------------------------------------------------------------
 

@@ -219,6 +219,30 @@ TEST(DataCoupling, SameDataDisturbsLess)
     }
     const double same_data = bank.peekRow(201)->hammerCharge();
     EXPECT_LT(same_data, inverse_data);
+
+    // Coupling reads word 0 as stored, overrides included: an aggressor
+    // written like the victim whose word 0 is then rewritten to zeros
+    // disturbs exactly like the inverse-data one, and the reverse case
+    // exactly like the same-data one.
+    const auto hammer_with_word0 = [&](Row aggr, const DataPattern &pattern,
+                                       std::uint64_t word0) {
+        bank.activate(aggr + 1, 0);
+        bank.writeOpenRow(DataPattern::allOnes(), aggr + 1, 0);
+        bank.precharge(0);
+        bank.activate(aggr, 0);
+        bank.writeOpenRow(pattern, aggr, 0);
+        bank.writeOpenRowWord(0, word0);
+        bank.precharge(0);
+        for (int i = 0; i < 100; ++i) {
+            bank.activate(aggr, i);
+            bank.precharge(i);
+        }
+        return bank.peekRow(aggr + 1)->hammerCharge();
+    };
+    EXPECT_EQ(hammer_with_word0(300, DataPattern::allOnes(), 0),
+              inverse_data);
+    EXPECT_EQ(hammer_with_word0(400, DataPattern::allZeros(), ~0ULL),
+              same_data);
 }
 
 } // namespace

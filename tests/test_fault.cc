@@ -3,6 +3,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "common/rng.hh"
 #include "dram/module.hh"
 #include "fault/fault_injector.hh"
 #include "softmc/host.hh"
@@ -82,6 +83,37 @@ TEST(FaultInjector, DropHooksNeverFireAtRateZero)
         EXPECT_FALSE(injector.shouldDropHammerAct(0, 5, i));
     }
     EXPECT_EQ(injector.stats().droppedCommands(), 0u);
+}
+
+TEST(FaultInjector, HammerDropDrawsAreChancesDraws)
+{
+    // hammerActsBeforeDrop compares each "fault.drop" draw as an
+    // integer (Rng::chanceCut); the runs it returns must be the ones
+    // chance() gives on the same stream, and rates 0 and 1 must not
+    // draw: a REF drop drawn next, from the shared stream, shows it.
+    for (const double rate : {0.0, 1e-4, 0.02, 0.3, 1.0, 2.0}) {
+        SCOPED_TRACE(rate);
+        FaultConfig cfg;
+        cfg.dropHammerActChance = rate;
+        cfg.dropRefChance = 0.5;
+        FaultInjector injector(cfg, 9);
+        Rng reference = Rng(9).fork("fault.drop");
+        for (int burst = 0; burst < 200; ++burst) {
+            const std::int64_t limit = 1 + burst * 37;
+            std::int64_t expected = limit;
+            for (std::int64_t k = 0; k < limit; ++k) {
+                if (reference.chance(rate)) {
+                    expected = k;
+                    break;
+                }
+            }
+            ASSERT_EQ(injector.hammerActsBeforeDrop(limit), expected)
+                << "burst " << burst;
+            ASSERT_EQ(injector.shouldDropRef(burst),
+                      reference.chance(cfg.dropRefChance))
+                << "burst " << burst;
+        }
+    }
 }
 
 TEST(FaultInjector, RefJitterStaysWithinBound)

@@ -389,5 +389,43 @@ TEST(MutationSanity, ExecutionOracleCatchesFusionOffByOne)
 #endif
 }
 
+/**
+ * Mutation sanity for the cached coupling word: UTRR_MUTATION also
+ * plants a RowState word write that leaves the row's cached word 0
+ * stale. The fuzzer writes word 0 in about one of 1,024 word writes,
+ * so the fixed-seed sweeps miss it; this program aims at it. Both
+ * aggressors store the victim's all-ones except word 0, rewritten to
+ * zeros: the simulator must weigh them as inverse-data aggressors, the
+ * mutant as same-data ones, so the victim collects less charge than
+ * the reference model's and its read-back differs. Without the
+ * mutation the identical program must be clean across every oracle.
+ */
+TEST(MutationSanity, DifferentialOracleCatchesStaleCouplingWord)
+{
+    const ModuleSpec spec = *findModuleSpec("A0");
+    Program program;
+    program.writeRow(0, 500, DataPattern::allOnes());
+    program.writeRow(0, 499, DataPattern::allOnes());
+    program.writeRow(0, 501, DataPattern::allOnes());
+    program.act(0, 499).wrWord(0, 0, 0).pre(0);
+    program.act(0, 501).wrWord(0, 0, 0).pre(0);
+    program.hammer(0, 499, 80'000).hammer(0, 501, 80'000);
+    program.readRow(0, 500);
+
+    const OracleReport report = runOracleSuite(spec, program);
+
+#ifdef UTRR_MUTATION_STALE_COUPLING_WORD
+    bool differential_caught = false;
+    for (const OracleViolation &v : report.violations)
+        differential_caught =
+            differential_caught || v.oracle == "differential";
+    EXPECT_TRUE(differential_caught)
+        << "differential oracle missed the stale coupling word: "
+        << report.summary();
+#else
+    EXPECT_TRUE(report.clean()) << report.summary();
+#endif
+}
+
 } // namespace
 } // namespace utrr

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "common/rng.hh"
 
@@ -70,6 +72,74 @@ TEST(Rng, ChanceMatchesProbability)
     for (int i = 0; i < 20'000; ++i)
         hits += rng.chance(0.25) ? 1 : 0;
     EXPECT_NEAR(hits / 20'000.0, 0.25, 0.02);
+}
+
+/** The decision chance(p) takes on the draw @p x (0 < p < 1). */
+bool
+floatDecision(std::uint64_t x, double p)
+{
+    return static_cast<double>(x >> 11) * 0x1.0p-53 < p;
+}
+
+TEST(Rng, ChanceCutMatchesTheFloatCompare)
+{
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    std::vector<double> rates = {0x1.0p-53, 1.0 / 115.0, 1.0 / 24.0, 0.5,
+                                 1.0 - 0x1.0p-53};
+    // Random rates of three shapes: on the 2^-53 grid, off it (a
+    // product's low bits make p·2^53 fractional), and 1/n.
+    Rng pick(29);
+    for (int i = 0; i < 1'500; ++i) {
+        for (const double p :
+             {pick.uniform(), pick.uniform() * pick.uniform(),
+              1.0 / static_cast<double>(pick.uniformInt(2, 1'000'000))}) {
+            if (p > 0.0)
+                rates.push_back(p);
+        }
+    }
+    for (const double p : rates) {
+        SCOPED_TRACE(p);
+        const std::uint64_t cut = Rng::chanceCut(p);
+        ASSERT_GT(cut, 0u);
+        ASSERT_EQ(cut % 2'048, 0u) << "the cut is a 53-bit threshold";
+        // The boundary draws, their 2^11 neighbourhoods and the ends.
+        const std::uint64_t step = std::uint64_t{1} << 11;
+        std::vector<std::uint64_t> draws = {0, cut - 1, cut, kMax};
+        if (cut >= step)
+            draws.push_back(cut - step);
+        if (cut <= kMax - step)
+            draws.push_back(cut + step);
+        for (const std::uint64_t x : draws)
+            ASSERT_EQ(x < cut, floatDecision(x, p)) << "x = " << x;
+        // The hit at cut - 1 and the miss at cut pin it exactly.
+        ASSERT_TRUE(floatDecision(cut - 1, p));
+        ASSERT_FALSE(floatDecision(cut, p));
+    }
+    EXPECT_EQ(Rng::chanceCut(0x1.0p-53), std::uint64_t{1} << 11);
+    EXPECT_EQ(Rng::chanceCut(0.5), std::uint64_t{1} << 63);
+    // chance() draws nothing at p <= 0 or p >= 1, so callers test those
+    // edges first; the cut itself stays defined there.
+    EXPECT_EQ(Rng::chanceCut(0.0), 0u);
+    EXPECT_EQ(Rng::chanceCut(-1.0), 0u);
+    EXPECT_EQ(Rng::chanceCut(std::nan("")), 0u);
+    EXPECT_EQ(Rng::chanceCut(1.0), kMax);
+    EXPECT_EQ(Rng::chanceCut(2.0), kMax);
+}
+
+TEST(Rng, ChanceCutReplaysChanceOnALiveStream)
+{
+    for (const double p : {1.0 / 24.0, 1.0 / 115.0, 0.5}) {
+        Rng a(31);
+        Rng b(31);
+        const std::uint64_t cut = Rng::chanceCut(p);
+        int hits = 0;
+        for (int i = 0; i < 1'000'000; ++i) {
+            const bool expected = a.chance(p);
+            ASSERT_EQ(b.next() < cut, expected) << "draw " << i;
+            hits += expected ? 1 : 0;
+        }
+        EXPECT_NEAR(hits / 1e6, p, 0.01);
+    }
 }
 
 TEST(Rng, GaussianMoments)

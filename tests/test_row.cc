@@ -172,6 +172,33 @@ TEST(RowState, WriteWordLeavesOtherFlips)
     EXPECT_EQ(readout.flipsVs(DataPattern::allOnes(), 5).size(), 60u);
 }
 
+TEST(RowState, StoredWord0FollowsEveryWrite)
+{
+    RowState row = makeRow(RowPhysics{});
+    EXPECT_EQ(row.storedWord0(), 0u); // born all-zeros
+    row.writePattern(DataPattern::checkerboard(), 5, 0);
+    EXPECT_EQ(row.storedWord0(), DataPattern::checkerboard().word(5, 0));
+    row.writeWord(1, 0x1234ULL); // another word: no change
+    EXPECT_EQ(row.storedWord0(), DataPattern::checkerboard().word(5, 0));
+    row.writeWord(0, 0x5678ULL);
+    EXPECT_EQ(row.storedWord0(), 0x5678ULL);
+    EXPECT_EQ(row.read().word(0), 0x5678ULL);
+    row.writePattern(DataPattern::random(7), 9, 0); // drops the override
+    EXPECT_EQ(row.storedWord0(), DataPattern::random(7).word(9, 0));
+}
+
+TEST(RowState, SizeStaysAt248Bytes)
+{
+    // Rows dominate a module's memory, so the cached coupling word sits
+    // in padding (DESIGN.md §12). The layout is pinned where it was
+    // measured: libstdc++ on x86-64.
+#if defined(__GLIBCXX__) && defined(__x86_64__)
+    EXPECT_EQ(sizeof(RowState), 248u);
+#else
+    GTEST_SKIP() << "RowState's size is pinned for libstdc++ on x86-64";
+#endif
+}
+
 TEST(RowState, VrtCellRetentionVaries)
 {
     RowPhysics phys = oneWeakCell(10, msToNs(100));

@@ -227,19 +227,21 @@ cloneOnto(const VendorBTrr &trr, GroundTruthStore &store)
     return copy;
 }
 
-/** Chip-wide (B_TRR1) and per-bank (B_TRR3) samplers. */
-class VendorBBurstHooks : public ::testing::TestWithParam<bool>
-{
-};
-
-TEST_P(VendorBBurstHooks, MatchPerActReplay)
+/**
+ * A random sequence of bursts, round robins, REFs and single ACTs, run
+ * through the burst hook on one clone and as per-ACT onActivate() calls
+ * on another, compared after every step.
+ */
+void
+matchPerActReplay(bool per_bank, double sample_probability)
 {
     constexpr int kBanks = 4;
+    constexpr std::uint64_t kSeed = 99;
     VendorBTrr::Params params;
-    params.perBank = GetParam();
+    params.perBank = per_bank;
     params.trrRefPeriod = params.perBank ? 2 : 4;
-    params.sampleProbability = params.perBank ? 1.0 / 24.0 : 1.0 / 115.0;
-    const VendorBTrr base(kBanks, params, 99);
+    params.sampleProbability = sample_probability;
+    const VendorBTrr base(kBanks, params, kSeed);
     GroundTruthStore hooks_truth;
     GroundTruthStore loop_truth;
     const auto hooks = cloneOnto(base, hooks_truth);
@@ -343,9 +345,37 @@ TEST_P(VendorBBurstHooks, MatchPerActReplay)
     for (const char *what :
          {"burst", "round robin", "repeated bank", "refresh", "single ACT"})
         EXPECT_GT(ran[what], 0) << what;
-    // The sequence really sampled, many times over.
-    EXPECT_GT(GroundTruthProbe(loop_truth).counter("trr.samples_taken"),
-              1'000u);
+    const std::uint64_t samples =
+        GroundTruthProbe(loop_truth).counter("trr.samples_taken");
+    if (sample_probability > 0.0 && sample_probability < 1.0) {
+        // The sequence really sampled, many times over.
+        EXPECT_GT(samples, 1'000u);
+        return;
+    }
+    // chance()'s edges: every ACT samples (p = 1) or none does (p = 0),
+    // and neither path draws, so both streams sit at the seed.
+    EXPECT_EQ(samples == 0, sample_probability <= 0.0);
+    for (const VendorBTrr *trr : {hooks.get(), loop.get()}) {
+        Rng stream = trr->samplerStream();
+        Rng seeded(kSeed);
+        for (int i = 0; i < 4; ++i)
+            EXPECT_EQ(stream.next(), seeded.next());
+    }
+}
+
+/** Chip-wide (B_TRR1) and per-bank (B_TRR3) samplers. */
+class VendorBBurstHooks : public ::testing::TestWithParam<bool>
+{
+};
+
+TEST_P(VendorBBurstHooks, MatchPerActReplay)
+{
+    const bool per_bank = GetParam();
+    // The mode's rate, then chance()'s two no-draw edges.
+    for (const double p : {per_bank ? 1.0 / 24.0 : 1.0 / 115.0, 0.0, 1.0}) {
+        SCOPED_TRACE(p);
+        ASSERT_NO_FATAL_FAILURE(matchPerActReplay(per_bank, p));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, VendorBBurstHooks, ::testing::Bool(),
