@@ -46,7 +46,6 @@
 #include "obs/report.hh"
 #include "runner/journal.hh"
 #include "runner/reveng_job.hh"
-#include "softmc/compiler.hh"
 #include "softmc/host.hh"
 
 namespace
@@ -90,28 +89,6 @@ BM_HammerLoopFaulted(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1'000);
 }
 BENCHMARK(BM_HammerLoopFaulted);
-
-void
-BM_ProgramCompile(benchmark::State &state)
-{
-    // Lowering cost of a representative reverse-engineering program
-    // (hammer loops, whole-row accesses, REF runs) through
-    // ProgramCompiler; items = source instructions lowered.
-    Program program;
-    for (int round = 0; round < 64; ++round) {
-        program.writeRow(0, 500 + round, DataPattern::allOnes());
-        program.hammer(0, 499, 1'000);
-        program.hammer(0, 501, 1'000);
-        program.ref(16);
-        program.readRow(0, 500 + round);
-    }
-    for (auto _ : state) {
-        CompiledProgram compiled = ProgramCompiler::compile(program);
-        benchmark::DoNotOptimize(compiled);
-    }
-    state.SetItemsProcessed(state.iterations() * program.size());
-}
-BENCHMARK(BM_ProgramCompile);
 
 void
 BM_HammerLoopInterpreted(benchmark::State &state)

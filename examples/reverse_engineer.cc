@@ -10,11 +10,12 @@
  *                         [--telemetry-fsync] [--journal FILE]
  *                         [--resume] [--no-compile]
  *
- * With --no-compile, every program executes through the one-command-
- * at-a-time interpreter instead of the compiled tier (DESIGN.md §17) —
- * slower but the reference semantics, useful when bisecting a
- * suspected compiled/interpreted divergence. Verdicts are identical
- * either way.
+ * With --no-compile, the host runs in the interpreted tier (DESIGN.md
+ * §17): hammer bursts and Row Scout's row-range scans take the
+ * immediate API's per-ACT and per-row paths instead of the compiled
+ * tier's folds (this CLI runs no recorded programs) — slower but the
+ * reference semantics, useful when bisecting a suspected
+ * compiled/interpreted divergence. Verdicts are identical either way.
  *
  * With --trace, every DDR command of the session is recorded (bounded
  * ring buffer) and written as Chrome trace_event JSON — open the file
@@ -392,8 +393,8 @@ main(int argc, char **argv)
                 usageError("--report needs a file argument");
             report_path = argv[++i];
         } else if (std::strcmp(argv[i], "--no-compile") == 0) {
-            // Debugging escape hatch (DESIGN.md §17): run every
-            // program through the interpreter reference tier.
+            // Debugging escape hatch (DESIGN.md §17): every host
+            // takes the per-ACT and per-row reference paths.
             SoftMcHost::setDefaultExecMode(ExecMode::kInterpreted);
         } else if (std::strcmp(argv[i], "--battery") == 0) {
             battery = true;

@@ -9,6 +9,10 @@
  *   softmc_repl [MODULE] <program.smc
  *   softmc_repl [MODULE] program.smc
  *
+ * A program that breaks the host's protocol (an access to a closed
+ * bank, an ACT to an open one, an address out of range) is rejected
+ * with its first offence and exit code 1.
+ *
  * Example program (demonstrates the retention side channel U-TRR is
  * built on):
  *
@@ -24,6 +28,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "check/fuzzer.hh"
 #include "common/logging.hh"
 #include "dram/module.hh"
 #include "softmc/assembler.hh"
@@ -59,7 +64,13 @@ main(int argc, char **argv)
     if (!assembled.ok())
         fatal(assembled.error);
 
+    // The text is outside input: reject a program the host would
+    // assert on (closed-bank access, double ACT, out-of-range address)
+    // before running it.
     const ModuleSpec spec = *findModuleSpec(module_name);
+    const std::string invalid = validateProgram(spec, assembled.program);
+    if (!invalid.empty())
+        fatal(invalid);
     DramModule module(spec, 99);
     SoftMcHost host(module);
     std::cout << "running " << assembled.program.size()

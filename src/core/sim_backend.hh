@@ -74,10 +74,11 @@ class SimBackend : public DeviceBackend
     std::unique_ptr<SimBackend> fork(const DeviceSnapshot &snap) const;
 
     /**
-     * Select the execution tier (DESIGN.md §17): kCompiled lowers each
-     * program through ProgramCompiler and batches hammer bursts,
-     * kInterpreted runs one command at a time. Both are bit-identical;
-     * new backends start in SoftMcHost::defaultExecMode().
+     * Select the execution tier (DESIGN.md §17): kCompiled folds
+     * hammer bursts, a program's runs of ACT+PRE pairs on one row
+     * included, kInterpreted runs one command at a time. Both are
+     * bit-identical; new backends start in
+     * SoftMcHost::defaultExecMode().
      */
     void setExecMode(ExecMode mode) { mc->setExecMode(mode); }
     ExecMode execMode() const { return mc->execMode(); }

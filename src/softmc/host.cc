@@ -5,7 +5,6 @@
 #include "common/logging.hh"
 #include "fault/fault_injector.hh"
 #include "obs/profiler.hh"
-#include "softmc/compiler.hh"
 
 namespace utrr
 {
@@ -774,101 +773,68 @@ SoftMcHost::hammerMultiBank(
     checkWatchdog();
 }
 
+namespace
+{
+
+/**
+ * Consecutive ACT+PRE pairs on one (bank, row) starting at ins[@p at]:
+ * the length of the hammer loop it opens, 0 when it opens none.
+ */
+int
+hammerRunAt(const std::vector<Instr> &ins, std::size_t at)
+{
+    const Instr &first = ins[at];
+    int pairs = 0;
+    for (std::size_t j = at; j + 1 < ins.size(); j += 2) {
+        if (ins[j].op != Op::kAct || ins[j].bank != first.bank ||
+            ins[j].row != first.row || ins[j + 1].op != Op::kPre ||
+            ins[j + 1].bank != first.bank) {
+            break;
+        }
+        ++pairs;
+    }
+    return pairs;
+}
+
+} // namespace
+
 ExecResult
 SoftMcHost::execute(const Program &program)
 {
-    // Mitigation and fault injection hook individual commands; programs
-    // run under them stay on the interpreter so every per-command hook
-    // fires exactly as recorded. (A dropped hammer ACT exists only on
-    // the immediate API: lowered to kHammer, a program's ACT/PRE pairs
-    // would draw drops their interpreted commands never draw.)
-    if (execModeV != ExecMode::kCompiled || mitigation != nullptr ||
-        fault != nullptr) {
-        return executeInterpreted(program);
-    }
-    return executeCompiled(ProgramCompiler::compile(program));
-}
-
-ExecResult
-SoftMcHost::executeCompiled(const CompiledProgram &compiled)
-{
     UTRR_PROF_SCOPE_SIM("softmc.execute", &clock);
+    // In the compiled tier a run of two or more ACT+PRE pairs on one
+    // row is one hammer() call, which folds the burst and keeps the
+    // per-ACT watchdog poll points. A mitigation or fault injector
+    // keeps every pair a plain ACT and PRE: the mitigation hooks each
+    // command as recorded, and hammer() would draw hammer-ACT drops
+    // that a program's plain ACTs never draw.
+    const bool fold_hammers = execModeV == ExecMode::kCompiled &&
+        mitigation == nullptr && fault == nullptr;
+    const std::vector<Instr> &ins = program.instructions();
     ExecResult result;
     result.startTime = clock;
-    result.reads.reserve(compiled.readCount);
-    for (const CompiledOp &op : compiled.ops) {
-        switch (op.kind) {
-          case CompiledOpKind::kHammer:
-            hammer(op.bank, op.row, op.count);
-            break;
-          case CompiledOpKind::kWriteRow:
-            act(op.bank, op.row);
-            wr(op.bank, compiled.patterns[static_cast<std::size_t>(
-                            op.patternIdx)]);
-            pre(op.bank);
-            break;
-          case CompiledOpKind::kReadRow: {
-            act(op.bank, op.row);
-            ReadRecord record;
-            record.bank = op.bank;
-            record.row = dram.toLogical(
-                op.bank, dram.bankAt(op.bank).openRow());
-            record.when = clock;
-            record.readout = rd(op.bank);
-            result.reads.push_back(std::move(record));
-            pre(op.bank);
-            break;
-          }
-          case CompiledOpKind::kRefBurst:
-            for (int i = 0; i < op.count; ++i)
-                ref();
-            break;
-          case CompiledOpKind::kAct:
-            act(op.bank, op.row);
-            break;
-          case CompiledOpKind::kPre:
-            pre(op.bank);
-            break;
-          case CompiledOpKind::kWr:
-            wr(op.bank, compiled.patterns[static_cast<std::size_t>(
-                            op.patternIdx)]);
-            break;
-          case CompiledOpKind::kWrWord:
-            wrWord(op.bank, op.wordIdx, op.value);
-            break;
-          case CompiledOpKind::kRd: {
-            ReadRecord record;
-            record.bank = op.bank;
-            record.row = dram.toLogical(
-                op.bank, dram.bankAt(op.bank).openRow());
-            record.when = clock;
-            record.readout = rd(op.bank);
-            result.reads.push_back(std::move(record));
-            break;
-          }
-          case CompiledOpKind::kWait:
-            wait(op.waitNs);
-            break;
-          case CompiledOpKind::kWaitRef:
-            waitWithRefresh(op.waitNs);
-            break;
-        }
-    }
-    result.endTime = clock;
-    return result;
-}
-
-ExecResult
-SoftMcHost::executeInterpreted(const Program &program)
-{
-    UTRR_PROF_SCOPE_SIM("softmc.execute", &clock);
-    ExecResult result;
-    result.startTime = clock;
-    for (const Instr &instr : program.instructions()) {
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+        const Instr &instr = ins[i];
         switch (instr.op) {
-          case Op::kAct:
-            act(instr.bank, instr.row);
+          case Op::kAct: {
+            // A lone pair runs as ACT then PRE: hammer(..., 1) never
+            // folds.
+            const int pairs = fold_hammers ? hammerRunAt(ins, i) : 0;
+            if (pairs < 2) {
+                act(instr.bank, instr.row);
+                break;
+            }
+            int cycles = pairs;
+#ifdef UTRR_MUTATION_FUSION_OFF_BY_ONE
+            // Planted bug for CI mutation-sanity: a folded hammer run
+            // silently loses one cycle. The compiled-vs-interpreted
+            // execution oracle must catch this.
+            --cycles;
+#endif
+            hammer(instr.bank, instr.row, cycles);
+            i += 2 * static_cast<std::size_t>(pairs) - 1;
             break;
+          }
           case Op::kPre:
             pre(instr.bank);
             break;
@@ -879,13 +845,14 @@ SoftMcHost::executeInterpreted(const Program &program)
             wrWord(instr.bank, instr.wordIdx, instr.value);
             break;
           case Op::kRd: {
+            // rd() first: with no open row it dies with its own
+            // message, before the row address is translated.
             ReadRecord record;
             record.bank = instr.bank;
-            record.row = dram.toLogical(
-                instr.bank,
-                dram.bankAt(instr.bank).openRow());
             record.when = clock;
             record.readout = rd(instr.bank);
+            record.row = dram.toLogical(
+                instr.bank, dram.bankAt(instr.bank).openRow());
             result.reads.push_back(std::move(record));
             break;
           }

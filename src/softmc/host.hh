@@ -2,14 +2,14 @@
  * @file
  * SoftMC-like host: precise command-level control over a DRAM module.
  *
- * The host offers two equivalent interfaces:
- *  - an immediate API (writeRow, readRow, writeRows, readRows, hammer,
- *    refBurst, wait, ...) used by Row Scout and the TRR Analyzer, and
- *  - a Program executor for recorded command sequences (attack
- *    patterns).
+ * The host's one command interface is its immediate API (act, wr, rd,
+ * writeRow, readRow, writeRows, readRows, hammer, refBurst, wait, ...),
+ * used by Row Scout and the TRR Analyzer. A recorded Program (fuzz
+ * programs, corpus replays, lowered attack patterns) executes through
+ * the same API, one call per instruction.
  *
- * Both advance a simulated nanosecond clock per DDR4 timing, mirroring
- * how a real SoftMC program occupies the command bus.
+ * Every command advances a simulated nanosecond clock per DDR4 timing,
+ * mirroring how a real SoftMC program occupies the command bus.
  */
 
 #ifndef UTRR_SOFTMC_HOST_HH
@@ -33,7 +33,6 @@ namespace utrr
 {
 
 class FaultInjector;
-struct CompiledProgram;
 
 /**
  * Execution tier of the host (DESIGN.md §17). Both tiers are
@@ -43,13 +42,14 @@ struct CompiledProgram;
 enum class ExecMode
 {
     /**
-     * Pre-compile programs into fused op streams, run immediate-API
-     * hammer bursts — single-row, interleaved and multi-bank alike — as
-     * round-robin folds through DramModule::actInterleavedBurst, and
-     * row ranges (writeRows, readRows) as one DramModule call each
-     * (default). An attached fault injector does not force per-ACT
-     * hammering: its drops are drawn ahead in ACT order, the drop-free
-     * runs fold and each round that holds a drop replays per ACT.
+     * Run hammer bursts — single-row, interleaved and multi-bank alike,
+     * and a program's runs of ACT+PRE pairs on one row — as round-robin
+     * folds through DramModule::actInterleavedBurst, and row ranges
+     * (writeRows, readRows) as one DramModule call each (default). An
+     * attached fault injector does not force per-ACT hammering on the
+     * immediate API: its drops are drawn ahead in ACT order, the
+     * drop-free runs fold and each round that holds a drop replays per
+     * ACT.
      */
     kCompiled,
     /** One command at a time — the reference path (`--no-compile`). */
@@ -220,19 +220,16 @@ class SoftMcHost
     // --- program execution ---------------------------------------------
 
     /**
-     * Execute a recorded program, capturing reads. In kCompiled mode
-     * (and with no mitigation or fault injector attached) the program
-     * is lowered by ProgramCompiler and run through the batched tier;
-     * otherwise it is interpreted one command at a time. Results are
-     * bit-identical either way. A mitigation hooks every ACT, and an
-     * injector stays on the interpreter because a program's ACT/PRE
-     * pairs are plain commands there, while a compiled kHammer op runs
-     * through hammer(), whose cycles draw hammer-ACT drops.
+     * Execute a recorded program, capturing reads: each instruction is
+     * its immediate-API call (act, pre, wr, wrWord, rd, ref, wait,
+     * waitWithRefresh). In kCompiled mode with no mitigation and no
+     * fault injector attached, a run of two or more ACT+PRE pairs on
+     * one (bank, row) is one hammer() call instead. Results are
+     * bit-identical either way. A mitigation hooks every ACT, and
+     * under an injector the pairs stay plain commands because
+     * hammer()'s cycles draw hammer-ACT drops and plain ACTs do not.
      */
     ExecResult execute(const Program &program);
-
-    /** Execute an already-compiled op stream (skips re-lowering). */
-    ExecResult executeCompiled(const CompiledProgram &compiled);
 
     /**
      * Select this host's execution tier. New hosts start in the
@@ -370,7 +367,6 @@ class SoftMcHost
     void hammerOnce(Bank bank, Row row);
     void pollStopFlag();
     void checkWatchdog();
-    ExecResult executeInterpreted(const Program &program);
     /**
      * True when a hammer burst of @p cycles can run fused: compiled
      * mode, no mitigation, more than one cycle, and the watchdog

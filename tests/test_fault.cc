@@ -344,6 +344,44 @@ TEST(Watchdog, DroppedLastCycleFiresInsideTheBurstInBothTiers)
     EXPECT_EQ(probe(ExecMode::kCompiled), interpreted);
 }
 
+// A deadline inside a program's hammer run: the compiled tier runs the
+// run as one hammer() call, whose gate declines the fold when a poll
+// could cross the deadline, so both tiers throw the same timeout after
+// the crossing ACT; a deadline at the last ACT's poll point lets the
+// run finish, and the program's REF throws it in both tiers.
+TEST(Watchdog, DeadlineInsideAProgramHammerRunFiresAtTheSameCommandInBothTiers)
+{
+    using Fired = std::tuple<Time, Time, Time, std::uint64_t,
+                             std::uint64_t>;
+    const auto probe = [](ExecMode mode, int cycles, Time slack) {
+        DramModule module(*findModuleSpec("A0"), 7);
+        SoftMcHost host(module);
+        host.setExecMode(mode);
+        const Timing &timing = host.timing();
+        host.setWatchdogBudget(cycles * timing.hammerCycle() +
+                               timing.tRAS + slack);
+        Program program;
+        program.hammer(0, 1'000, 100).ref();
+        try {
+            host.execute(program);
+        } catch (const WatchdogTimeout &e) {
+            return Fired{e.budgetNs, e.deadlineNs, e.nowNs, e.actsIssued,
+                         e.refsIssued};
+        }
+        ADD_FAILURE() << "watchdog did not fire";
+        return Fired{};
+    };
+    // The 50th ACT polls at 49 hammer cycles + tRAS.
+    const Fired inside = probe(ExecMode::kInterpreted, 49, -1);
+    EXPECT_EQ(std::get<3>(inside), 50U);
+    EXPECT_EQ(std::get<4>(inside), 0U);
+    EXPECT_EQ(probe(ExecMode::kCompiled, 49, -1), inside);
+    const Fired on_ref = probe(ExecMode::kInterpreted, 99, 0);
+    EXPECT_EQ(std::get<3>(on_ref), 100U);
+    EXPECT_EQ(std::get<4>(on_ref), 1U);
+    EXPECT_EQ(probe(ExecMode::kCompiled, 99, 0), on_ref);
+}
+
 // A deadline inside a row range: the compiled tier declines the fused
 // range op and runs the per-row loop, so in both tiers writeRows and
 // readRows throw the same timeout after the ACT whose poll crosses the

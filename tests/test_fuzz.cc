@@ -337,10 +337,11 @@ TEST(MutationSanity, DifferentialOracleCatchesRefreshOffByOne)
     ASSERT_FALSE(result.clean())
         << "oracle suite missed the injected refresh bug";
     // Collect every oracle that fired, not just each finding's front
-    // violation: UTRR_MUTATION also plants the compiled-tier fusion bug,
-    // which makes the (compiled) production run diverge from the
-    // reference on nearly every program, so "differential" fronts the
-    // findings and would crowd "accounting" out of a front-only view.
+    // violation: UTRR_MUTATION also plants the hammer-run fusion bug of
+    // SoftMcHost::execute, which makes the (compiled) production run
+    // diverge from the reference on nearly every program, so
+    // "differential" fronts the findings and would crowd "accounting"
+    // out of a front-only view.
     std::set<std::string> oracles;
     for (const FuzzFinding &finding : result.findings)
         oracles.insert(finding.oracles.begin(), finding.oracles.end());
@@ -357,13 +358,14 @@ TEST(MutationSanity, DifferentialOracleCatchesRefreshOffByOne)
 
 /**
  * Mutation sanity for the compiled tier: UTRR_MUTATION additionally
- * plants an off-by-one in ProgramCompiler's hammer fusion (a batch of
- * N > 1 ACT+PRE cycles lowers to N-1). Both tiers share the refresh
- * mutation, so a compiled-vs-interpreted comparison cancels that bug
- * out — the execution oracle is what isolates the fusion one: the
- * interpreted rerun hammers one more time per batch, so end time,
- * command trace and ACT accounting all diverge. Without the mutation
- * the identical program must be clean across every oracle.
+ * plants an off-by-one in SoftMcHost::execute's hammer-run fusion (a
+ * run of N > 1 ACT+PRE pairs hands hammer() N-1 cycles and skips all
+ * N). Both tiers share the refresh mutation, so a compiled-vs-
+ * interpreted comparison cancels that bug out — the execution oracle
+ * is what isolates the fusion one: the interpreted rerun hammers one
+ * more time per run, so end time, command trace and ACT accounting all
+ * diverge. Without the mutation the identical program must be clean
+ * across every oracle.
  */
 TEST(MutationSanity, ExecutionOracleCatchesFusionOffByOne)
 {

@@ -27,6 +27,17 @@ TEST(HostProtocol, ReadWithoutActDies)
     EXPECT_DEATH(host.rd(0), "RD with no open row");
 }
 
+// A program's RD reaches rd() before its row address is translated, so
+// a closed bank dies with the host's own message.
+TEST(HostProtocol, ProgramReadWithoutActDies)
+{
+    DramModule module(smallSpec(), 1);
+    SoftMcHost host(module);
+    Program program;
+    program.rd(0);
+    EXPECT_DEATH(host.execute(program), "RD with no open row");
+}
+
 TEST(HostProtocol, WriteWithoutActDies)
 {
     DramModule module(smallSpec(), 1);

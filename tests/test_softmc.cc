@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "dram/module.hh"
-#include "softmc/compiler.hh"
+#include "obs/profiler.hh"
 #include "softmc/host.hh"
 
 namespace utrr
@@ -175,130 +175,76 @@ TEST(Program, CompositeSizes)
 }
 
 // ---------------------------------------------------------------------
-// ProgramCompiler: fusion rules of the compiled tier (DESIGN.md §17).
-// The tests below pin the *shape* of the lowered stream; bit-identical
-// behaviour is pinned by the execution oracle and the conformance
-// suite. They assume the clean tree (no UTRR_MUTATION build).
+// SoftMcHost::execute: the one hammer-run fold of the compiled tier
+// (DESIGN.md §17). The tests below count the hammer() calls a program
+// makes; bit-identical behaviour is pinned by the execution oracle and
+// the conformance suite. They assume the clean tree (no UTRR_MUTATION
+// build).
 // ---------------------------------------------------------------------
 
 #ifndef UTRR_MUTATION_FUSION_OFF_BY_ONE
 
-TEST(ProgramCompiler, HammerLoopFusesIntoOneBatchOp)
+/** `softmc.hammer` calls under `softmc.execute` while @p host runs
+ *  @p program, with the profiler armed. */
+std::uint64_t
+hammerCallsOf(SoftMcHost &host, const Program &program)
 {
-    Program program;
-    program.hammer(0, 42, 100); // 200 instructions: 100 × (ACT, PRE)
-    const CompiledProgram compiled = ProgramCompiler::compile(program);
-    ASSERT_EQ(compiled.ops.size(), 1u);
-    EXPECT_EQ(compiled.ops[0].kind, CompiledOpKind::kHammer);
-    EXPECT_EQ(compiled.ops[0].bank, 0);
-    EXPECT_EQ(compiled.ops[0].row, 42);
-    EXPECT_EQ(compiled.ops[0].count, 100);
-    EXPECT_EQ(compiled.sourceSize, 200u);
-    EXPECT_EQ(compiled.readCount, 0u);
+    Profiler::instance().reset();
+    Profiler::setEnabled(true);
+    host.execute(program);
+    const ProfileTree tree = Profiler::instance().collect();
+    Profiler::setEnabled(false);
+    Profiler::instance().reset();
+    std::uint64_t calls = 0;
+    for (const ProfileNode &exec : tree.root.children) {
+        if (exec.label != "softmc.execute")
+            continue;
+        for (const ProfileNode &child : exec.children) {
+            if (child.label == "softmc.hammer")
+                calls += child.calls;
+        }
+    }
+    return calls;
 }
 
-TEST(ProgramCompiler, HammerFusionBreaksAtRowAndBankBoundaries)
+TEST_F(HostFixture, HammerRunExecutesAsOneHammerCall)
 {
-    // Interleaved double-sided hammer: the ACT+PRE pairs alternate rows,
-    // so no two consecutive pairs may fuse into one batch.
+    DramModule module2(smallSpec(), 1);
+    SoftMcHost interp(module2);
+    interp.setExecMode(ExecMode::kInterpreted);
+    Program program;
+    program.hammer(0, 42, 100).hammer(0, 44, 100); // 2 × 100 (ACT, PRE)
+
+    EXPECT_EQ(hammerCallsOf(host, program), 2U);
+    EXPECT_EQ(hammerCallsOf(interp, program), 0U);
+    EXPECT_EQ(host.now(), interp.now());
+    EXPECT_EQ(host.actCount(), 200U);
+    EXPECT_EQ(interp.actCount(), 200U);
+}
+
+TEST_F(HostFixture, RunsBreakAtRowAndBankBoundaries)
+{
+    // Interleaved double-sided hammer: the ACT+PRE pairs alternate rows
+    // and banks, so each pair is a run of one and none folds. Neither
+    // does a lone pair followed by an open-row write on its row.
     Program program;
     for (int i = 0; i < 3; ++i) {
         program.hammer(0, 10, 1);
         program.hammer(1, 20, 1);
     }
-    const CompiledProgram compiled = ProgramCompiler::compile(program);
-    ASSERT_EQ(compiled.ops.size(), 6u);
-    for (std::size_t i = 0; i < compiled.ops.size(); ++i) {
-        SCOPED_TRACE(i);
-        EXPECT_EQ(compiled.ops[i].kind, CompiledOpKind::kHammer);
-        EXPECT_EQ(compiled.ops[i].count, 1);
-        EXPECT_EQ(compiled.ops[i].bank, i % 2 == 0 ? 0 : 1);
-        EXPECT_EQ(compiled.ops[i].row, i % 2 == 0 ? 10 : 20);
-    }
-}
+    program.hammer(0, 10, 1);
+    program.act(0, 10);
+    program.wr(0, DataPattern::allZeros());
+    program.wrWord(0, 3, 0xfeedULL);
+    program.pre(0);
 
-TEST(ProgramCompiler, RowAccessesFuseAndPatternsIntern)
-{
-    Program program;
-    program.writeRow(0, 5, DataPattern::allOnes());
-    program.writeRow(0, 6, DataPattern::allOnes());
-    program.writeRow(1, 7, DataPattern::checkerboard());
-    program.readRow(0, 5);
-    const CompiledProgram compiled = ProgramCompiler::compile(program);
-    ASSERT_EQ(compiled.ops.size(), 4u);
-    EXPECT_EQ(compiled.ops[0].kind, CompiledOpKind::kWriteRow);
-    EXPECT_EQ(compiled.ops[1].kind, CompiledOpKind::kWriteRow);
-    EXPECT_EQ(compiled.ops[2].kind, CompiledOpKind::kWriteRow);
-    EXPECT_EQ(compiled.ops[3].kind, CompiledOpKind::kReadRow);
-    EXPECT_EQ(compiled.ops[3].bank, 0);
-    EXPECT_EQ(compiled.ops[3].row, 5);
-    // The two allOnes writes share one interned pattern slot.
-    ASSERT_EQ(compiled.patterns.size(), 2u);
-    EXPECT_EQ(compiled.ops[0].patternIdx, compiled.ops[1].patternIdx);
-    EXPECT_NE(compiled.ops[0].patternIdx, compiled.ops[2].patternIdx);
-    EXPECT_EQ(compiled.readCount, 1u);
-}
-
-TEST(ProgramCompiler, RefRunsCollapseToOneBurst)
-{
-    Program program;
-    program.ref(32).wait(100).ref();
-    const CompiledProgram compiled = ProgramCompiler::compile(program);
-    ASSERT_EQ(compiled.ops.size(), 3u);
-    EXPECT_EQ(compiled.ops[0].kind, CompiledOpKind::kRefBurst);
-    EXPECT_EQ(compiled.ops[0].count, 32);
-    EXPECT_EQ(compiled.ops[1].kind, CompiledOpKind::kWait);
-    EXPECT_EQ(compiled.ops[1].waitNs, 100);
-    EXPECT_EQ(compiled.ops[2].kind, CompiledOpKind::kRefBurst);
-    EXPECT_EQ(compiled.ops[2].count, 1);
-}
-
-TEST(ProgramCompiler, UnfusablePrefixPassesThroughOneToOne)
-{
-    // An open-row word write cannot fuse (the PRE is separated from the
-    // ACT by WR + WRWORD): every command passes through unchanged.
-    Program program;
-    program.act(1, 300);
-    program.wr(1, DataPattern::allZeros());
-    program.wrWord(1, 3, 0xfeedULL);
-    program.pre(1);
-    program.waitWithRefresh(1'000'000);
-    program.readRow(1, 300);
-    const CompiledProgram compiled = ProgramCompiler::compile(program);
-    ASSERT_EQ(compiled.ops.size(), 6u);
-    EXPECT_EQ(compiled.ops[0].kind, CompiledOpKind::kAct);
-    EXPECT_EQ(compiled.ops[1].kind, CompiledOpKind::kWr);
-    EXPECT_EQ(compiled.ops[2].kind, CompiledOpKind::kWrWord);
-    EXPECT_EQ(compiled.ops[2].wordIdx, 3);
-    EXPECT_EQ(compiled.ops[2].value, 0xfeedULL);
-    EXPECT_EQ(compiled.ops[3].kind, CompiledOpKind::kPre);
-    EXPECT_EQ(compiled.ops[4].kind, CompiledOpKind::kWaitRef);
-    EXPECT_EQ(compiled.ops[5].kind, CompiledOpKind::kReadRow);
-    EXPECT_EQ(compiled.readCount, 1u);
+    EXPECT_EQ(hammerCallsOf(host, program), 0U);
+    EXPECT_EQ(host.actCount(), 8U);
+    EXPECT_EQ(host.now(), 8 * host.timing().hammerCycle() +
+                              2 * host.timing().tBURST);
 }
 
 #endif // !UTRR_MUTATION_FUSION_OFF_BY_ONE
-
-TEST(ProgramCompiler, CompileIsDeterministic)
-{
-    Program program;
-    program.writeRow(0, 1, DataPattern::random(3));
-    program.hammer(0, 2, 7).ref(4).readRow(0, 1);
-    const CompiledProgram a = ProgramCompiler::compile(program);
-    const CompiledProgram b = ProgramCompiler::compile(program);
-    ASSERT_EQ(a.ops.size(), b.ops.size());
-    for (std::size_t i = 0; i < a.ops.size(); ++i) {
-        SCOPED_TRACE(i);
-        EXPECT_EQ(a.ops[i].kind, b.ops[i].kind);
-        EXPECT_EQ(a.ops[i].bank, b.ops[i].bank);
-        EXPECT_EQ(a.ops[i].row, b.ops[i].row);
-        EXPECT_EQ(a.ops[i].count, b.ops[i].count);
-        EXPECT_EQ(a.ops[i].patternIdx, b.ops[i].patternIdx);
-    }
-    EXPECT_EQ(a.patterns.size(), b.patterns.size());
-    EXPECT_EQ(a.readCount, b.readCount);
-    EXPECT_EQ(a.sourceSize, b.sourceSize);
-}
 
 TEST_F(HostFixture, CompiledAndInterpretedTiersMatchBitForBit)
 {
