@@ -603,8 +603,6 @@ BM_JournalAppend(benchmark::State &state)
     for (int i = 0; i < 8; ++i)
         result.metrics.counter(logFmt("bench.metric", i))
             .inc(static_cast<std::uint64_t>(i) * 17 + 1);
-    for (int i = 0; i < 64; ++i)
-        result.metrics.histogram("bench.lat").add(i * 3);
 
     JournalWriter writer;
     if (!writer.open(path, key, config, specs.size(),

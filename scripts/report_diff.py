@@ -3,14 +3,13 @@
 projection.
 
 The deterministic projection (``deterministicProjection`` in
-src/obs/report.hh, DESIGN.md §14) removes every wall-clock-dependent
-key — ``wall_ms``, ``job_wall_ms``, ``eta_ms``, ``campaign_wall_ms``,
-the ``campaign.wall_ms`` gauge, every ``<name>.us`` ScopedTimer
-histogram and the whole top-level ``profile`` section. What remains is
-a pure function of the campaign inputs, so a campaign that was
-SIGKILLed and resumed (``--journal FILE --resume``) must reproduce it
-exactly. This script is the CI-side check of that
-invariant:
+src/obs/report.hh, DESIGN.md §14) removes the report's wall-clock
+values: every ``wall_ms`` key (``timing.wall_ms`` and each round's
+``wall_ms``) and the whole top-level ``profile`` section. Metrics
+registries hold no wall-clock value, so everything else is a pure
+function of the campaign inputs, and a campaign that was SIGKILLed and
+resumed (``--journal FILE --resume``) must reproduce it exactly. This
+script is the CI-side check of that invariant:
 
     reverse_engineer --battery --report clean.json
     ...crash + resume...         --report resumed.json
@@ -25,25 +24,7 @@ import json
 import sys
 
 # Mirrors wallClockKey() in src/obs/report.cc.
-WALL_CLOCK_KEYS = {
-    "wall_ms",
-    "job_wall_ms",
-    "eta_ms",
-    "campaign_wall_ms",
-    "campaign.wall_ms",
-}
-
-
-def has_suffix(key, suffix):
-    # A key equal to the bare suffix is kept, as in the C++ check.
-    return len(key) > len(suffix) and key.endswith(suffix)
-
-
-def wall_clock_key(key):
-    # "<name>.us" is the ScopedTimer convention: a histogram of
-    # wall-clock microseconds (the paired ".calls" counters stay).
-    return key in WALL_CLOCK_KEYS or has_suffix(key, ".us")
-
+WALL_CLOCK_KEY = "wall_ms"
 
 MAX_REPORTED_DIVERGENCES = 20
 
@@ -54,7 +35,7 @@ def project(value, top_level=False):
         return {
             key: project(member)
             for key, member in value.items()
-            if not wall_clock_key(key)
+            if key != WALL_CLOCK_KEY
             and not (top_level and key == "profile")
         }
     if isinstance(value, list):

@@ -6,7 +6,6 @@ Run from the repository root:
 """
 
 import contextlib
-import copy
 import io
 import json
 import os
@@ -18,33 +17,17 @@ from unittest import mock
 import report_diff
 
 
+FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "projection_fixture.json")
+
+
 def make_report():
-    """A small ExperimentReport with every kind of key the projection
-    keeps or drops."""
-    return {
-        "report": "reverse_engineer",
-        "results": {"modules": 3, "failures": 0},
-        "timing": {"wall_ms": 812.5, "sim_ns": 123456},
-        "rounds": [
-            {"module": "A5", "job_wall_ms": 301.0,
-             "verdict": {"trr_period": 9, "neighbours": 4}},
-            {"module": "B8", "job_wall_ms": 255.2,
-             "verdict": {"trr_period": 4, "neighbours": 2}},
-        ],
-        "metrics": {
-            "counters": {
-                "dram.acts": 5000,
-                "dram.restore.fast_path": 4000,
-                "dram.restore.slow_path": 1000,
-                "dram.readout.cow_copies": 12,
-                "dram.readout.cow_shares": 88,
-                "row_scout.scan.calls": 7,
-            },
-            "gauges": {"campaign.wall_ms": 812.5, "campaign.workers": 1},
-            "histograms": {"row_scout.scan.us": {"count": 7, "sum": 90}},
-        },
-        "profile": {"ranking": [{"label": "softmc.hammer"}]},
-    }
+    """A small campaign report in the shape reverse_engineer writes,
+    with every kind of key the projection keeps or drops. The C++ test
+    ExperimentReport.ProjectionMatchesTheScriptFixture reads the same
+    file."""
+    with open(FIXTURE) as fh:
+        return json.load(fh)
 
 
 class ReportDiffTest(unittest.TestCase):
@@ -67,34 +50,48 @@ class ReportDiffTest(unittest.TestCase):
         # Copy-on-write tallies are a pure function of the campaign
         # inputs, so the projection keeps them.
         changed = make_report()
-        changed["metrics"]["counters"]["dram.readout.cow_copies"] = 4096
+        changed["metrics"]["counters"][
+            "module.A5.dram.readout.cow_copies"] = 4096
         self.assertEqual(self.run_main(make_report(), changed), 1)
 
     def test_wall_clock_keys_are_dropped(self):
         slower = make_report()
         slower["timing"]["wall_ms"] = 9000.0
-        slower["rounds"][1]["job_wall_ms"] = 7000.0
-        slower["metrics"]["gauges"]["campaign.wall_ms"] = 9000.0
-        slower["metrics"]["histograms"]["row_scout.scan.us"]["sum"] = 1
+        for entry in slower["rounds"]:
+            entry["wall_ms"] = 7000.0
         slower["profile"] = {"ranking": []}
         self.assertEqual(self.run_main(make_report(), slower), 0)
+        projected = report_diff.project(make_report(), top_level=True)
+        self.assertNotIn("wall_ms", projected["timing"])
+        for entry in projected["rounds"]:
+            self.assertNotIn("wall_ms", entry)
+        self.assertNotIn("profile", projected)
+
+    def test_other_keys_are_compared(self):
+        # Only wall_ms and the top-level profile are wall clock: an
+        # "eta_ms" result and a nested "profile" key are compared.
+        for path, value in ((("results", "eta_ms"), 6),
+                            (("config", "profile"), False)):
+            changed = make_report()
+            changed[path[0]][path[1]] = value
+            self.assertEqual(self.run_main(make_report(), changed), 1,
+                             path)
 
     def test_changed_verdict_is_a_divergence(self):
         changed = make_report()
-        changed["rounds"][0]["verdict"]["trr_period"] = 17
+        changed["rounds"][0]["verdict"]["period"] = 17
         self.assertEqual(self.run_main(make_report(), changed), 1)
 
     def test_deterministic_counter_change_is_a_divergence(self):
         changed = make_report()
-        changed["metrics"]["counters"]["dram.acts"] = 5001
+        changed["metrics"]["counters"]["module.A5.dram.acts"] = 5001
         self.assertEqual(self.run_main(make_report(), changed), 1)
 
-    def test_projection_keeps_a_key_equal_to_a_bare_suffix(self):
-        # Mirrors the C++ length check: only "<name><suffix>" is dropped.
-        report = {".us": 2, "x.us": 4}
-        self.assertEqual(report_diff.project(copy.deepcopy(report)),
-                         {".us": 2})
-
+    def test_changed_us_counter_is_a_divergence(self):
+        # No suffix rule: a counter named "<name>.us" is compared.
+        changed = make_report()
+        changed["metrics"]["counters"]["module.B8.x.us"] = 8
+        self.assertEqual(self.run_main(make_report(), changed), 1)
 
 if __name__ == "__main__":
     unittest.main()

@@ -90,13 +90,6 @@ Histogram::add(std::int64_t value, std::uint64_t weight)
     totalCount += weight;
 }
 
-void
-Histogram::merge(const Histogram &other)
-{
-    for (const auto &[value, count] : other.bins())
-        add(value, count);
-}
-
 std::uint64_t
 Histogram::countOf(std::int64_t value) const
 {

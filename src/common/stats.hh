@@ -56,12 +56,6 @@ class Histogram
     /** Record one observation of the given integer value. */
     void add(std::int64_t value, std::uint64_t weight = 1);
 
-    /**
-     * Fold another histogram into this one (bin-wise addition). Used to
-     * combine per-worker histograms after a parallel campaign joins.
-     */
-    void merge(const Histogram &other);
-
     /** Number of observations of exactly @p value. */
     std::uint64_t countOf(std::int64_t value) const;
 

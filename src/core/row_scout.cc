@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "obs/profiler.hh"
-#include "obs/timer.hh"
 
 namespace utrr
 {
@@ -61,9 +60,7 @@ RowScout::scanFailingRows(Time t)
 {
     // Batch profiling pass: initialize every row in the range, let the
     // whole range decay for t with refresh disabled, then read back.
-    UTRR_PROF_SCOPE_SIM("row_scout.scan", host.clockPtr());
-    ScopedTimer timer(host.attachedMetrics(), "row_scout.scan");
-    SimPhase phase(&host.trace(), "rs_scan", [this] { return host.now(); });
+    ProfSpan span("row_scout.scan", host.clockPtr(), &host.trace());
     host.writeRows(cfg.bank, cfg.rowStart, cfg.rowEnd, cfg.pattern);
     host.wait(t);
     const std::vector<int> flips =
@@ -82,7 +79,6 @@ bool
 RowScout::validateRetention(Row logical_row, Time t, int checks)
 {
     UTRR_PROF_SCOPE_SIM("row_scout.validate", host.clockPtr());
-    ScopedTimer timer(host.attachedMetrics(), "row_scout.validate");
     for (int i = 0; i < checks; ++i) {
         ++validations;
         // Hold check: the row must retain its data strictly longer
@@ -219,10 +215,7 @@ RowScout::scout()
         static_cast<std::size_t>(cfg.rowEnd - cfg.rowStart), 0);
     std::vector<RowGroup> best;
 
-    UTRR_PROF_SCOPE_SIM("row_scout.scout", host.clockPtr());
-    ScopedTimer timer(host.attachedMetrics(), "row_scout.scout");
-    SimPhase phase(&host.trace(), "row_scout",
-                   [this] { return host.now(); });
+    ProfSpan span("row_scout.scout", host.clockPtr(), &host.trace());
     for (Time t = cfg.initialT; t <= cfg.maxT; t += cfg.stepT) {
         UTRR_DEBUG("row scout: scanning at T = ", nsToMs(t), " ms");
         for (const auto &[row, flips] : scanFailingRows(t)) {
@@ -283,10 +276,7 @@ RowScout::revalidateAndReplace(std::vector<RowGroup> groups)
 {
     if (cfg.revalidateChecks <= 0)
         return groups;
-    UTRR_PROF_SCOPE_SIM("row_scout.revalidate", host.clockPtr());
-    ScopedTimer timer(host.attachedMetrics(), "row_scout.revalidate");
-    SimPhase phase(&host.trace(), "rs_revalidate",
-                   [this] { return host.now(); });
+    ProfSpan span("row_scout.revalidate", host.clockPtr(), &host.trace());
 
     int eviction_budget = cfg.maxEvictions;
     while (eviction_budget > 0) {
@@ -348,48 +338,6 @@ RowScout::revalidateAndReplace(std::vector<RowGroup> groups)
                     " evictions"));
     }
     return groups;
-}
-
-ExperimentReport
-RowScout::makeReport(const std::vector<RowGroup> &groups) const
-{
-    ExperimentReport report("row_scout");
-    report.setConfig("bank", Json(static_cast<std::int64_t>(cfg.bank)));
-    report.setConfig("row_start",
-                     Json(static_cast<std::int64_t>(cfg.rowStart)));
-    report.setConfig("row_end",
-                     Json(static_cast<std::int64_t>(cfg.rowEnd)));
-    report.setConfig("layout", Json(cfg.layout.text()));
-    report.setConfig("group_count",
-                     Json(static_cast<std::int64_t>(cfg.groupCount)));
-    report.setConfig(
-        "consistency_checks",
-        Json(static_cast<std::int64_t>(cfg.consistencyChecks)));
-    report.setSeed(host.module().seed());
-
-    Json found = Json::array();
-    for (const RowGroup &group : groups) {
-        Json entry = Json::object();
-        entry["base_phys_row"] =
-            Json(static_cast<std::int64_t>(group.basePhysRow));
-        entry["retention_ns"] =
-            Json(static_cast<std::int64_t>(group.retention));
-        Json rows = Json::array();
-        for (const ProfiledRow &row : group.rows)
-            rows.push(Json(static_cast<std::int64_t>(row.physRow)));
-        entry["profiled_phys_rows"] = std::move(rows);
-        found.push(std::move(entry));
-    }
-    report.setResult("groups", std::move(found));
-    report.setResult("groups_found",
-                     Json(static_cast<std::uint64_t>(groups.size())));
-    report.setResult("validations_run",
-                     Json(static_cast<std::uint64_t>(validations)));
-    report.setResult("evictions",
-                     Json(static_cast<std::uint64_t>(evictions)));
-    report.setResult("replacements",
-                     Json(static_cast<std::uint64_t>(replacements)));
-    return report;
 }
 
 } // namespace utrr

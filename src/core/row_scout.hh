@@ -29,7 +29,6 @@
 #include "core/mapping_reveng.hh"
 #include "core/row_group.hh"
 #include "dram/data_pattern.hh"
-#include "obs/report.hh"
 #include "softmc/host.hh"
 
 namespace utrr
@@ -125,13 +124,6 @@ class RowScout
 
     /** Replacement groups found after evictions so far. */
     std::uint64_t replacementsFound() const { return replacements; }
-
-    /**
-     * Build a structured report of a finished scout: profiling config,
-     * groups found (base rows, layout, shared retention T) and the
-     * validation effort spent.
-     */
-    ExperimentReport makeReport(const std::vector<RowGroup> &groups) const;
 
   private:
     /** Physical rows as one flag each (row_scout.cc). */

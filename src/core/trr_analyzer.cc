@@ -5,7 +5,6 @@
 #include "common/logging.hh"
 #include "fault/fault_injector.hh"
 #include "obs/profiler.hh"
-#include "obs/timer.hh"
 
 namespace utrr
 {
@@ -83,7 +82,8 @@ void
 TrrAnalyzer::resetTrrState(Bank bank, const std::vector<Row> &avoid_phys,
                            int refs, int dummies, int hammers_per_refi)
 {
-    UTRR_PROF_SCOPE_SIM("trr_analyzer.reset_trr_state", host.clockPtr());
+    ProfSpan span("trr_analyzer.reset_trr_state", host.clockPtr(),
+                  &host.trace());
     const std::vector<Row> dummy_rows =
         pickDummyRows(bank, avoid_phys, dummies);
     // Each REF slot's dummy ACTs issue as one round of an interleaved
@@ -138,11 +138,9 @@ TrrAnalyzer::runExperimentMulti(const std::vector<RowGroup> &groups,
     const Bank bank = groups.front().bank;
     const Time retention = groups.front().retention;
 
-    UTRR_PROF_SCOPE_SIM("trr_analyzer.experiment", host.clockPtr());
-    ScopedTimer timer(host.attachedMetrics(), "trr_analyzer.experiment");
-    const auto sim_now = [this] { return host.now(); };
+    ProfSpan span("trr_analyzer.experiment", host.clockPtr(),
+                  &host.trace());
     const Time sim_begin = host.now();
-    SimPhase experiment_phase(&host.trace(), "trr_experiment", sim_now);
 
     std::vector<Row> avoid;
     for (const RowGroup &group : groups) {
@@ -158,14 +156,14 @@ TrrAnalyzer::runExperimentMulti(const std::vector<RowGroup> &groups,
 
     // Step 0 (optional): reset TRR internal state (Requirement 4).
     if (config.reset == TrrResetMode::kDummyHammer) {
-        SimPhase phase(&host.trace(), "trr_reset", sim_now);
         resetTrrState(bank, avoid, config.resetRefs, config.resetDummies,
                       config.resetHammersPerRefi);
     }
 
     // Step 1: initialize aggressor and victim rows.
     {
-        SimPhase phase(&host.trace(), "init_rows", sim_now);
+        ProfSpan init_span("trr_analyzer.init_rows", host.clockPtr(),
+                           &host.trace());
         auto init_aggressors = [&] {
             if (config.skipAggressorInit)
                 return;
@@ -214,7 +212,8 @@ TrrAnalyzer::runExperimentMulti(const std::vector<RowGroup> &groups,
     TrrMultiResult multi;
     multi.refsBefore = host.refCommandCount();
     {
-        SimPhase phase(&host.trace(), "hammer_rounds", sim_now);
+        ProfSpan hammer_span("trr_analyzer.hammer_rounds",
+                             host.clockPtr(), &host.trace());
         for (int round = 0; round < config.rounds; ++round) {
             if (config.dummiesFirst)
                 hammer_dummies();
@@ -248,7 +247,8 @@ TrrAnalyzer::runExperimentMulti(const std::vector<RowGroup> &groups,
             ? config.readVotes
             : 1;
     {
-        SimPhase phase(&host.trace(), "readback", sim_now);
+        ProfSpan readback_span("trr_analyzer.readback", host.clockPtr(),
+                               &host.trace());
         for (const RowGroup &group : groups) {
             TrrExperimentResult result;
             result.refsBefore = multi.refsBefore;
@@ -287,72 +287,7 @@ TrrAnalyzer::runExperimentMulti(const std::vector<RowGroup> &groups,
         }
     }
     multi.simNs = host.now() - sim_begin;
-    multi.wallMs = timer.elapsedUs() / 1'000.0;
     return multi;
-}
-
-ExperimentReport
-TrrAnalyzer::makeReport(const TrrExperimentConfig &config,
-                        const TrrMultiResult &result) const
-{
-    ExperimentReport report("trr_analyzer");
-
-    Json aggressors = Json::array();
-    for (const AggressorSpec &aggr : config.aggressors) {
-        Json entry = Json::object();
-        entry["phys_row"] = Json(static_cast<std::int64_t>(aggr.physRow));
-        entry["hammers"] = Json(static_cast<std::int64_t>(aggr.hammers));
-        aggressors.push(std::move(entry));
-    }
-    report.setConfig("aggressors", std::move(aggressors));
-    report.setConfig("hammer_mode",
-                     Json(config.mode == HammerMode::kInterleaved
-                              ? "interleaved"
-                              : "cascaded"));
-    report.setConfig("rounds",
-                     Json(static_cast<std::int64_t>(config.rounds)));
-    report.setConfig("refs_per_round",
-                     Json(static_cast<std::int64_t>(config.refsPerRound)));
-    report.setConfig("dummy_rows",
-                     Json(static_cast<std::int64_t>(config.dummyRowCount)));
-    report.setConfig(
-        "reset",
-        Json(config.reset == TrrResetMode::kDummyHammer ? "dummy_hammer"
-                                                        : "none"));
-    report.setSeed(host.module().seed());
-
-    for (const RoundRecord &round : result.rounds) {
-        Json entry = Json::object();
-        entry["refs_after"] =
-            Json(static_cast<std::uint64_t>(round.refsAfter));
-        entry["acts_after"] =
-            Json(static_cast<std::uint64_t>(round.actsAfter));
-        entry["sim_after_ns"] =
-            Json(static_cast<std::int64_t>(round.simAfter));
-        report.addRound(std::move(entry));
-    }
-
-    Json groups = Json::array();
-    for (const TrrExperimentResult &group : result.perGroup) {
-        Json entry = Json::object();
-        Json flips = Json::array();
-        for (int f : group.flips)
-            flips.push(Json(static_cast<std::int64_t>(f)));
-        Json refreshed = Json::array();
-        for (bool r : group.refreshed)
-            refreshed.push(Json(r));
-        entry["flips"] = std::move(flips);
-        entry["refreshed"] = std::move(refreshed);
-        entry["any_refreshed"] = Json(group.anyRefreshed());
-        groups.push(std::move(entry));
-    }
-    report.setResult("groups", std::move(groups));
-    report.setResult("refs_before",
-                     Json(static_cast<std::uint64_t>(result.refsBefore)));
-    report.setResult("refs_after",
-                     Json(static_cast<std::uint64_t>(result.refsAfter)));
-    report.setTiming(result.wallMs, result.simNs);
-    return report;
 }
 
 bool

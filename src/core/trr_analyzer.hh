@@ -29,7 +29,6 @@
 #include "core/mapping_reveng.hh"
 #include "core/row_group.hh"
 #include "dram/data_pattern.hh"
-#include "obs/report.hh"
 #include "softmc/host.hh"
 
 namespace utrr
@@ -149,8 +148,6 @@ struct TrrMultiResult
     std::uint64_t refsAfter = 0;
     /** One record per hammer round, in round order. */
     std::vector<RoundRecord> rounds;
-    /** Wall-clock time of the experiment (ms). */
-    double wallMs = 0.0;
     /** Simulated time the experiment occupied (ns). */
     Time simNs = 0;
 
@@ -217,15 +214,6 @@ class TrrAnalyzer
                                    int count) const;
 
     const DiscoveredMapping &discoveredMapping() const { return mapping; }
-
-    /**
-     * Build a structured report from a finished experiment: config
-     * (aggressors, mode, rounds, REFs per round), per-round command
-     * counts, per-group flip/refresh vectors, module seed and timing.
-     * Attach a metrics snapshot yourself if one is wanted.
-     */
-    ExperimentReport makeReport(const TrrExperimentConfig &config,
-                                const TrrMultiResult &result) const;
 
   private:
     std::vector<Row> avoidListOf(

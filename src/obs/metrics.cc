@@ -1,7 +1,5 @@
 #include "obs/metrics.hh"
 
-#include <cstdlib>
-
 namespace utrr
 {
 
@@ -15,12 +13,6 @@ Gauge &
 MetricsRegistry::gauge(const std::string &name)
 {
     return gaugeMap[name];
-}
-
-Histogram &
-MetricsRegistry::histogram(const std::string &name)
-{
-    return histogramMap[name];
 }
 
 const Counter *
@@ -37,19 +29,11 @@ MetricsRegistry::findGauge(const std::string &name) const
     return it == gaugeMap.end() ? nullptr : &it->second;
 }
 
-const Histogram *
-MetricsRegistry::findHistogram(const std::string &name) const
-{
-    const auto it = histogramMap.find(name);
-    return it == histogramMap.end() ? nullptr : &it->second;
-}
-
 void
 MetricsRegistry::clear()
 {
     counterMap.clear();
     gaugeMap.clear();
-    histogramMap.clear();
 }
 
 void
@@ -60,8 +44,6 @@ MetricsRegistry::merge(const MetricsRegistry &other,
         counter(prefix + name).inc(c.value);
     for (const auto &[name, g] : other.gauges())
         gauge(prefix + name).set(g.value);
-    for (const auto &[name, h] : other.histograms())
-        histogram(prefix + name).merge(h);
 }
 
 Json
@@ -76,14 +58,6 @@ MetricsRegistry::toJson() const
     gauges = Json::object();
     for (const auto &[name, g] : gaugeMap)
         gauges[name] = Json(g.value);
-    Json &histograms = root["histograms"];
-    histograms = Json::object();
-    for (const auto &[name, h] : histogramMap) {
-        Json bins = Json::object();
-        for (const auto &[value, count] : h.bins())
-            bins[std::to_string(value)] = Json(count);
-        histograms[name] = std::move(bins);
-    }
     return root;
 }
 
@@ -106,24 +80,6 @@ MetricsRegistry::fromJson(const Json &snapshot, MetricsRegistry &out)
             if (value.type() != Json::Type::kNumber)
                 return false;
             out.gauge(name).value = value.asNumber();
-        }
-    }
-    if (const Json *histograms = snapshot.find("histograms")) {
-        for (const auto &[name, bins] : histograms->members()) {
-            if (bins.type() != Json::Type::kObject)
-                return false;
-            Histogram &h = out.histogram(name);
-            for (const auto &[bin, count] : bins.members()) {
-                if (count.type() != Json::Type::kNumber)
-                    return false;
-                char *end = nullptr;
-                const long long value =
-                    std::strtoll(bin.c_str(), &end, 10);
-                if (end != bin.c_str() + bin.size())
-                    return false;
-                h.add(static_cast<std::int64_t>(value),
-                      static_cast<std::uint64_t>(count.asInt()));
-            }
         }
     }
     return true;

@@ -1,15 +1,17 @@
 /**
  * @file
- * Metrics registry: named counters, gauges and histograms populated by
- * the simulator substrate (DRAM module, refresh engine, TRR models) and
- * by the experiment harnesses.
+ * Metrics registry: named counters and gauges populated by the
+ * simulator substrate (DRAM module, refresh engine, TRR models) and by
+ * the experiment harnesses.
  *
  * Two access regimes:
  *
  *  - MetricsRegistry — metrics a real memory controller could observe
- *    (command counts, read-back flips, wall time). Handles returned by
- *    the registry are stable for its lifetime, so hot paths resolve a
- *    name once and increment through the pointer.
+ *    (command counts, read-back flips, simulated time). Every value is
+ *    a function of the simulation's inputs: wall time goes to the span
+ *    profiler (obs/profiler.hh), never here. Handles returned by the
+ *    registry are stable for its lifetime, so hot paths resolve a name
+ *    once and increment through the pointer.
  *
  *  - GroundTruthStore — chip-internal truth (TRR detections, counter
  *    table / sampler occupancy, TRR-induced victim refreshes) that
@@ -27,7 +29,6 @@
 #include <map>
 #include <string>
 
-#include "common/stats.hh"
 #include "obs/json.hh"
 
 namespace utrr
@@ -51,7 +52,7 @@ struct Gauge
 
 /**
  * Named metric store. Names are free-form; the convention is
- * dotted paths ("dram.acts.bank0", "row_scout.validate.us").
+ * dotted paths ("dram.acts.bank0", "row_scout.replacements").
  */
 class MetricsRegistry
 {
@@ -59,12 +60,10 @@ class MetricsRegistry
     /** Find-or-create. Returned references stay valid until clear(). */
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
-    Histogram &histogram(const std::string &name);
 
     /** Lookup without creating; nullptr when absent. */
     const Counter *findCounter(const std::string &name) const;
     const Gauge *findGauge(const std::string &name) const;
-    const Histogram *findHistogram(const std::string &name) const;
 
     const std::map<std::string, Counter> &counters() const
     {
@@ -74,46 +73,38 @@ class MetricsRegistry
     {
         return gaugeMap;
     }
-    const std::map<std::string, Histogram> &histograms() const
-    {
-        return histogramMap;
-    }
 
     /** Drop every metric (invalidates all handles). */
     void clear();
 
     /**
      * Fold @p other into this registry, prepending @p prefix to every
-     * name: counters add, gauges last-write-wins, histograms merge
-     * bin-wise. With per-source prefixes (e.g. "module.A5.") the result
-     * is independent of merge order, which is how a parallel campaign
-     * combines per-worker registries at join time — each worker writes
-     * its own registry lock-free and the single-threaded merge happens
-     * after the threads are joined.
+     * name: counters add, gauges last-write-wins. With per-source
+     * prefixes (e.g. "module.A5.") the result is independent of merge
+     * order, which is how a parallel campaign combines per-worker
+     * registries at join time — each worker writes its own registry
+     * lock-free and the single-threaded merge happens after the
+     * threads are joined.
      */
     void merge(const MetricsRegistry &other,
                const std::string &prefix = "");
 
-    /**
-     * Snapshot as {"counters": {...}, "gauges": {...},
-     * "histograms": {name: {value: count, ...}}}.
-     */
+    /** Snapshot as {"counters": {...}, "gauges": {...}}. */
     Json toJson() const;
 
     /**
      * Rebuild a registry from a toJson() snapshot. The inverse is
-     * exact — counters and histogram bins are integers, gauges are
-     * doubles printed with round-trip precision — so a registry that
-     * goes through the result journal merges bit-identically to one
-     * that never left memory. Returns false on a malformed snapshot
-     * (@p out is left cleared).
+     * exact — counters are integers, gauges are doubles printed with
+     * round-trip precision — so a registry that goes through the
+     * result journal merges bit-identically to one that never left
+     * memory. Returns false on a malformed snapshot (@p out is left
+     * cleared).
      */
     static bool fromJson(const Json &snapshot, MetricsRegistry &out);
 
   private:
     std::map<std::string, Counter> counterMap;
     std::map<std::string, Gauge> gaugeMap;
-    std::map<std::string, Histogram> histogramMap;
 };
 
 class GroundTruthProbe;

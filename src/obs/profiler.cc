@@ -5,6 +5,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "obs/trace.hh"
+
 namespace utrr
 {
 
@@ -431,6 +433,10 @@ ProfSpan::open(const char *label, const Time *sim_clock, Anchor anchor)
 void
 ProfSpan::close()
 {
+    if (phaseTrace != nullptr)
+        phaseTrace->endPhase(phaseLabel, sim != nullptr ? *sim : 0);
+    if (state == nullptr)
+        return;
     const auto wall_end = std::chrono::steady_clock::now();
     // A reset() between open and close invalidates the node index;
     // guard so the span degrades to a no-op instead of writing out of
@@ -449,6 +455,18 @@ ProfSpan::close()
         state->current = 0;
     }
     state = nullptr;
+}
+
+void
+ProfSpan::beginPhase(const char *label, const Time *sim_clock,
+                     CommandTrace *trace)
+{
+    if (!trace->enabled())
+        return;
+    phaseTrace = trace;
+    phaseLabel = label;
+    sim = sim_clock;
+    trace->beginPhase(label, sim != nullptr ? *sim : 0);
 }
 
 } // namespace utrr

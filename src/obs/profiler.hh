@@ -7,9 +7,10 @@
  * Design constraints (DESIGN.md §13):
  *
  *  - **Near-zero disabled cost.** Profiling is off by default; a
- *    ProfSpan constructed while disabled is one relaxed atomic load and
- *    nothing else. The hot paths (hammer loops, refresh sweeps) are
- *    instrumented unconditionally and pay only that branch.
+ *    ProfSpan constructed while disabled and untraced is one relaxed
+ *    atomic load and a branch at each end. The hot paths (hammer
+ *    loops, refresh sweeps) are instrumented unconditionally and pay
+ *    only that.
  *
  *  - **Thread-local recording, merge at join.** Every thread records
  *    into its own call tree with no synchronization on the span path;
@@ -24,6 +25,12 @@
  *    SoftMcHost's); sim attribution is what tells "the campaign spends
  *    its simulated hours in retention waits" apart from "the process
  *    spends its wall seconds in readout diffing".
+ *
+ *  - **One scope, one object.** A span given a CommandTrace also
+ *    brackets its scope with begin/end phase markers named by its
+ *    label, stamped at the simulated clock, whenever that trace is
+ *    enabled — profiling on or off. Wall time never reaches a metrics
+ *    registry: the profile tree is its only sink.
  *
  * Exporters: folded stacks for flamegraph.pl, nested duration events
  * merged into the Chrome trace (see CommandTrace::exportChromeTrace),
@@ -48,6 +55,8 @@
 
 namespace utrr
 {
+
+class CommandTrace;
 
 namespace detail
 {
@@ -230,6 +239,11 @@ class Profiler
  * pointer may be stored for the profiler's lifetime. Pass the host's
  * simulated clock to attribute simulated time as well as wall time.
  *
+ * Pass the host's trace as well to mark the scope in it: while the
+ * trace is enabled, the span records a begin/end phase pair named by
+ * its label at the simulated clock (0 without one), whether or not
+ * profiling is on. Hot-path spans pass no trace.
+ *
  * kAtRoot anchors the span at the thread's tree root instead of the
  * current span — the campaign runner uses it for per-job spans so the
  * merged tree has identical paths whether a job ran inline (jobs=1,
@@ -245,8 +259,11 @@ class ProfSpan
     };
 
     explicit ProfSpan(const char *label, const Time *sim_clock = nullptr,
+                      CommandTrace *trace = nullptr,
                       Anchor anchor = kNested)
     {
+        if (trace != nullptr)
+            beginPhase(label, sim_clock, trace);
         if (Profiler::profilingEnabled())
             open(label, sim_clock, anchor);
     }
@@ -256,19 +273,28 @@ class ProfSpan
 
     ~ProfSpan()
     {
-        if (state != nullptr)
+        // One branch for both, so a disabled, untraced span pays one.
+        if ((state != nullptr) | (phaseTrace != nullptr))
             close();
     }
 
   private:
     void open(const char *label, const Time *sim_clock, Anchor anchor);
     void close();
+    void beginPhase(const char *label, const Time *sim_clock,
+                    CommandTrace *trace);
 
+    /** Set while the span is open in the profiler. */
     detail::ThreadProf *state = nullptr;
-    std::int32_t node = 0;
-    std::int32_t parentAtOpen = 0;
-    const Time *sim = nullptr;
-    Time simStart = 0;
+    /** Set while a phase is open in an enabled trace. */
+    CommandTrace *phaseTrace = nullptr;
+    // The rest is written by open() or beginPhase() before any read,
+    // so a disabled, untraced span initializes only the two above.
+    const char *phaseLabel;
+    const Time *sim;
+    Time simStart;
+    std::int32_t node;
+    std::int32_t parentAtOpen;
     std::chrono::steady_clock::time_point wallStart;
 };
 

@@ -83,18 +83,15 @@ ExperimentReport::attachProfile(const ProfileTree &profile)
 namespace
 {
 
-/** Keys whose values depend on the host's wall clock or scheduling. */
+/**
+ * The one wall-clock key a report holds outside its profile section:
+ * timing.wall_ms and every rounds[].wall_ms. Metrics registries carry
+ * no wall-clock values at all.
+ */
 bool
 wallClockKey(const std::string &key)
 {
-    // "<name>.us" is the ScopedTimer convention (obs/timer.hh): a
-    // histogram of wall-clock microseconds. The paired ".calls"
-    // counters are deterministic and stay.
-    if (key.size() > 3 && key.compare(key.size() - 3, 3, ".us") == 0)
-        return true;
-    return key == "wall_ms" || key == "job_wall_ms" ||
-        key == "eta_ms" || key == "campaign_wall_ms" ||
-        key == "campaign.wall_ms";
+    return key == "wall_ms";
 }
 
 Json

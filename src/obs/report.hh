@@ -1,9 +1,9 @@
 /**
  * @file
  * Structured experiment reports: a conventional JSON shape shared by
- * the TRR Analyzer, Row Scout and the bench harnesses so every run
- * leaves a machine-readable artifact (config + RNG seed + per-round
- * data + results + wall/sim time + a metrics snapshot).
+ * the campaign runner and the bench harnesses so every run leaves a
+ * machine-readable artifact (config + RNG seed + per-round data +
+ * results + wall/sim time + a metrics snapshot).
  *
  * Shape:
  *   {
@@ -12,7 +12,7 @@
  *     "rounds":  [ {...}, ... ],     // per-round vectors (optional)
  *     "results": { ... },            // outcome summary
  *     "timing":  { "wall_ms": w, "sim_ns": s },
- *     "metrics": { counters/gauges/histograms }   // optional snapshot
+ *     "metrics": { counters/gauges }  // optional snapshot
  *   }
  */
 
@@ -92,15 +92,15 @@ class ExperimentReport
 };
 
 /**
- * The deterministic projection of a report: a deep copy with every
- * wall-clock-dependent key removed — timing.wall_ms, per-round
- * wall_ms, the "campaign.wall_ms" gauge, every "<name>.us"
- * ScopedTimer histogram (obs/timer.hh), and the whole profile
- * section (span wall times). What remains, the RowState COW and
- * restore-path counters included, is a pure function of the
- * campaign inputs, so an interrupted-then-resumed campaign must
- * reproduce it byte-for-byte (DESIGN.md §14); the crash-recovery
- * tests and scripts/report_diff.py compare dump()s of this value.
+ * The deterministic projection of a report: a deep copy without its
+ * wall-clock values — every "wall_ms" key (timing.wall_ms and each
+ * round's wall_ms) and the top-level profile section (span wall
+ * times). Nothing else is dropped: a metrics registry holds no wall
+ * time, so every counter and gauge, the RowState COW and restore-path
+ * counters included, is a pure function of the campaign inputs. An
+ * interrupted-then-resumed campaign must reproduce the projection
+ * byte-for-byte (DESIGN.md §14); the crash-recovery tests and
+ * scripts/report_diff.py compare dump()s of this value.
  */
 Json deterministicProjection(const Json &report);
 

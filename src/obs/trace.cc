@@ -118,18 +118,18 @@ CommandTrace::mergeFrom(const CommandTrace &other)
 }
 
 const char *
-CommandTrace::intern(const std::string &name)
+CommandTrace::intern(std::string_view name)
 {
     for (const std::string &known : phaseNames) {
         if (known == name)
             return known.c_str();
     }
-    phaseNames.push_back(name);
+    phaseNames.emplace_back(name);
     return phaseNames.back().c_str();
 }
 
 void
-CommandTrace::beginPhase(const std::string &name, Time now)
+CommandTrace::beginPhase(std::string_view name, Time now)
 {
     if (cap == 0)
         return;
@@ -140,7 +140,7 @@ CommandTrace::beginPhase(const std::string &name, Time now)
 }
 
 void
-CommandTrace::endPhase(const std::string &name, Time now)
+CommandTrace::endPhase(std::string_view name, Time now)
 {
     if (cap == 0)
         return;

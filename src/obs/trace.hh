@@ -18,6 +18,7 @@
 #include <deque>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hh"
@@ -111,8 +112,8 @@ class CommandTrace
     }
 
     /** Record a phase marker (names are interned; no-op if disabled). */
-    void beginPhase(const std::string &name, Time now);
-    void endPhase(const std::string &name, Time now);
+    void beginPhase(std::string_view name, Time now);
+    void endPhase(std::string_view name, Time now);
 
     /**
      * Record an injected-fault event ("drop_ref", "vrt_flip", ...) as
@@ -188,7 +189,7 @@ class CommandTrace
     /** Cold path: warn once when the ring starts overwriting events. */
     void noteOverflow();
 
-    const char *intern(const std::string &name);
+    const char *intern(std::string_view name);
 
     /** Copy every field, re-pointing phases into this name pool. */
     void copyFrom(const CommandTrace &other);

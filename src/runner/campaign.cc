@@ -119,7 +119,7 @@ CampaignRunner::runJob(const ModuleSpec &spec, std::uint64_t index,
 
         // Root-anchored so jobs-1 (inline on the caller's thread) and
         // jobs-N (worker threads) merge to identical profile paths.
-        ProfSpan job_span("campaign.job", host.clockPtr(),
+        ProfSpan job_span("campaign.job", host.clockPtr(), nullptr,
                           ProfSpan::kAtRoot);
 
         auto capture = [&]() {
@@ -230,14 +230,15 @@ CampaignRunner::run(const std::vector<ModuleSpec> &specs,
                 }
             } else if (load.fileFound) {
                 // Valid-looking file for some *other* campaign (or no
-                // readable header): rotate it aside rather than
-                // overwrite — it may be another run's progress.
+                // readable header, e.g. an older schema): rotate it
+                // aside rather than overwrite — it may be another
+                // run's progress.
                 out.journalForeignRecords += load.jobs.size();
                 const std::string stale = cfg.journalPath + ".stale";
                 if (renameFile(cfg.journalPath, stale)) {
                     warn(logFmt("journal ", cfg.journalPath,
-                                " belongs to a different campaign; "
-                                "rotated to ",
+                                " belongs to a different campaign or "
+                                "schema; rotated to ",
                                 stale));
                 } else {
                     warn(logFmt("journal ", cfg.journalPath,
@@ -380,7 +381,6 @@ CampaignRunner::run(const std::vector<ModuleSpec> &specs,
     out.merged.counter("campaign.fault.dropped_commands")
         .inc(out.faultTotals.droppedCommands());
     out.merged.gauge("campaign.workers").set(workers);
-    out.merged.gauge("campaign.wall_ms").set(out.wallMs);
     out.merged.gauge("campaign.sim_ns")
         .set(static_cast<double>(sim_total));
     if (cfg.telemetry != nullptr) {

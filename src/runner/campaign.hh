@@ -267,8 +267,9 @@ struct CampaignResult
     FaultInjector::Stats faultTotals;
     /**
      * Per-module registries merged under "module.<name>." plus
-     * campaign rollup metrics ("campaign.*"). Counters and histograms
-     * are deterministic; "campaign.wall_ms" (a gauge) is not.
+     * campaign rollup metrics ("campaign.*"). Every value is a
+     * function of the campaign's inputs (campaign.workers is the
+     * worker count); the campaign's wall time is wallMs alone.
      */
     MetricsRegistry merged;
 

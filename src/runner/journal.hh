@@ -53,8 +53,12 @@
 namespace utrr
 {
 
-/** Journal on-disk schema version. */
-inline constexpr int kJournalSchemaVersion = 1;
+/**
+ * Journal on-disk schema version. Version 2 job records carry metrics
+ * snapshots with no histogram section and no wall-clock values; a
+ * version-1 journal fails the header check, so --resume rotates it.
+ */
+inline constexpr int kJournalSchemaVersion = 2;
 
 /**
  * Content identity of one campaign: a 64-bit hash over every input

@@ -212,6 +212,10 @@ SoftMcHost::pre(Bank bank)
 void
 SoftMcHost::wr(Bank bank, const DataPattern &pattern)
 {
+    // The protocol check comes before the injector's WR-drop draw, so
+    // a WR to a closed bank dies whether or not its draw would hit.
+    UTRR_ASSERT(dram.bankAt(bank).openRow() != kInvalidRow,
+                "WR with no open row");
     // A dropped WR occupies the bus but leaves the row's old contents
     // in place; the consumer sees it as massive unexpected flips.
     if (fault == nullptr || !fault->shouldDropWr(bank, clock))
@@ -233,8 +237,11 @@ SoftMcHost::wrWord(Bank bank, int word_idx, std::uint64_t value)
 RowReadout
 SoftMcHost::rd(Bank bank)
 {
+    // Checked before the injector's VRT draw, which needs an open row.
+    const Row open = dram.bankAt(bank).openRow();
+    UTRR_ASSERT(open != kInvalidRow, "RD with no open row");
     if (fault != nullptr)
-        fault->onRowRead(dram, bank, dram.bankAt(bank).openRow(), clock);
+        fault->onRowRead(dram, bank, open, clock);
     RowReadout readout = dram.rd(bank);
     if (fault != nullptr)
         fault->corruptReadout(readout, bank, clock);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "dram/module.hh"
+#include "fault/fault_injector.hh"
 #include "softmc/host.hh"
 
 namespace utrr
@@ -36,6 +37,34 @@ TEST(HostProtocol, ProgramReadWithoutActDies)
     Program program;
     program.rd(0);
     EXPECT_DEATH(host.execute(program), "RD with no open row");
+}
+
+// The protocol check comes before the injector is consulted: a VRT
+// draw on the read or a WR-drop draw that hits must not turn a closed
+// bank into an out-of-range row or a silently "dropped" WR.
+TEST(HostProtocol, ProgramReadWithoutActDiesUnderFaults)
+{
+    DramModule module(smallSpec(), 1);
+    SoftMcHost host(module);
+    FaultConfig faults;
+    faults.vrtFlipChancePerRead = 1.0;
+    FaultInjector injector(faults, 1);
+    host.attachFaultInjector(&injector);
+    Program program;
+    program.rd(0);
+    EXPECT_DEATH(host.execute(program), "RD with no open row");
+}
+
+TEST(HostProtocol, WriteWithoutActDiesUnderFaults)
+{
+    DramModule module(smallSpec(), 1);
+    SoftMcHost host(module);
+    FaultConfig faults;
+    faults.dropWrChance = 1.0;
+    FaultInjector injector(faults, 1);
+    host.attachFaultInjector(&injector);
+    EXPECT_DEATH(host.wr(0, DataPattern::allOnes()),
+                 "WR with no open row");
 }
 
 TEST(HostProtocol, WriteWithoutActDies)

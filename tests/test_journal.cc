@@ -13,6 +13,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -61,8 +62,8 @@ tinySpecs(int count = 4)
 }
 
 /**
- * Deterministic job body: a little simulated traffic, metrics in all
- * three families, and an RNG-derived verdict — enough surface for the
+ * Deterministic job body: a little simulated traffic, metrics in both
+ * families, and an RNG-derived verdict — enough surface for the
  * byte-equality assertions to mean something.
  */
 JobFn
@@ -73,8 +74,8 @@ syntheticJob()
         ctx.host.refBurst(2);
         ctx.metrics.counter("job.runs").inc();
         ctx.metrics.gauge("job.noise").set(ctx.rng.uniform());
-        ctx.metrics.histogram("job.draws")
-            .add(static_cast<std::int64_t>(ctx.rng.uniformInt(0, 7)));
+        ctx.metrics.counter("job.draws")
+            .inc(static_cast<std::uint64_t>(ctx.rng.uniformInt(0, 7)));
         JobOutcome outcome;
         outcome.ok = true;
         Json verdict = Json::object();
@@ -86,11 +87,11 @@ syntheticJob()
     };
 }
 
-/** Merged-metrics bytes minus the wall-clock gauge. */
+/** Merged-metrics bytes; a registry holds no wall-clock value. */
 std::string
 deterministicMetrics(const CampaignResult &result)
 {
-    return deterministicProjection(result.merged.toJson()).dump();
+    return result.merged.toJson().dump();
 }
 
 CampaignConfig
@@ -191,8 +192,6 @@ TEST(JournalRecord, ModuleResultRoundTripsExactly)
     original.verdict = std::move(verdict);
     original.metrics.counter("fuzz.ops").inc(1234);
     original.metrics.gauge("temp.scale").set(1.0000001);
-    original.metrics.histogram("lat").add(-5, 2);
-    original.metrics.histogram("lat").add(17, 1);
 
     const Json body = moduleResultToJson(original);
     ModuleResult loaded;
@@ -521,6 +520,55 @@ TEST(CampaignResume, ForeignJournalIsRotatedAsideAndIgnored)
         other_runner.run(specs, countingJob(executions));
     EXPECT_EQ(executions.load(), 8) << "nothing may resume across seeds";
     EXPECT_EQ(result.journaledJobs, 0u);
+    EXPECT_TRUE(fileExists(stale)) << "old journal rotated, not lost";
+    removeFile(path);
+    removeFile(stale);
+}
+
+// A journal written under an older schema (whose job records carried
+// wall-clock histograms) fails the header check: --resume rotates it
+// aside and re-runs every job instead of splicing its records in.
+TEST(CampaignResume, OlderSchemaJournalIsRotatedAside)
+{
+    const std::string path = scratchPath("resume_schema1");
+    const std::string stale = path + ".stale";
+    removeFile(path);
+    removeFile(stale);
+    const std::vector<ModuleSpec> specs = tinySpecs();
+    CampaignConfig cfg = journalConfig(path);
+    cfg.journalFsync = false;
+
+    std::atomic<int> executions{0};
+    (void)CampaignRunner(cfg).run(specs, countingJob(executions));
+    ASSERT_EQ(executions.load(), 4);
+
+    // Rewrite record 0 as a schema-1 header with a valid checksum.
+    std::string contents;
+    ASSERT_TRUE(readFileToString(path, contents));
+    const std::size_t eol = contents.find('\n');
+    ASSERT_NE(eol, std::string::npos);
+    std::optional<Json> frame = Json::parse(contents.substr(0, eol));
+    ASSERT_TRUE(frame.has_value());
+    Json body = *frame->find("body");
+    ASSERT_EQ(body.find("schema")->asInt(), kJournalSchemaVersion);
+    body["schema"] = Json(1);
+    Json old_frame = Json::object();
+    old_frame["crc"] = Json(crc32cHex(body.dump()));
+    old_frame["body"] = std::move(body);
+    ASSERT_TRUE(atomicReplaceFile(
+        path, old_frame.dump() + contents.substr(eol)));
+
+    const JournalLoad load = loadJournal(path);
+    EXPECT_TRUE(load.fileFound);
+    EXPECT_FALSE(load.headerValid);
+    EXPECT_EQ(load.corruptRecords, 1u);
+
+    cfg.resume = true;
+    const CampaignResult result =
+        CampaignRunner(cfg).run(specs, countingJob(executions));
+    EXPECT_EQ(executions.load(), 8) << "no record of the old schema reused";
+    EXPECT_EQ(result.journaledJobs, 0u);
+    EXPECT_TRUE(result.allOk());
     EXPECT_TRUE(fileExists(stale)) << "old journal rotated, not lost";
     removeFile(path);
     removeFile(stale);

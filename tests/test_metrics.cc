@@ -4,7 +4,6 @@
 #include "core/trr_analyzer.hh"
 #include "dram/module.hh"
 #include "obs/metrics.hh"
-#include "obs/timer.hh"
 #include "softmc/host.hh"
 
 namespace utrr
@@ -24,10 +23,6 @@ TEST(MetricsRegistry, FindOrCreateReturnsStableHandles)
     Gauge &g = registry.gauge("occupancy");
     g.set(0.5);
     EXPECT_EQ(&registry.gauge("occupancy"), &g);
-
-    Histogram &h = registry.histogram("latency");
-    h.add(7);
-    EXPECT_EQ(registry.histogram("latency").total(), 1u);
 }
 
 TEST(MetricsRegistry, FindDoesNotCreate)
@@ -35,7 +30,6 @@ TEST(MetricsRegistry, FindDoesNotCreate)
     MetricsRegistry registry;
     EXPECT_EQ(registry.findCounter("missing"), nullptr);
     EXPECT_EQ(registry.findGauge("missing"), nullptr);
-    EXPECT_EQ(registry.findHistogram("missing"), nullptr);
     registry.counter("present").inc();
     ASSERT_NE(registry.findCounter("present"), nullptr);
     EXPECT_EQ(registry.findCounter("present")->value, 1u);
@@ -47,13 +41,12 @@ TEST(MetricsRegistry, ToJsonSnapshotsEverything)
     MetricsRegistry registry;
     registry.counter("c").inc(2);
     registry.gauge("g").set(1.25);
-    registry.histogram("h").add(10, 3);
 
     const Json snapshot = registry.toJson();
     EXPECT_EQ(snapshot.find("counters")->find("c")->asInt(), 2);
     EXPECT_EQ(snapshot.find("gauges")->find("g")->asNumber(), 1.25);
-    EXPECT_EQ(snapshot.find("histograms")->find("h")->find("10")->asInt(),
-              3);
+    // Counters and gauges are the whole snapshot.
+    EXPECT_EQ(snapshot.members().size(), 2u);
 }
 
 TEST(MetricsRegistry, MergeAddsCountersAndPrefixesNames)
@@ -61,22 +54,17 @@ TEST(MetricsRegistry, MergeAddsCountersAndPrefixesNames)
     MetricsRegistry a;
     a.counter("dram.acts").inc(5);
     a.gauge("occupancy").set(0.25);
-    a.histogram("lat").add(10, 2);
 
     MetricsRegistry b;
     b.counter("dram.acts").inc(7);
     b.gauge("occupancy").set(0.75);
-    b.histogram("lat").add(10, 1);
-    b.histogram("lat").add(20, 4);
 
-    // Un-prefixed merge: counters add, gauges last-write-wins,
-    // histograms merge bin-wise.
+    // Un-prefixed merge: counters add, gauges last-write-wins.
     MetricsRegistry merged;
     merged.merge(a);
     merged.merge(b);
     EXPECT_EQ(merged.findCounter("dram.acts")->value, 12u);
     EXPECT_EQ(merged.findGauge("occupancy")->value, 0.75);
-    EXPECT_EQ(merged.findHistogram("lat")->total(), 7u);
 
     // Prefixed merge keeps per-source sections disjoint, so the
     // result is independent of merge order.
@@ -86,24 +74,6 @@ TEST(MetricsRegistry, MergeAddsCountersAndPrefixesNames)
     EXPECT_EQ(campaign.findCounter("module.A5.dram.acts")->value, 5u);
     EXPECT_EQ(campaign.findCounter("module.B8.dram.acts")->value, 7u);
     EXPECT_EQ(campaign.findCounter("dram.acts"), nullptr);
-}
-
-TEST(ScopedTimer, RecordsHistogramAndCallCounter)
-{
-    MetricsRegistry registry;
-    {
-        ScopedTimer timer(&registry, "phase");
-        (void)timer;
-    }
-    ASSERT_NE(registry.findHistogram("phase.us"), nullptr);
-    EXPECT_EQ(registry.findHistogram("phase.us")->total(), 1u);
-    EXPECT_EQ(registry.findCounter("phase.calls")->value, 1u);
-}
-
-TEST(ScopedTimer, NullRegistryIsSafe)
-{
-    ScopedTimer timer(nullptr, "phase");
-    timer.stop();
 }
 
 TEST(GroundTruth, ChipWritesDoNotCountAsPeeks)

@@ -3,7 +3,8 @@
  * Hierarchical span profiler: tree shape, dual-clock attribution,
  * exclusive-time math, exporter formats, merge determinism across
  * campaign worker counts, bit-identity of instrumented simulation with
- * profiling disabled vs enabled, and the always-on substrate perf
+ * profiling disabled vs enabled, the phase markers a traced span
+ * writes into a command trace, and the always-on substrate perf
  * counters (restore fast path, lazy hammer attaches, COW readouts,
  * trace-ring overflow).
  */
@@ -13,10 +14,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "core/trr_analyzer.hh"
 #include "dram/module.hh"
 #include "obs/metrics.hh"
 #include "obs/profiler.hh"
+#include "obs/trace.hh"
 #include "runner/campaign.hh"
 #include "softmc/host.hh"
 
@@ -130,7 +134,7 @@ TEST_F(ProfilerTest, RootAnchoredSpanIgnoresTheCurrentNesting)
 {
     {
         ProfSpan outer("outer");
-        ProfSpan rooted("rooted", nullptr, ProfSpan::kAtRoot);
+        ProfSpan rooted("rooted", nullptr, nullptr, ProfSpan::kAtRoot);
     }
     const ProfileTree tree = Profiler::instance().collect();
     // "rooted" is a top-level sibling of "outer", not its child.
@@ -148,6 +152,121 @@ TEST_F(ProfilerTest, DisabledProfilerRecordsNothing)
         UTRR_PROF_SCOPE("b");
     }
     EXPECT_TRUE(Profiler::instance().collect().empty());
+}
+
+/** The phase markers of @p trace, as "B:label@ns" / "E:label@ns". */
+std::vector<std::string>
+phaseLog(const CommandTrace &trace)
+{
+    std::vector<std::string> log;
+    for (const TraceEvent &event : trace.events()) {
+        if (event.kind != TraceKind::kPhaseBegin &&
+            event.kind != TraceKind::kPhaseEnd)
+            continue;
+        log.push_back(
+            (event.kind == TraceKind::kPhaseBegin ? "B:" : "E:") +
+            std::string(event.phase) + "@" + std::to_string(event.start));
+    }
+    return log;
+}
+
+TEST_F(ProfilerTest, TracedSpansRecordNestedPhasesAtTheSimulatedClock)
+{
+    for (const bool profiling : {false, true}) {
+        SCOPED_TRACE(profiling ? "profiling on" : "profiling off");
+        Profiler::setEnabled(profiling);
+        CommandTrace trace(64);
+        Time clock = 100;
+        {
+            ProfSpan outer("outer.span", &clock, &trace);
+            clock += 10;
+            {
+                ProfSpan inner("inner.span", &clock, &trace);
+                clock += 5;
+            }
+            ProfSpan untraced("untraced.span", &clock);
+            clock += 1;
+        }
+        EXPECT_EQ(phaseLog(trace),
+                  (std::vector<std::string>{
+                      "B:outer.span@100", "B:inner.span@110",
+                      "E:inner.span@115", "E:outer.span@116"}));
+    }
+    // The profiled pass also built the tree, sim time included.
+    const ProfileTree tree = Profiler::instance().collect();
+    const ProfileNode *outer = childNamed(tree.root, "outer.span");
+    ASSERT_NE(outer, nullptr);
+    EXPECT_EQ(outer->calls, 1u);
+    EXPECT_EQ(outer->simNs, 16);
+    ASSERT_NE(childNamed(*outer, "inner.span"), nullptr);
+    EXPECT_EQ(childNamed(*outer, "inner.span")->simNs, 5);
+}
+
+TEST_F(ProfilerTest, NullOrDisabledTraceRecordsNoPhase)
+{
+    CommandTrace disabled;
+    Time clock = 0;
+    {
+        ProfSpan untraced("a", &clock, nullptr);
+        ProfSpan off("b", &clock, &disabled);
+        clock += 3;
+    }
+    EXPECT_EQ(disabled.recorded(), 0u);
+    // Both still profile as usual.
+    const ProfileTree tree = Profiler::instance().collect();
+    const ProfileNode *a = childNamed(tree.root, "a");
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(childNamed(*a, "b"), nullptr);
+    EXPECT_EQ(childNamed(*a, "b")->simNs, 3);
+}
+
+TEST_F(ProfilerTest, TracedExperimentBracketsEachStageInOrder)
+{
+    ModuleSpec spec = *findModuleSpec("A5");
+    spec.rowsPerBank = 4 * 1024;
+    spec.banks = 1;
+    spec.remapsPerBank = 0;
+    spec.scramble = RowScramble::kSequential;
+    DramModule module(spec, 3);
+    SoftMcHost host(module);
+    host.trace().enable(1 << 16);
+
+    RowGroup group;
+    group.layout = RowGroupLayout::parse("R-R");
+    group.basePhysRow = 1'000;
+    group.retention = msToNs(64);
+    for (const Row row : {1'000, 1'002})
+        group.rows.push_back({0, row, row, group.retention});
+    TrrExperimentConfig cfg;
+    cfg.aggressors = {{1'001, 500}};
+    cfg.reset = TrrResetMode::kDummyHammer;
+    cfg.resetRefs = 4;
+    cfg.rounds = 2;
+
+    TrrAnalyzer analyzer(host,
+                         DiscoveredMapping::identity(spec.rowsPerBank));
+    const Time begin = host.now();
+    (void)analyzer.runExperimentMulti({group}, cfg);
+
+    const std::vector<std::string> log = phaseLog(host.trace());
+    std::vector<std::string> names;
+    for (const std::string &entry : log)
+        names.push_back(entry.substr(0, entry.find('@')));
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "B:trr_analyzer.experiment",
+                         "B:trr_analyzer.reset_trr_state",
+                         "E:trr_analyzer.reset_trr_state",
+                         "B:trr_analyzer.init_rows",
+                         "E:trr_analyzer.init_rows",
+                         "B:trr_analyzer.hammer_rounds",
+                         "E:trr_analyzer.hammer_rounds",
+                         "B:trr_analyzer.readback",
+                         "E:trr_analyzer.readback",
+                         "E:trr_analyzer.experiment"}));
+    EXPECT_EQ(log.front(), "B:trr_analyzer.experiment@" +
+                               std::to_string(begin));
+    EXPECT_EQ(log.back(), "E:trr_analyzer.experiment@" +
+                              std::to_string(host.now()));
 }
 
 TEST_F(ProfilerTest, ResetDropsAllRecordedSpans)

@@ -76,7 +76,8 @@ recoveryJob()
         const int flips =
             readout.countFlipsVs(DataPattern::allZeros(), 2);
         ctx.metrics.counter("recovery.jobs").inc();
-        ctx.metrics.histogram("recovery.flips").add(flips);
+        ctx.metrics.counter("recovery.flips")
+            .inc(static_cast<std::uint64_t>(flips));
         JobOutcome outcome;
         outcome.ok = true;
         Json verdict = Json::object();

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "core/row_scout.hh"
@@ -186,28 +187,59 @@ TEST(ExperimentReport, AnalyzerReportRecordsMonotonicRounds)
     }
     EXPECT_EQ(result.rounds.back().refsAfter, result.refsAfter);
     EXPECT_GT(result.simNs, 0);
+}
 
-    ExperimentReport report = analyzer.makeReport(cfg, result);
-    const auto parsed = Json::parse(report.dump());
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->find("report")->asString(), "trr_analyzer");
-    EXPECT_EQ(parsed->find("config")->find("rounds")->asInt(), 5);
-    EXPECT_EQ(parsed->find("config")->find("seed")->asInt(), 41);
-    ASSERT_EQ(parsed->find("rounds")->size(), 5u);
-    const Json *groups_json = parsed->find("results")->find("groups");
-    ASSERT_NE(groups_json, nullptr);
-    ASSERT_EQ(groups_json->size(), 1u);
-    EXPECT_EQ(groups_json->at(0).find("flips")->size(), 2u);
+/** The report fixture scripts/test_report_diff.py also reads. */
+std::optional<Json>
+reportFixture()
+{
+    std::ifstream in(UTRR_REPORT_FIXTURE);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return Json::parse(buffer.str());
+}
 
-    // Row Scout emits the same report shape.
-    ExperimentReport rs_report = scout.makeReport(groups);
-    const auto rs_parsed = Json::parse(rs_report.dump());
-    ASSERT_TRUE(rs_parsed.has_value());
-    EXPECT_EQ(rs_parsed->find("report")->asString(), "row_scout");
-    EXPECT_EQ(rs_parsed->find("results")->find("groups_found")->asInt(),
-              1);
-    EXPECT_GT(rs_parsed->find("results")->find("validations_run")->asInt(),
-              0);
+TEST(ExperimentReport, ProjectionMatchesTheScriptFixture)
+{
+    const std::optional<Json> fixture = reportFixture();
+    ASSERT_TRUE(fixture.has_value()) << UTRR_REPORT_FIXTURE;
+    const Json &report = *fixture;
+    const Json projected = deterministicProjection(report);
+
+    // Dropped: timing.wall_ms, every rounds[].wall_ms, the top-level
+    // profile section.
+    EXPECT_EQ(projected.find("timing")->find("wall_ms"), nullptr);
+    EXPECT_NE(projected.find("timing")->find("sim_ns"), nullptr);
+    const Json &rounds = *projected.find("rounds");
+    ASSERT_EQ(rounds.size(), 2u);
+    for (std::size_t i = 0; i < rounds.size(); ++i) {
+        EXPECT_EQ(rounds.at(i).find("wall_ms"), nullptr);
+        EXPECT_NE(rounds.at(i).find("sim_ns"), nullptr);
+    }
+    EXPECT_EQ(projected.find("profile"), nullptr);
+
+    // Compared: everything else, "x.us", "eta_ms" and a nested
+    // "profile" key included.
+    EXPECT_NE(projected.find("config")->find("profile"), nullptr);
+    EXPECT_NE(projected.find("results")->find("eta_ms"), nullptr);
+    EXPECT_NE(projected.find("metrics")->find("counters")->find(
+                  "module.B8.x.us"),
+              nullptr);
+    EXPECT_EQ(projected.find("metrics")->dump(),
+              report.find("metrics")->dump());
+
+    // A wall-clock change leaves the projection as it was...
+    Json slower = report;
+    slower["timing"]["wall_ms"] = Json(9000.0);
+    slower["profile"] = Json::object();
+    EXPECT_EQ(deterministicProjection(slower).dump(), projected.dump());
+    // ...and a change to any other key does not.
+    Json changed = report;
+    changed["metrics"]["counters"]["module.B8.x.us"] = Json(8);
+    EXPECT_NE(deterministicProjection(changed).dump(), projected.dump());
+    changed = report;
+    changed["results"]["eta_ms"] = Json(6);
+    EXPECT_NE(deterministicProjection(changed).dump(), projected.dump());
 }
 
 } // namespace

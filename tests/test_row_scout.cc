@@ -337,7 +337,7 @@ TEST(RowScoutPins, A5)
         "rr=[0:68@300 0:219@300 0:510@300 0:606@300 0:702@300 "
         "0:977@300 0:1521@300 0:2414@300 0:2548@300 0:2928@300 "
         "0:3327@300 0:3477@300 0:3865@300 0:4097@300 0:4178@300 "
-        "0:4542@300] trace=77098/0x11fe76bc50831856 "
+        "0:4542@300] trace=77098/0xe94879e21ec1a9b6 "
         "wide=[0:28455@600] v/e/r=244/0/0 v/e/r=41/0/0 "
         "scans=[74,567,4744,14215] "
         "profile=1000/6/521/0"
@@ -352,7 +352,7 @@ TEST(RowScoutPins, B8)
         "rr=[0:18@300 0:285@300 0:485@300 0:519@300 0:662@300 "
         "0:1038@300 0:1101@300 0:1138@300 0:1179@300 0:1760@300 "
         "0:2264@300 0:2378@300 0:2564@300 0:2756@300 0:2947@300 "
-        "0:2990@300] trace=76881/0x1ae60e3c5d946753 "
+        "0:2990@300] trace=76881/0x91d14a2bfeda6333 "
         "wide=[0:27209@500] v/e/r=228/0/0 v/e/r=42/0/0 "
         "scans=[75,584,2006,7688] "
         "profile=1000/2/549/1"
@@ -367,7 +367,7 @@ TEST(RowScoutPins, C9)
         "rr=[0:24@300 0:133@300 0:172@300 0:469@300 0:717@300 "
         "0:910@300 0:1034@300 0:1086@300 0:1583@300 0:1874@300 "
         "0:1907@300 0:1938@300 0:2014@300 0:2146@300 0:2411@300 "
-        "0:2533@300] trace=77147/0xf5552c21672e359 "
+        "0:2533@300] trace=77147/0x9aeebd252f3f6b99 "
         "wide=[0:11452@700] v/e/r=247/0/0 v/e/r=35/0/0 "
         "scans=[60,596,6689,16341] "
         "profile=1000/7/529/3"
@@ -388,7 +388,7 @@ TEST(RowScoutPins, A5UnderFaults)
         "rr=[0:68@300 0:510@300 0:606@300 0:702@300 0:977@300 "
         "0:2414@300 0:4097@300 0:4178@300 0:4544@300 0:5008@300 "
         "0:5728@300 0:6000@300 0:6041@300] "
-        "trace=383025/0x3b08b2af9c1c48c4 wide=[0:36413@700] "
+        "trace=383025/0xc1154757f93d67d8 wide=[0:36413@700] "
         "v/e/r=601/7/4 v/e/r=105/0/0 scans=[72,493,6194,15239] "
         "profile=1000/7/521/11"
         "{125:7,250:67,500:187,1000:134,2000:64,4000:20} "

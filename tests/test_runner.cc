@@ -1,7 +1,7 @@
 /**
  * @file
  * Campaign-runner tests: the serial-vs-parallel equivalence contract
- * (bit-identical verdicts and per-module metric counters for any
+ * (bit-identical verdicts and per-module metric registries for any
  * worker count, fault-free and under chaos rates), watchdog
  * retry/quarantine semantics, and the full 45-module battery
  * equivalence at --jobs 8.
@@ -53,17 +53,13 @@ subsetIdentifyConfig(bool chaos)
     return config;
 }
 
-/** Per-module counter maps, keyed by module name (order-free). */
-std::map<std::string, std::map<std::string, std::uint64_t>>
-counterMaps(const CampaignResult &result)
+/** Per-module registry dumps, keyed by module name (order-free). */
+std::map<std::string, std::string>
+registryDumps(const CampaignResult &result)
 {
-    std::map<std::string, std::map<std::string, std::uint64_t>> out;
-    for (const ModuleResult &m : result.modules) {
-        std::map<std::string, std::uint64_t> counters;
-        for (const auto &[name, c] : m.metrics.counters())
-            counters[name] = c.value;
-        out[m.module] = std::move(counters);
-    }
+    std::map<std::string, std::string> out;
+    for (const ModuleResult &m : result.modules)
+        out[m.module] = m.metrics.toJson().dump();
     return out;
 }
 
@@ -73,10 +69,9 @@ expectEquivalent(const CampaignResult &serial,
 {
     // Byte-identical verdict payloads...
     EXPECT_EQ(serial.verdicts().dump(1), parallel.verdicts().dump(1));
-    // ...and identical per-module metric counters. (Histogram ".us"
-    // entries are wall-clock and legitimately differ; counters are
-    // pure simulated behaviour and must not.)
-    EXPECT_EQ(counterMaps(serial), counterMaps(parallel));
+    // ...and identical per-module registries, counters and gauges
+    // alike: a registry holds no wall-clock value.
+    EXPECT_EQ(registryDumps(serial), registryDumps(parallel));
     EXPECT_EQ(serial.watchdogRetries, parallel.watchdogRetries);
     EXPECT_EQ(serial.quarantinedJobs, parallel.quarantinedJobs);
     EXPECT_EQ(serial.failedJobs, parallel.failedJobs);
