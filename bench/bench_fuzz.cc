@@ -35,8 +35,9 @@ void
 BM_OracleSuite(benchmark::State &state)
 {
     // One full check: production execution (traced) + reference
-    // execution + the four oracles, including the second production
-    // run of the determinism oracle.
+    // execution + the five oracles, including the second production
+    // run of the determinism oracle and the opposite-tier run of the
+    // execution oracle.
     const ModuleSpec spec = *findModuleSpec("A0");
     const ProgramFuzzer fuzzer(spec);
     const Program program = fuzzer.generate(1, 0);

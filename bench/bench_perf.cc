@@ -39,7 +39,6 @@
 #include "attack/sweep.hh"
 #include "common/logging.hh"
 #include "core/row_scout.hh"
-#include "core/sim_backend.hh"
 #include "dram/module.hh"
 #include "fault/fault_injector.hh"
 #include "obs/profiler.hh"
@@ -485,41 +484,39 @@ BM_AttackPositionInterpreted(benchmark::State &state)
 }
 BENCHMARK(BM_AttackPositionInterpreted);
 
-void
-BM_SnapshotFork(benchmark::State &state)
-{
-    // Capture + fork of a heavily written device. COW row sharing makes
-    // this O(slot-table), not O(written data): the fork shares every
-    // row container with the parent and copies only the bank slot
-    // tables, refresh/TRR position and host clock (DESIGN.md §16).
-    SimBackend sim(benchSpec(TrrVersion::kATrr1), 6);
-    for (Row r = 0; r < 8'192; ++r)
-        sim.host().writeRow(0, r, DataPattern::checkerboard());
-    const DeviceSnapshot snap = sim.captureDevice();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(sim.fork(snap));
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SnapshotFork);
-
 /**
- * Console reporter that additionally captures every run into a metrics
- * registry ("<benchmark>.real_ns" / ".items_per_second" gauges and
+ * Display reporter that captures every run into a metrics registry
+ * ("<benchmark>.real_ns" / ".items_per_second" gauges and
  * "<benchmark>.iterations" counters) and into per-benchmark report
- * rounds, so the JSON artifact carries the full per-run timing.
+ * rounds, so the JSON artifact carries the full per-run timing. The
+ * display itself is forwarded to the library's default reporter, so
+ * --benchmark_format picks the console, JSON or CSV output as usual.
  */
-class RegistryReporter : public benchmark::ConsoleReporter
+class RegistryReporter : public benchmark::BenchmarkReporter
 {
   public:
     RegistryReporter(MetricsRegistry &registry, ExperimentReport &report)
-        : registry(registry), report(report)
+        : display(benchmark::CreateDefaultDisplayReporter()),
+          registry(registry), report(report)
     {
     }
+
+    bool
+    ReportContext(const Context &context) override
+    {
+        // A caller redirects this reporter's streams, not the inner
+        // one's.
+        display->SetOutputStream(&GetOutputStream());
+        display->SetErrorStream(&GetErrorStream());
+        return display->ReportContext(context);
+    }
+
+    void Finalize() override { display->Finalize(); }
 
     void
     ReportRuns(const std::vector<Run> &runs) override
     {
-        ConsoleReporter::ReportRuns(runs);
+        display->ReportRuns(runs);
         for (const Run &run : runs) {
             if (run.error_occurred)
                 continue;
@@ -548,6 +545,8 @@ class RegistryReporter : public benchmark::ConsoleReporter
     int benchmarkCount() const { return benchmarks; }
 
   private:
+    /** Owned by the library (one static instance per process). */
+    benchmark::BenchmarkReporter *display;
     MetricsRegistry &registry;
     ExperimentReport &report;
     int benchmarks = 0;

@@ -15,7 +15,9 @@ namespace
  * Journal identity of the fuzz job body: every knob that changes what
  * job i computes for the same (seed, index). Folded into the campaign
  * content hash so a journal written under different fuzz or oracle
- * settings can never be resumed into this campaign.
+ * settings can never be resumed into this campaign. Every oracle is
+ * unconditional, so the version below moves whenever the suite's set
+ * of oracles does.
  */
 std::string
 fuzzContentTag(const FuzzCampaignOptions &options)
@@ -23,12 +25,11 @@ fuzzContentTag(const FuzzCampaignOptions &options)
     const FuzzConfig &f = options.fuzz;
     const OracleConfig &o = options.oracle;
     return logFmt(
-        "fuzz:v1:", f.setupRows, ':', f.minOps, ':', f.maxOps, ':',
+        "fuzz:v2:", f.setupRows, ':', f.minOps, ':', f.maxOps, ':',
         f.maxBanks, ':', f.rowSpan, ':', f.hammerMin, ':', f.hammerMax,
         ':', f.refBurstMax, ':', f.waitMaxNs, ':', f.waitRefMaxNs, ':',
         f.longWaitChance, ':', f.longWaitRefNs, ':', f.maxEpilogueReads,
-        ":oracle:", o.checkTiming, o.checkAccounting, o.checkDeterminism,
-        ':', o.traceMargin, ':', o.maxViolationsPerOracle, ':',
+        ":oracle:", o.traceMargin, ':', o.maxViolationsPerOracle, ':',
         o.retention != nullptr ? "ret-override" : "ret-default");
 }
 

@@ -139,8 +139,6 @@ runOracleSuite(const ModuleSpec &spec, const Program &program,
     // Production execution, through the backend seam.
     SimBackend sim(spec, cfg.moduleSeed, cfg.retention, cfg.timing);
     sim.host().trace().enable(trace_cap);
-    const std::uint64_t simToken =
-        cfg.checkSnapshot ? sim.snapshot() : 0;
     const BackendResult exec = sim.execute(program);
 
     report.reads = exec.reads.size();
@@ -160,8 +158,6 @@ runOracleSuite(const ModuleSpec &spec, const Program &program,
     // Reference execution.
     ReferenceBackend reference(spec, cfg.moduleSeed, cfg.retention,
                                cfg.timing);
-    const std::uint64_t refToken =
-        cfg.checkSnapshot ? reference.snapshot() : 0;
     const BackendResult ref = reference.execute(program);
 
     {
@@ -171,7 +167,7 @@ runOracleSuite(const ModuleSpec &spec, const Program &program,
         compareResults(sink, exec, ref, "reference");
     }
 
-    if (cfg.checkTiming) {
+    {
         UTRR_PROF_SCOPE("oracle.timing");
         ViolationSink sink(report, "timing",
                            cfg.maxViolationsPerOracle);
@@ -201,7 +197,7 @@ runOracleSuite(const ModuleSpec &spec, const Program &program,
             sink.add(logFmt(v.rule, " at ", v.when, "ns: ", v.detail));
     }
 
-    if (cfg.checkAccounting) {
+    {
         UTRR_PROF_SCOPE("oracle.accounting");
         ViolationSink sink(report, "accounting",
                            cfg.maxViolationsPerOracle);
@@ -240,7 +236,7 @@ runOracleSuite(const ModuleSpec &spec, const Program &program,
                 got.trrVictimRefreshes, " in sim accounting"));
     }
 
-    if (cfg.checkDeterminism) {
+    {
         UTRR_PROF_SCOPE("oracle.determinism");
         ViolationSink sink(report, "determinism",
                            cfg.maxViolationsPerOracle);
@@ -257,7 +253,7 @@ runOracleSuite(const ModuleSpec &spec, const Program &program,
             sink.add("read-back data differs between identical runs");
     }
 
-    if (cfg.checkExecution) {
+    {
         UTRR_PROF_SCOPE("oracle.execution");
         ViolationSink sink(report, "execution",
                            cfg.maxViolationsPerOracle);
@@ -301,30 +297,6 @@ runOracleSuite(const ModuleSpec &spec, const Program &program,
                             want.rowRefreshes[idx], " in ",
                             otherName));
         }
-    }
-
-    if (cfg.checkSnapshot) {
-        UTRR_PROF_SCOPE("oracle.snapshot");
-        ViolationSink sink(report, "snapshot",
-                           cfg.maxViolationsPerOracle);
-        sim.restore(simToken);
-        const BackendResult replay = sim.execute(program);
-        if (hashBackendReads(replay) != report.readHash)
-            sink.add("sim read-back differs after snapshot restore");
-        if (replay.endTime != exec.endTime)
-            sink.add(logFmt("sim end time ", replay.endTime, "ns vs ",
-                            exec.endTime, "ns after snapshot restore"));
-        if (sim.host().trace().contentHash() != report.traceHash)
-            sink.add("sim command trace differs after snapshot restore");
-        reference.restore(refToken);
-        const BackendResult refReplay = reference.execute(program);
-        if (hashBackendReads(refReplay) != hashBackendReads(ref))
-            sink.add(
-                "reference read-back differs after snapshot restore");
-        if (refReplay.endTime != ref.endTime)
-            sink.add(logFmt("reference end time ", refReplay.endTime,
-                            "ns vs ", ref.endTime,
-                            "ns after snapshot restore"));
     }
 
     return report;

@@ -5,7 +5,8 @@
  * The suite drives both implementations through the DeviceBackend seam
  * (src/core/device_backend.hh) — SimBackend for the production
  * DramModule + SoftMcHost pair, ReferenceBackend for the naive shadow
- * interpreter. One call runs a program through six independent checks:
+ * interpreter. One call runs a program through five independent checks,
+ * all of them unconditional:
  *
  *  1. **Differential**: execute on both backends; every captured READ
  *     (bank, row, time, all row words) and the final clock must match
@@ -25,10 +26,6 @@
  *     produce the same reads, end time, command trace and accounting —
  *     the compiled-tier fusions are provably bit-identical under fuzz
  *     pressure, from whichever tier the suite itself runs in.
- *  6. **Snapshot**: restoring either backend to its pre-execution
- *     snapshot and re-executing must reproduce the read set, end time
- *     and (for sim) the command trace bit-identically — the
- *     snapshot/fork contract of DESIGN.md §16 under fuzz pressure.
  *
  * Any violation is a real bug in one of the two implementations (or in
  * the spec both encode) — the clean-tree fuzz smoke job pins that the
@@ -61,12 +58,6 @@ struct OracleConfig
 
     Timing timing{};
 
-    bool checkTiming = true;
-    bool checkAccounting = true;
-    bool checkDeterminism = true;
-    bool checkExecution = true;
-    bool checkSnapshot = true;
-
     /** Extra trace ring slots beyond the static estimate. */
     std::size_t traceMargin = 512;
 
@@ -78,7 +69,7 @@ struct OracleConfig
 struct OracleViolation
 {
     /** "differential", "timing", "accounting", "determinism",
-     *  "execution", "snapshot", "internal". */
+     *  "execution", "internal". */
     std::string oracle;
     std::string detail;
 };

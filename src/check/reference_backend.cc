@@ -1,7 +1,5 @@
 #include "check/reference_backend.hh"
 
-#include <stdexcept>
-
 namespace utrr
 {
 
@@ -42,29 +40,6 @@ ReferenceBackend::accounting() const
     for (Bank b = 0; b < moduleSpec.banks; ++b)
         acc.rowRefreshes.push_back(ref.rowRefreshCount(b));
     return acc;
-}
-
-std::uint64_t
-ReferenceBackend::snapshot()
-{
-    const std::uint64_t token = nextToken++;
-    snapshots.emplace(token, ref.snapshotState());
-    return token;
-}
-
-void
-ReferenceBackend::restore(std::uint64_t token)
-{
-    const auto it = snapshots.find(token);
-    if (it == snapshots.end())
-        throw std::out_of_range("unknown reference snapshot token");
-    ref.restoreState(it->second);
-}
-
-void
-ReferenceBackend::dropSnapshot(std::uint64_t token)
-{
-    snapshots.erase(token);
 }
 
 } // namespace utrr

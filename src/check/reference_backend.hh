@@ -12,8 +12,6 @@
 #ifndef UTRR_CHECK_REFERENCE_BACKEND_HH
 #define UTRR_CHECK_REFERENCE_BACKEND_HH
 
-#include <map>
-
 #include "check/reference_module.hh"
 #include "core/device_backend.hh"
 
@@ -34,19 +32,12 @@ class ReferenceBackend : public DeviceBackend
     Time now() const override { return ref.now(); }
     BackendAccounting accounting() const override;
 
-    bool supportsSnapshot() const override { return true; }
-    std::uint64_t snapshot() override;
-    void restore(std::uint64_t token) override;
-    void dropSnapshot(std::uint64_t token) override;
-
     /** The wrapped interpreter (oracle harness escape hatch). */
     ReferenceModule &interpreter() { return ref; }
 
   private:
     ModuleSpec moduleSpec;
     ReferenceModule ref;
-    std::map<std::uint64_t, ReferenceModule::Snapshot> snapshots;
-    std::uint64_t nextToken = 1;
 };
 
 } // namespace utrr

@@ -52,35 +52,6 @@ ReferenceModule::rowRefreshCount(Bank bank) const
     return banks[static_cast<std::size_t>(bank)].rowRefreshes;
 }
 
-ReferenceModule::Snapshot
-ReferenceModule::snapshotState() const
-{
-    Snapshot snap;
-    snap.banks = banks;
-    snap.trr = trr->clone();
-    snap.clock = clock;
-    snap.refs = refs;
-    snap.trrEvents = trrEvents;
-    snap.trrVictims = trrVictims;
-    return snap;
-}
-
-void
-ReferenceModule::restoreState(const Snapshot &snap)
-{
-    UTRR_ASSERT(snap.banks.size() == banks.size(),
-                "snapshot from a different module geometry");
-    banks = snap.banks;
-    // Clone again so the snapshot stays restorable, and point the clone
-    // at *this* interpreter's ground-truth sink.
-    trr = snap.trr->clone();
-    trr->attachGroundTruth(&gtStore);
-    clock = snap.clock;
-    refs = snap.refs;
-    trrEvents = snap.trrEvents;
-    trrVictims = snap.trrVictims;
-}
-
 ReferenceModule::RefRow &
 ReferenceModule::materialize(RefBank &bank, Bank bank_id, Row phys_row,
                              Time when)

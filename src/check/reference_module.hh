@@ -67,34 +67,6 @@ struct ReferenceResult
  */
 class ReferenceModule
 {
-  private:
-    // Mirror state structs lead the class so the public Snapshot type
-    // below can aggregate them.
-
-    /** Straight-line mirror of RowState (see src/dram/row.hh). */
-    struct RefRow
-    {
-        RowPhysics phys;
-        DataPattern pattern = DataPattern::allZeros();
-        Row patRow = 0;
-        std::map<int, std::uint64_t> overrides;
-        std::set<Col> flipped;
-        Time lastRestore = 0;
-        double charge = 0.0;
-        Row lastAggressor = kInvalidRow;
-        Rng vrtRng{0};
-        bool vrtHigh = false;
-        Time lastVrtCheck = 0;
-    };
-
-    struct RefBank
-    {
-        std::map<Row, RefRow> rows;
-        Row open = kInvalidRow;
-        Row openLogical = kInvalidRow;
-        std::uint64_t rowRefreshes = 0;
-    };
-
   public:
     ReferenceModule(const ModuleSpec &spec, std::uint64_t seed,
                     const RetentionModelConfig *retention_overrides =
@@ -121,36 +93,31 @@ class ReferenceModule
     /** Single-row refreshes performed in one bank (regular + TRR). */
     std::uint64_t rowRefreshCount(Bank bank) const;
 
-    // --- snapshot / restore (DESIGN.md §16) ---------------------------
-
-    /**
-     * The interpreter's complete restorable state. The naive model
-     * earns no COW cleverness: banks are deep-copied (the shadow rows
-     * are plain value types), and the TRR mechanism is cloned. As with
-     * DramModule, the ground-truth store is an audit trail, not state,
-     * and is not captured. Move-only because of the TRR clone.
-     */
-    struct Snapshot
+  private:
+    /** Straight-line mirror of RowState (see src/dram/row.hh). */
+    struct RefRow
     {
-        std::vector<RefBank> banks;
-        std::unique_ptr<TrrMechanism> trr;
-        Time clock = 0;
-        std::uint64_t refs = 0;
-        std::uint64_t trrEvents = 0;
-        std::uint64_t trrVictims = 0;
+        RowPhysics phys;
+        DataPattern pattern = DataPattern::allZeros();
+        Row patRow = 0;
+        std::map<int, std::uint64_t> overrides;
+        std::set<Col> flipped;
+        Time lastRestore = 0;
+        double charge = 0.0;
+        Row lastAggressor = kInvalidRow;
+        Rng vrtRng{0};
+        bool vrtHigh = false;
+        Time lastVrtCheck = 0;
     };
 
-    /** Capture the interpreter's state at this instant. */
-    Snapshot snapshotState() const;
+    struct RefBank
+    {
+        std::map<Row, RefRow> rows;
+        Row open = kInvalidRow;
+        Row openLogical = kInvalidRow;
+        std::uint64_t rowRefreshes = 0;
+    };
 
-    /**
-     * Rewind to a snapshot — valid on this instance or on any
-     * ReferenceModule built from the same (spec, seed, timing). One
-     * snapshot can be restored any number of times.
-     */
-    void restoreState(const Snapshot &snap);
-
-  private:
     RefRow &materialize(RefBank &bank, Bank bank_id, Row phys_row,
                         Time when);
     bool storedBit(const RefRow &row, Col col) const;

@@ -50,23 +50,6 @@ programHash(const Program &program)
     return hash;
 }
 
-std::uint64_t
-DeviceBackend::snapshot()
-{
-    throw std::logic_error(name() + " backend does not support snapshots");
-}
-
-void
-DeviceBackend::restore(std::uint64_t)
-{
-    throw std::logic_error(name() + " backend does not support snapshots");
-}
-
-void
-DeviceBackend::dropSnapshot(std::uint64_t)
-{
-}
-
 BackendRecording
 recordExecutions(DeviceBackend &source,
                  const std::vector<Program> &programs)
@@ -166,21 +149,6 @@ TraceReplayBackend::traceEvents() const
         out.insert(out.end(), slice.begin(), slice.end());
     }
     return out;
-}
-
-std::uint64_t
-TraceReplayBackend::snapshot()
-{
-    return static_cast<std::uint64_t>(cursor);
-}
-
-void
-TraceReplayBackend::restore(std::uint64_t token)
-{
-    if (token > session.executions.size())
-        throw std::out_of_range(
-            logFmt("replay snapshot token ", token, " out of range"));
-    cursor = static_cast<std::size_t>(token);
 }
 
 } // namespace utrr

@@ -26,9 +26,9 @@
  *     the deterministic surface.
  *  3. traceEvents() MAY be empty (a backend need not record a trace);
  *     when non-empty it must be a timing-legal DDR command stream.
- *  4. A backend advertising supportsSnapshot() must round-trip:
- *     snapshot() then arbitrary execution then restore(token) replays
- *     the remaining programs bit-identically.
+ *
+ * State only moves forward: like a real chip behind SoftMC, no backend
+ * can be checkpointed or rewound.
  *
  * Intentionally *not* in the interface: the immediate host API
  * (hammer, refBurst, ...) — hammerMultiBank's tFAW-parallel timing
@@ -133,25 +133,6 @@ class DeviceBackend
      * by the backend's ring capacity when it does.
      */
     virtual std::vector<TraceEvent> traceEvents() const { return {}; }
-
-    // --- snapshot / fork ------------------------------------------------
-
-    /** Can this backend snapshot and rewind its state? */
-    virtual bool supportsSnapshot() const { return false; }
-
-    /**
-     * Capture the backend's state; returns a token for restore(). A
-     * token stays valid until dropSnapshot() and may be restored any
-     * number of times. Throws std::logic_error when unsupported.
-     */
-    virtual std::uint64_t snapshot();
-
-    /** Rewind to a snapshot token. Throws std::logic_error when
-     *  unsupported, std::out_of_range on an unknown token. */
-    virtual void restore(std::uint64_t token);
-
-    /** Release a snapshot's storage (no-op on unknown tokens). */
-    virtual void dropSnapshot(std::uint64_t token);
 };
 
 // ----------------------------------------------------------------------
@@ -199,8 +180,7 @@ BackendRecording recordExecutions(DeviceBackend &source,
  * Replays a recorded session. execute() serves the next canned result
  * after verifying the submitted program hashes to what was recorded —
  * a diverged command stream is a hard error, not a silent wrong
- * answer. Snapshots are trivially O(1): the whole mutable state is the
- * replay cursor.
+ * answer. The whole mutable state is the replay cursor.
  */
 class TraceReplayBackend : public DeviceBackend
 {
@@ -213,11 +193,6 @@ class TraceReplayBackend : public DeviceBackend
     Time now() const override;
     BackendAccounting accounting() const override;
     std::vector<TraceEvent> traceEvents() const override;
-
-    bool supportsSnapshot() const override { return true; }
-    std::uint64_t snapshot() override;
-    void restore(std::uint64_t token) override;
-    void dropSnapshot(std::uint64_t /*token*/) override {}
 
     /** Executions served so far (the replay cursor). */
     std::size_t position() const { return cursor; }

@@ -46,53 +46,4 @@ SimBackend::accounting() const
     return acc;
 }
 
-std::uint64_t
-SimBackend::snapshot()
-{
-    const std::uint64_t token = nextToken++;
-    snapshots.emplace(token, captureDevice());
-    return token;
-}
-
-void
-SimBackend::restore(std::uint64_t token)
-{
-    const auto it = snapshots.find(token);
-    if (it == snapshots.end())
-        throw std::out_of_range("unknown sim snapshot token");
-    restoreDevice(it->second);
-}
-
-void
-SimBackend::dropSnapshot(std::uint64_t token)
-{
-    snapshots.erase(token);
-}
-
-DeviceSnapshot
-SimBackend::captureDevice() const
-{
-    DeviceSnapshot snap;
-    snap.module = mod->snapshot();
-    snap.host = mc->snapshotState();
-    return snap;
-}
-
-void
-SimBackend::restoreDevice(const DeviceSnapshot &snap)
-{
-    mod->restore(snap.module);
-    mc->restoreState(snap.host);
-}
-
-std::unique_ptr<SimBackend>
-SimBackend::fork(const DeviceSnapshot &snap) const
-{
-    auto child = std::make_unique<SimBackend>(
-        mod->spec(), mod->seed(), &mod->physics().retentionConfig(),
-        mc->timing());
-    child->restoreDevice(snap);
-    return child;
-}
-
 } // namespace utrr

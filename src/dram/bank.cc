@@ -353,40 +353,4 @@ DramBank::refreshRange(Row phys_lo, Row phys_hi, Time now)
     }
 }
 
-DramBank::Snapshot
-DramBank::snapshotState() const
-{
-    Snapshot snap;
-    snap.slotOf = slotOf;
-    // Copying a RowState shares its overrides/flips containers
-    // copy-on-write; the snapshot therefore pins this instant's row
-    // contents without duplicating them, and the live bank clones lazily
-    // on its next mutation of each row.
-    snap.states = states;
-    snap.ownScaleSlots = ownScaleSlots;
-    snap.open = open;
-    snap.acts = acts;
-    snap.rowRefreshes = rowRefreshes;
-    snap.context = context;
-    return snap;
-}
-
-void
-DramBank::restoreState(const Snapshot &snap)
-{
-    slotOf = snap.slotOf;
-    states = snap.states;
-    ownScaleSlots = snap.ownScaleSlots;
-    open = snap.open;
-    acts = snap.acts;
-    rowRefreshes = snap.rowRefreshes;
-    context = snap.context;
-    // The copied rows still point at whatever bank the snapshot was
-    // taken from — its perf tallies and its retention scale, which may
-    // have stepped on since; re-home them here. Their scale stamps
-    // count the snapshot's steps, which `context` now carries.
-    for (RowState &state : states)
-        state.attachBank(&context);
-}
-
 } // namespace utrr

@@ -62,9 +62,8 @@ class DramBank
      * aggressor's row state and each in-range victim with both possible
      * disturbance weights pre-multiplied (the repeat/same-data factors
      * are constant while no WR lands, so only the lastDisturber branch
-     * remains per ACT). Row pointers stay valid while the bank's row
-     * storage does — build plans per burst, never across snapshot
-     * restores.
+     * remains per ACT). Row pointers stay valid for the bank's
+     * lifetime: row states live in a deque that only grows.
      */
     struct ActPlan
     {
@@ -176,40 +175,6 @@ class DramBank
      * the bank-wide product at its next use (RowBankContext).
      */
     void scaleAllRetention(double factor);
-
-    // ------------------------------------------------------------------
-    // Snapshot / restore (DESIGN.md §16)
-    // ------------------------------------------------------------------
-
-    /**
-     * Everything a bank needs to be rewound to an earlier point. Row
-     * contents stay copy-on-write: copying a RowState shares its
-     * override map and flip list behind shared_ptr, and either side
-     * clones at its next mutation (the PR 5 readout COW extended to
-     * snapshots), so the deep-copied part is only the slot table and
-     * the per-row bookkeeping scalars.
-     */
-    struct Snapshot
-    {
-        std::vector<std::int32_t> slotOf;
-        std::deque<RowState> states;
-        std::vector<std::int32_t> ownScaleSlots;
-        Row open = kInvalidRow;
-        std::uint64_t acts = 0;
-        std::uint64_t rowRefreshes = 0;
-        RowBankContext context;
-    };
-
-    /** Capture this bank's mutable state. */
-    Snapshot snapshotState() const;
-
-    /**
-     * Restore a snapshot taken from this bank or from any bank with the
-     * same (id, physRows, generator) — i.e. the same position in a
-     * module built from the same (spec, seed). Re-attaches every row to
-     * this bank's perf tallies and retention scale.
-     */
-    void restoreState(const Snapshot &snap);
 
   private:
     /** Materialize (if needed) and return a row's state. */

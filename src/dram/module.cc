@@ -11,8 +11,7 @@ namespace utrr
 DramModule::DramModule(ModuleSpec spec, std::uint64_t seed,
                        const RetentionModelConfig *retention_overrides)
     : moduleSpec(std::move(spec)),
-      engine(moduleSpec.physRowsPerBank(), moduleSpec.refreshPeriodRefs),
-      masterSeed(seed)
+      engine(moduleSpec.physRowsPerBank(), moduleSpec.refreshPeriodRefs)
 {
     RetentionModelConfig ret_cfg;
     if (retention_overrides != nullptr)
@@ -329,42 +328,6 @@ DramModule::gtVictimCounter(Bank bank, Row phys_row)
                  .first;
     }
     return *it->second;
-}
-
-DramModule::Snapshot
-DramModule::snapshot() const
-{
-    Snapshot snap;
-    snap.banks.reserve(banks.size());
-    for (const DramBank &bank : banks)
-        snap.banks.push_back(bank.snapshotState());
-    snap.openLogical = openLogical;
-    snap.engine = engine.snapshotState();
-    snap.trr = trr->clone();
-    snap.refs = refs;
-    snap.trrRefreshes = trrRefreshes;
-    snap.trrEvents = trrEvents;
-    return snap;
-}
-
-void
-DramModule::restore(const Snapshot &snap)
-{
-    UTRR_ASSERT(snap.banks.size() == banks.size(),
-                "snapshot from a different module geometry");
-    for (std::size_t b = 0; b < banks.size(); ++b)
-        banks[b].restoreState(snap.banks[b]);
-    ++planEpochV; // row storage replaced: cached plan pointers dangle
-    openLogical = snap.openLogical;
-    engine.restoreState(snap.engine);
-    // The snapshot keeps its own TRR clone so it can be restored many
-    // times; each restore installs a fresh clone re-attached to *this*
-    // module's ground-truth store.
-    trr = snap.trr->clone();
-    trr->attachGroundTruth(&gtStore);
-    refs = snap.refs;
-    trrRefreshes = snap.trrRefreshes;
-    trrEvents = snap.trrEvents;
 }
 
 void

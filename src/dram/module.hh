@@ -173,10 +173,9 @@ class DramModule
 
     /**
      * Monotonic counter that advances whenever a cached ActPlan could
-     * go stale: a WR/wrWord lands (stored coupling words feed the
-     * pre-multiplied plan weights) or a snapshot restore replaces the
-     * banks' row storage (the plan's RowState pointers dangle). Plans
-     * built under the current epoch stay valid while it is unchanged —
+     * go stale, which is only when a WR/wrWord lands (stored coupling
+     * words feed the pre-multiplied plan weights). Plans built under
+     * the current epoch stay valid while it is unchanged —
      * activations, refreshes, TRR refreshes and new-row materialization
      * neither move row states (deque storage) nor touch stored data.
      * Starts at 1 so a zero-initialized cache slot can never match.
@@ -184,9 +183,6 @@ class DramModule
     std::uint64_t planEpoch() const { return planEpochV; }
 
     const ModuleSpec &spec() const { return moduleSpec; }
-
-    /** Master seed the module was built with (for experiment reports). */
-    std::uint64_t seed() const { return masterSeed; }
 
     /** Logical<->physical translation for one bank. */
     Row toPhysical(Bank bank, Row logical_row) const;
@@ -225,44 +221,6 @@ class DramModule
 
     /** TRR refresh actions (detected aggressors) so far. */
     std::uint64_t trrEventCount() const { return trrEvents; }
-
-    // ------------------------------------------------------------------
-    // Snapshot / restore (DESIGN.md §16)
-    // ------------------------------------------------------------------
-
-    /**
-     * A module's complete restorable state: per-bank slot tables and
-     * rows (row contents stay copy-on-write, see DramBank::Snapshot),
-     * open-row registers, the refresh engine's sweep position, a deep
-     * clone of the TRR mechanism and the command counters.
-     *
-     * Not captured: the ground-truth store (a monotone observability
-     * audit trail, not device state — white-box probe comparisons
-     * across a restore are out of scope) and attached metrics handles
-     * (environment). Move-only because of the TRR clone.
-     */
-    struct Snapshot
-    {
-        std::vector<DramBank::Snapshot> banks;
-        std::vector<Row> openLogical;
-        RefreshEngine::Snapshot engine;
-        std::unique_ptr<TrrMechanism> trr;
-        std::uint64_t refs = 0;
-        std::uint64_t trrRefreshes = 0;
-        std::uint64_t trrEvents = 0;
-    };
-
-    /** Capture the module's state at this instant. */
-    Snapshot snapshot() const;
-
-    /**
-     * Rewind to a snapshot. Valid on the module the snapshot was taken
-     * from *and* on any module built from the same (spec, seed) — the
-     * physics generator and mappings are pure functions of those, so
-     * restoring into a fresh instance forks the captured state. One
-     * snapshot can be restored any number of times.
-     */
-    void restore(const Snapshot &snap);
 
     // ------------------------------------------------------------------
     // Fault-injection hooks (see src/fault/). Scaling by exactly 1.0 is
@@ -338,7 +296,6 @@ class DramModule
     std::uint64_t refs = 0;
     std::uint64_t trrRefreshes = 0;
     std::uint64_t trrEvents = 0;
-    std::uint64_t masterSeed = 0;
     /** See planEpoch(). */
     std::uint64_t planEpochV = 1;
 

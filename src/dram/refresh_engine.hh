@@ -63,31 +63,6 @@ class RefreshEngine
     void reset();
 
     /**
-     * Sweep state for module snapshots. Geometry (physRows, period) is
-     * construction-time configuration and metric handles are
-     * environment, so the REF count and sweep position are the whole
-     * restorable state.
-     */
-    struct Snapshot
-    {
-        std::uint64_t refs = 0;
-        Row position = 0;
-    };
-
-    Snapshot
-    snapshotState() const
-    {
-        return Snapshot{refs, position};
-    }
-
-    void
-    restoreState(const Snapshot &snap)
-    {
-        refs = snap.refs;
-        position = snap.position;
-    }
-
-    /**
      * Attach a metrics registry (not owned; nullptr detaches). Records
      * rows swept ("dram.rows_regular_refreshed") and completed sweeps
      * ("dram.refresh_sweeps").

@@ -81,42 +81,6 @@ CommandTrace::noteOverflow()
                 "trace capacity for a complete Chrome trace"));
 }
 
-void
-CommandTrace::copyFrom(const CommandTrace &other)
-{
-    ring = other.ring;
-    cap = other.cap;
-    head = other.head;
-    count = other.count;
-    total = other.total;
-    overflowWarned = other.overflowWarned;
-    phaseNames = other.phaseNames;
-    // Re-point every interned phase at this instance's name pool. The
-    // pools are element-wise identical after the deque copy, so a
-    // linear scan per distinct name is exact (and the name count is
-    // tiny — phases come from a handful of harness call sites).
-    if (phaseNames.empty())
-        return;
-    for (TraceEvent &event : ring) {
-        if (event.phase != nullptr)
-            event.phase = intern(event.phase);
-    }
-}
-
-void
-CommandTrace::mergeFrom(const CommandTrace &other)
-{
-    if (cap == 0)
-        return;
-    for (const TraceEvent &event : other.events()) {
-        TraceEvent &slot = ring[head];
-        slot = event;
-        if (event.phase != nullptr)
-            slot.phase = intern(event.phase);
-        advance();
-    }
-}
-
 const char *
 CommandTrace::intern(std::string_view name)
 {

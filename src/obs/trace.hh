@@ -69,20 +69,13 @@ class CommandTrace
     explicit CommandTrace(std::size_t capacity) { enable(capacity); }
 
     /**
-     * Copies re-intern phase names: ring events point into the owning
-     * instance's name pool, so a memberwise copy would leave the new
-     * ring dangling into the old pool. Moves keep the pool (deque
-     * element addresses survive the move), so the defaults are safe.
-     * Copy support is what makes a SoftMcHost snapshot self-contained.
+     * Move-only: ring events point into the owning instance's name
+     * pool, so a memberwise copy would leave the new ring dangling into
+     * the old pool. Moves keep the pool (deque element addresses
+     * survive the move), so the defaults are safe.
      */
-    CommandTrace(const CommandTrace &other) { copyFrom(other); }
-    CommandTrace &
-    operator=(const CommandTrace &other)
-    {
-        if (this != &other)
-            copyFrom(other);
-        return *this;
-    }
+    CommandTrace(const CommandTrace &) = delete;
+    CommandTrace &operator=(const CommandTrace &) = delete;
     CommandTrace(CommandTrace &&) = default;
     CommandTrace &operator=(CommandTrace &&) = default;
 
@@ -137,16 +130,6 @@ class CommandTrace
     /** Drop events, keep capacity. */
     void clear();
 
-    /**
-     * Append every event currently held by @p other (oldest first),
-     * re-interning phase names so the copies outlive @p other. This is
-     * the join-time path for parallel campaigns: each worker records
-     * into its own ring lock-free, and the merged buffer is assembled
-     * single-threaded after the workers are joined. No-op while
-     * disabled; the ring's capacity bounds the merged result as usual.
-     */
-    void mergeFrom(const CommandTrace &other);
-
     /** Held events, oldest first. */
     std::vector<TraceEvent> events() const;
 
@@ -190,9 +173,6 @@ class CommandTrace
     void noteOverflow();
 
     const char *intern(std::string_view name);
-
-    /** Copy every field, re-pointing phases into this name pool. */
-    void copyFrom(const CommandTrace &other);
 
     std::vector<TraceEvent> ring;
     std::size_t cap = 0;

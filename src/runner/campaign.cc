@@ -125,7 +125,6 @@ CampaignRunner::runJob(const ModuleSpec &spec, std::uint64_t index,
         auto capture = [&]() {
             host.publishPerfCounters();
             result.metrics = metrics;
-            result.traceEvents = host.trace().events();
             result.traceRecorded = host.trace().recorded();
             if (injector)
                 result.faultStats = injector->stats();

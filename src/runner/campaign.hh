@@ -24,7 +24,7 @@
  *    the rest of the campaign still completes.
  *
  *  - **Order-independent aggregation**: per-job verdicts, metric
- *    registries, trace buffers and fault tallies are captured into a
+ *    registries, trace counts and fault tallies are captured into a
  *    results slot owned by that job alone, then merged single-threaded
  *    after the pool joins (metrics under a "module.<name>." prefix,
  *    campaign-level rollups under "campaign.*").
@@ -231,7 +231,7 @@ struct ModuleResult
     /** Job-private registry captured at job end. */
     MetricsRegistry metrics;
     FaultInjector::Stats faultStats;
-    std::vector<TraceEvent> traceEvents;
+    /** Events the job's trace recorded (0 with tracing off). */
     std::uint64_t traceRecorded = 0;
     double wallMs = 0.0;
     Time simNs = 0;

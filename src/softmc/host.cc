@@ -119,33 +119,6 @@ SoftMcHost::clearWatchdog()
     wdDeadline = -1;
 }
 
-SoftMcHost::Snapshot
-SoftMcHost::snapshotState() const
-{
-    Snapshot snap;
-    snap.clock = clock;
-    snap.acts = acts;
-    snap.refCmds = refCmds;
-    snap.wdBudget = wdBudget;
-    snap.wdDeadline = wdDeadline;
-    snap.trace = cmdTrace;
-    return snap;
-}
-
-void
-SoftMcHost::restoreState(const Snapshot &snap)
-{
-    clock = snap.clock;
-    acts = snap.acts;
-    refCmds = snap.refCmds;
-    wdBudget = snap.wdBudget;
-    wdDeadline = snap.wdDeadline;
-    cmdTrace = snap.trace;
-    // An attached fault injector records into the host's trace through
-    // a cached pointer; the copy assignment above did not move the
-    // object, so the pointer stays valid.
-}
-
 void
 SoftMcHost::pollStopFlag()
 {

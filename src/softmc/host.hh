@@ -305,36 +305,6 @@ class SoftMcHost
         stopFlag = flag;
     }
 
-    // --- snapshot / restore (DESIGN.md §16) -----------------------------
-
-    /**
-     * The host's restorable state: simulated clock, command counters,
-     * watchdog arming and the command trace (self-contained copy).
-     * Attached collaborators — metrics, mitigation, fault injector,
-     * stop flag — are environment, not state, and stay attached across
-     * a restore. Pair with DramModule::snapshot() for a full device
-     * snapshot; restoring only one side of the pair tears the clock
-     * away from the module state it produced.
-     */
-    struct Snapshot
-    {
-        Time clock = 0;
-        std::uint64_t acts = 0;
-        std::uint64_t refCmds = 0;
-        Time wdBudget = 0;
-        Time wdDeadline = -1;
-        CommandTrace trace;
-    };
-
-    /** Capture the host's state at this instant. */
-    Snapshot snapshotState() const;
-
-    /**
-     * Rewind to a snapshot (taken from this host or from any host over
-     * a module restored to the matching DramModule::Snapshot).
-     */
-    void restoreState(const Snapshot &snap);
-
     // --- observability --------------------------------------------------
 
     /**
@@ -452,9 +422,9 @@ class SoftMcHost
     /**
      * Cross-call ActPlan cache for the batched hammer paths. A plan
      * stays valid while the module's planEpoch() is unchanged (no
-     * WR/wrWord, no snapshot restore — see DramModule::planEpoch), so
-     * repeated hammers of the same rows skip the address translation
-     * and per-row victim lookups entirely. Direct-mapped; a conflict
+     * WR/wrWord — see DramModule::planEpoch), so repeated hammers of
+     * the same rows skip the address translation and per-row victim
+     * lookups entirely. Direct-mapped; a conflict
      * just rebuilds. Only batched (compiled-tier) paths consult it —
      * the interpreter path never does.
      */

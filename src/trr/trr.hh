@@ -57,7 +57,10 @@ struct TrrRefreshAction
 };
 
 /**
- * Abstract in-DRAM RowHammer mitigation mechanism.
+ * Abstract in-DRAM RowHammer mitigation mechanism. The concrete models
+ * are plain values: a copy carries every piece of detection state (and
+ * the source's ground-truth handles), which is how the vendor tests
+ * run one state down two paths.
  */
 class TrrMechanism
 {
@@ -117,15 +120,6 @@ class TrrMechanism
     virtual std::string name() const = 0;
 
     /**
-     * Deep copy of the mechanism's mutable state (tables, samplers,
-     * windows, RNG streams). The clone carries the source's ground-truth
-     * attachment; callers installing a clone into a different chip must
-     * re-attachGroundTruth so the truth handles point at that chip's
-     * store. This is the primitive DramModule snapshots build on.
-     */
-    virtual std::unique_ptr<TrrMechanism> clone() const = 0;
-
-    /**
      * Attach the chip's ground-truth store. The mechanism records its
      * internal truth (detections, table/sampler occupancy) there;
      * experiments can only read it through a counted GroundTruthProbe.
@@ -155,11 +149,6 @@ class NoTrr : public TrrMechanism
     std::vector<TrrRefreshAction> onRefresh() override { return {}; }
     void reset() override {}
     std::string name() const override { return "none"; }
-    std::unique_ptr<TrrMechanism>
-    clone() const override
-    {
-        return std::make_unique<NoTrr>(*this);
-    }
 };
 
 /**

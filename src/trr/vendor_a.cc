@@ -145,16 +145,6 @@ VendorATrr::onRefresh()
     return actions;
 }
 
-std::unique_ptr<TrrMechanism>
-VendorATrr::clone() const
-{
-    // Memberwise copy carries every piece of detection state
-    // (including the Rng stream position) plus the current
-    // ground-truth handles; a clone installed into another chip
-    // must be re-attached to that chip's store.
-    return std::make_unique<VendorATrr>(*this);
-}
-
 void
 VendorATrr::reset()
 {

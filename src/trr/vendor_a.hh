@@ -50,7 +50,6 @@ class VendorATrr : public TrrMechanism
                               int n, int rounds) override;
     std::vector<TrrRefreshAction> onRefresh() override;
     void reset() override;
-    std::unique_ptr<TrrMechanism> clone() const override;
     std::string name() const override { return "A-counter"; }
 
     /** White-box view of one bank's table (row, counter) pairs. */

@@ -148,16 +148,6 @@ VendorBTrr::onRefresh()
     return actions;
 }
 
-std::unique_ptr<TrrMechanism>
-VendorBTrr::clone() const
-{
-    // Memberwise copy carries every piece of detection state
-    // (including the Rng stream position) plus the current
-    // ground-truth handles; a clone installed into another chip
-    // must be re-attached to that chip's store.
-    return std::make_unique<VendorBTrr>(*this);
-}
-
 void
 VendorBTrr::reset()
 {

@@ -54,7 +54,6 @@ class VendorBTrr : public TrrMechanism
                               int n, int rounds) override;
     std::vector<TrrRefreshAction> onRefresh() override;
     void reset() override;
-    std::unique_ptr<TrrMechanism> clone() const override;
     std::string name() const override { return "B-sampler"; }
 
     /** White-box view of the current sample (chip-wide mode). */

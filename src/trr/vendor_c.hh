@@ -59,7 +59,6 @@ class VendorCTrr : public TrrMechanism
                               int n, int rounds) override;
     std::vector<TrrRefreshAction> onRefresh() override;
     void reset() override;
-    std::unique_ptr<TrrMechanism> clone() const override;
     std::string name() const override { return "C-window"; }
 
     /** White-box view of one bank's current candidate. */

@@ -7,13 +7,12 @@
  * interpreted execution tiers, DESIGN.md §17), the naive shadow
  * interpreter (ReferenceBackend) and the canned-session replayer
  * (TraceReplayBackend) — through the same canonical program set and
- * pins the four points of the interface contract:
+ * pins the interface contract:
  *
- *   1. read-back equivalence against a golden simulator execution;
+ *   1. read-back equivalence against a golden simulator execution, and
+ *      deterministic re-execution;
  *   2. an accounting surface that matches the golden execution;
- *   3. a timing-legal command trace (when the backend records one);
- *   4. deterministic re-execution, and bit-identical replay across a
- *      snapshot/restore round trip.
+ *   3. a timing-legal command trace (when the backend records one).
  */
 
 #include <gtest/gtest.h>
@@ -279,39 +278,6 @@ TEST_P(BackendConformance, DeterministicAcrossInstances)
     expectAccountingEq(first->accounting(), second->accounting());
 }
 
-TEST_P(BackendConformance, SnapshotRoundTripMidSequence)
-{
-    // Contract point 4: snapshot after program 0, run the rest, then
-    // restore — the remaining programs must replay bit-identically.
-    const std::unique_ptr<DeviceBackend> backend = make();
-    ASSERT_TRUE(backend->supportsSnapshot());
-    backend->execute(programs[0]);
-    const std::uint64_t token = backend->snapshot();
-
-    std::vector<std::uint64_t> hashes;
-    std::vector<Time> ends;
-    for (std::size_t i = 1; i < programs.size(); ++i) {
-        const BackendResult result = backend->execute(programs[i]);
-        hashes.push_back(hashBackendReads(result));
-        ends.push_back(result.endTime);
-    }
-    const BackendAccounting final_acc = backend->accounting();
-
-    backend->restore(token);
-    for (std::size_t i = 1; i < programs.size(); ++i) {
-        SCOPED_TRACE("replayed program " + std::to_string(i));
-        const BackendResult result = backend->execute(programs[i]);
-        EXPECT_EQ(hashBackendReads(result), hashes[i - 1]);
-        EXPECT_EQ(result.endTime, ends[i - 1]);
-    }
-    expectAccountingEq(backend->accounting(), final_acc);
-
-    // A token may be restored any number of times; dropping it ends
-    // its lifetime.
-    backend->restore(token);
-    backend->dropSnapshot(token);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, BackendConformance,
     ::testing::Combine(::testing::Values(BackendKind::kSim,
@@ -323,51 +289,6 @@ INSTANTIATE_TEST_SUITE_P(
         return kindName(std::get<0>(info.param)) +
             modeName(std::get<1>(info.param));
     });
-
-// ---------------------------------------------------------------------
-// Fork contract: the child is the parent's device, retention model
-// included.
-// ---------------------------------------------------------------------
-
-TEST(SimBackendFork, KeepsTheParentsRetentionModel)
-{
-    // Every row weak, failing within 110-200 ms. A fork that fell back
-    // to the default model would generate the rows it first touches
-    // with other retention times, so the same program would read back
-    // other flips.
-    const ModuleSpec spec = *findModuleSpec("A0");
-    RetentionModelConfig retention;
-    retention.weakRowFraction = 1.0;
-    retention.weakRetMinMs = 110.0;
-    retention.weakRetMaxMs = 200.0;
-    SimBackend parent(spec, kSeed, &retention);
-    const std::unique_ptr<SimBackend> child =
-        parent.fork(parent.captureDevice());
-
-    Program p;
-    for (Row row = 0; row < 64; ++row)
-        p.writeRow(0, row, DataPattern::allOnes());
-    p.wait(msToNs(300));
-    for (Row row = 0; row < 64; ++row)
-        p.readRow(0, row);
-    const BackendResult ours = parent.execute(p);
-    const BackendResult theirs = child->execute(p);
-    ASSERT_EQ(ours.reads.size(), 64u);
-    ASSERT_EQ(theirs.reads.size(), 64u);
-    int decayed = 0;
-    for (std::size_t i = 0; i < ours.reads.size(); ++i) {
-        EXPECT_EQ(theirs.reads[i].words, ours.reads[i].words)
-            << "row " << ours.reads[i].row;
-        for (const std::uint64_t word : ours.reads[i].words) {
-            if (word != ~0ULL) {
-                ++decayed;
-                break;
-            }
-        }
-    }
-    // The overrides really are in force: most rows decayed in 300 ms.
-    EXPECT_GT(decayed, 32);
-}
 
 // ---------------------------------------------------------------------
 // Replay-specific contract: divergence is a hard error.

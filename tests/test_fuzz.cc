@@ -4,7 +4,7 @@
  * determinism, assembler round-trips of generated programs,
  * oracle-clean sweeps across vendors, minimizer properties,
  * serial-vs-parallel campaign equivalence, the compiled/interpreted
- * tier-equivalence property at random snapshot boundaries, and the
+ * tier-equivalence property across random cut points, and the
  * mutation sanity checks (the oracle suite must catch the
  * compile-time-flagged off-by-one refresh and hammer-fusion bugs
  * within a bounded number of programs).
@@ -193,14 +193,24 @@ TEST(Fuzzer, RetentionScaleInvalidationIsPathIndependent)
     }
 }
 
+void
+expectAccountingEq(const BackendAccounting &got,
+                   const BackendAccounting &want)
+{
+    EXPECT_EQ(got.refs, want.refs);
+    EXPECT_EQ(got.trrEvents, want.trrEvents);
+    EXPECT_EQ(got.trrVictimRefreshes, want.trrVictimRefreshes);
+    EXPECT_EQ(got.rowRefreshes, want.rowRefreshes);
+}
+
 /**
  * Compiled/interpreted equivalence property (DESIGN.md §17): any fuzz
- * program, split at a random instruction boundary with a snapshot in
- * between, replays bit-identically whichever execution tier runs each
- * half — including restoring a snapshot taken under one tier and
- * resuming the suffix under the other. This pins that snapshots are
- * tier-agnostic and that fusion never leaks state across execute()
- * boundaries.
+ * program, split at a random instruction boundary with the execution
+ * tier switched at the cut — compiled then interpreted, and interpreted
+ * then compiled — equals one straight run of the whole program: reads,
+ * end time, command trace and accounting. This pins that host state
+ * persists across execute() calls and that fusion never leaks state
+ * across their boundaries.
  */
 TEST(Oracles, ExecutionTiersEquivalentAtRandomBoundaries)
 {
@@ -217,35 +227,35 @@ TEST(Oracles, ExecutionTiersEquivalentAtRandomBoundaries)
         Program suffix;
         for (std::size_t k = 0; k < instrs.size(); ++k)
             (k < cut ? prefix : suffix).push(instrs[k]);
+        const std::size_t trace_cap =
+            estimateTraceEvents(program, Timing{}) + 512;
 
-        SimBackend compiled(spec, 2021);
-        SimBackend interp(spec, 2021);
-        compiled.setExecMode(ExecMode::kCompiled);
-        interp.setExecMode(ExecMode::kInterpreted);
+        SimBackend straight(spec, 2021);
+        straight.host().trace().enable(trace_cap);
+        const BackendResult whole = straight.execute(program);
 
-        const BackendResult pa = compiled.execute(prefix);
-        const BackendResult pb = interp.execute(prefix);
-        EXPECT_EQ(hashBackendReads(pa), hashBackendReads(pb));
-        ASSERT_EQ(pa.endTime, pb.endTime);
+        for (const ExecMode first :
+             {ExecMode::kCompiled, ExecMode::kInterpreted}) {
+            const bool compiled_first = first == ExecMode::kCompiled;
+            SCOPED_TRACE(compiled_first ? "compiled then interpreted"
+                                        : "interpreted then compiled");
+            SimBackend split(spec, 2021);
+            split.host().trace().enable(trace_cap);
+            split.setExecMode(first);
+            BackendResult joined = split.execute(prefix);
+            split.setExecMode(compiled_first ? ExecMode::kInterpreted
+                                             : ExecMode::kCompiled);
+            const BackendResult tail = split.execute(suffix);
+            joined.reads.insert(joined.reads.end(), tail.reads.begin(),
+                                tail.reads.end());
 
-        const std::uint64_t ta = compiled.snapshot();
-        const std::uint64_t tb = interp.snapshot();
-        const BackendResult sa = compiled.execute(suffix);
-        const BackendResult sb = interp.execute(suffix);
-        EXPECT_EQ(hashBackendReads(sa), hashBackendReads(sb));
-        ASSERT_EQ(sa.endTime, sb.endTime);
-
-        // Cross over: resume each snapshot under the opposite tier.
-        compiled.restore(ta);
-        interp.restore(tb);
-        compiled.setExecMode(ExecMode::kInterpreted);
-        interp.setExecMode(ExecMode::kCompiled);
-        const BackendResult ra = compiled.execute(suffix);
-        const BackendResult rb = interp.execute(suffix);
-        EXPECT_EQ(hashBackendReads(ra), hashBackendReads(sa));
-        EXPECT_EQ(hashBackendReads(rb), hashBackendReads(sb));
-        EXPECT_EQ(ra.endTime, sa.endTime);
-        EXPECT_EQ(rb.endTime, sb.endTime);
+            EXPECT_EQ(hashBackendReads(joined), hashBackendReads(whole));
+            EXPECT_EQ(tail.endTime, whole.endTime);
+            EXPECT_EQ(split.host().trace().dropped(), 0u);
+            EXPECT_EQ(split.host().trace().contentHash(),
+                      straight.host().trace().contentHash());
+            expectAccountingEq(split.accounting(), straight.accounting());
+        }
     }
 }
 

@@ -526,10 +526,10 @@ TEST(SynthProperty, MinimizedWinnerKeepsItsVerdict)
 // One module through a seeded random interleaving of temperature steps
 // (some pinned at the injector's drift clamp), VRT x3 / /3 toggles,
 // first touches of new rows, fused, per-ACT and interleaved hammers,
-// REFs, reads, waits, and snapshot -> more steps -> restore. After
-// every operation each materialized row's scale must equal, bit for
-// bit, what an eager walk gives: born at the running product of all
-// steps so far, then multiplied by every later step and toggle.
+// REFs, reads and waits. After every operation each materialized row's
+// scale must equal, bit for bit, what an eager walk gives: born at the
+// running product of all steps so far, then multiplied by every later
+// step and toggle.
 TEST(RetentionScaleProperty, LazyStepsMatchAnEagerWalkBitForBit)
 {
     const ModuleSpec spec = *findModuleSpec("B2");
@@ -593,10 +593,10 @@ TEST(RetentionScaleProperty, LazyStepsMatchAnEagerWalkBitForBit)
         host.writeRow(b, r, DataPattern::checkerboard());
     }
     check("setup");
-    std::array<int, 11> ran{};
+    std::array<int, 10> ran{};
     for (int op = 0; op < 300; ++op) {
         const auto [b, r] = bank_row(100, 140);
-        const auto kind = static_cast<std::size_t>(rng.uniformInt(0, 10));
+        const auto kind = static_cast<std::size_t>(rng.uniformInt(0, 9));
         ++ran[kind];
         switch (kind) {
           case 0:
@@ -644,22 +644,10 @@ TEST(RetentionScaleProperty, LazyStepsMatchAnEagerWalkBitForBit)
             host.readRow(b, r);
             check("read");
             break;
-          case 9:
+          default:
             host.wait(msToNs(rng.uniformInt(1, 120)));
             check("wait");
             break;
-          default: {
-            const std::uint64_t token = sim.snapshot();
-            const auto saved = std::make_tuple(product, eager, vrtFlipped);
-            for (int k = 0; k < 3; ++k)
-                step();
-            host.writeRow(b, fresh++, DataPattern::allOnes());
-            sim.restore(token);
-            sim.dropSnapshot(token);
-            std::tie(product, eager, vrtFlipped) = saved;
-            check("restore");
-            break;
-          }
         }
         if (::testing::Test::HasFatalFailure())
             return;
@@ -1670,8 +1658,9 @@ INSTANTIATE_TEST_SUITE_P(Modules, RangeScanProperty,
                          });
 
 // ---------------------------------------------------------------------
-// Snapshot/fork (DESIGN.md §16): fork isolation, restore bit-identity
-// under chaos faults, and path-independence at random program points.
+// Path independence at random program points: host and device state
+// persist across execute() calls, so cutting a program anywhere
+// changes nothing.
 // ---------------------------------------------------------------------
 
 void
@@ -1684,174 +1673,10 @@ expectSameAccounting(const BackendAccounting &got,
     EXPECT_EQ(got.rowRefreshes, want.rowRefreshes);
 }
 
-// Mutating a fork must never perturb the parent: the parent's
-// subsequent execution stays bit-identical (reads + command trace) to
-// an identically built twin that never forked at all.
-TEST(SnapshotProperty, ForkMutationNeverPerturbsParent)
-{
-    const ModuleSpec spec = *findModuleSpec("A0");
-
-    Program setup;
-    for (Row row = 40; row < 48; ++row)
-        setup.writeRow(0, row, DataPattern::checkerboard());
-    setup.waitWithRefresh(msToNs(30));
-
-    Program probe;
-    probe.hammer(0, 44, 2'000);
-    probe.ref(8);
-    for (Row row = 40; row < 48; ++row)
-        probe.readRow(0, row);
-
-    SimBackend parent(spec, 2021);
-    parent.host().trace().enable(1 << 16);
-    SimBackend twin(spec, 2021);
-    twin.host().trace().enable(1 << 16);
-    parent.execute(setup);
-    twin.execute(setup);
-
-    // Fork, then trash exactly the state the parent is about to probe:
-    // overwrite its rows, hammer its aggressor, let the fork decay.
-    const DeviceSnapshot snap = parent.captureDevice();
-    const std::unique_ptr<SimBackend> child = parent.fork(snap);
-    Program vandalism;
-    for (Row row = 40; row < 48; ++row)
-        vandalism.writeRow(0, row, DataPattern::random(3));
-    vandalism.hammer(0, 44, 5'000);
-    vandalism.wait(msToNs(400));
-    for (Row row = 40; row < 48; ++row)
-        vandalism.readRow(0, row);
-    child->execute(vandalism);
-
-    const BackendResult parent_probe = parent.execute(probe);
-    const BackendResult twin_probe = twin.execute(probe);
-    EXPECT_EQ(hashBackendReads(parent_probe),
-              hashBackendReads(twin_probe));
-    EXPECT_EQ(parent_probe.endTime, twin_probe.endTime);
-    EXPECT_EQ(parent.host().trace().contentHash(),
-              twin.host().trace().contentHash());
-    expectSameAccounting(parent.accounting(), twin.accounting());
-}
-
-// Snapshot -> mutate -> restore must be bit-identical even when chaos
-// faults fired on both sides of the snapshot: the restored device
-// carries the pre-snapshot fault damage (VRT modes, temperature
-// scale), and a same-seeded injector replays the post-snapshot stream
-// exactly.
-TEST(SnapshotProperty, RestoreIsBitIdenticalUnderChaosFaults)
-{
-    const ModuleSpec spec = *findModuleSpec("B2");
-    const FaultConfig chaos = FaultConfig::chaosDefaults();
-
-    SimBackend sim(spec, 2021);
-    sim.host().trace().enable(1 << 17);
-
-    Program setup;
-    for (Row row = 60; row < 66; ++row)
-        setup.writeRow(0, row, DataPattern::allOnes());
-    setup.hammer(0, 63, 8'000);
-    setup.waitWithRefresh(msToNs(100));
-
-    Program probe;
-    probe.hammer(0, 62, 6'000);
-    probe.waitWithRefresh(msToNs(80));
-    for (Row row = 60; row < 66; ++row)
-        probe.readRow(0, row);
-
-    FaultInjector warm(chaos, 7);
-    sim.host().attachFaultInjector(&warm);
-    sim.execute(setup);
-    sim.host().attachFaultInjector(nullptr);
-    // The snapshot state itself is fault-damaged, not pristine.
-    EXPECT_GT(warm.stats().jitteredRefs + warm.stats().tempSteps, 0u);
-
-    const std::uint64_t token = sim.snapshot();
-
-    FaultInjector first(chaos, 99);
-    sim.host().attachFaultInjector(&first);
-    const BackendResult a = sim.execute(probe);
-    sim.host().attachFaultInjector(nullptr);
-    const std::uint64_t trace_a = sim.host().trace().contentHash();
-    const BackendAccounting acc_a = sim.accounting();
-    EXPECT_GT(first.stats().jitteredRefs + first.stats().tempSteps, 0u);
-
-    sim.restore(token);
-    FaultInjector second(chaos, 99); // identical fault stream
-    sim.host().attachFaultInjector(&second);
-    const BackendResult b = sim.execute(probe);
-    sim.host().attachFaultInjector(nullptr);
-
-    EXPECT_EQ(hashBackendReads(a), hashBackendReads(b));
-    EXPECT_EQ(a.endTime, b.endTime);
-    EXPECT_EQ(sim.host().trace().contentHash(), trace_a);
-    expectSameAccounting(sim.accounting(), acc_a);
-    EXPECT_EQ(first.stats().vrtFlips, second.stats().vrtFlips);
-    EXPECT_EQ(first.stats().noiseBits, second.stats().noiseBits);
-    EXPECT_EQ(first.stats().jitteredRefs, second.stats().jitteredRefs);
-    EXPECT_EQ(first.stats().droppedCommands(),
-              second.stats().droppedCommands());
-    EXPECT_EQ(first.stats().tempSteps, second.stats().tempSteps);
-}
-
-// A fork of a chaos-damaged snapshot must own its retention scale:
-// temperature steps the parent takes after the fork never reach the
-// child's rows (they would if a restored row still pointed at the bank
-// it was copied from), so the child runs exactly like an in-place
-// restore of the parent.
-TEST(SnapshotProperty, ForkIgnoresParentTemperatureSteps)
-{
-    const ModuleSpec spec = *findModuleSpec("B2");
-    const FaultConfig chaos = FaultConfig::chaosDefaults();
-
-    SimBackend sim(spec, 2021);
-    sim.host().trace().enable(1 << 17);
-
-    Program setup;
-    for (Row row = 60; row < 66; ++row)
-        setup.writeRow(0, row, DataPattern::allOnes());
-    setup.hammer(0, 63, 8'000);
-    setup.waitWithRefresh(msToNs(100));
-
-    Program probe;
-    probe.hammer(0, 62, 6'000);
-    probe.waitWithRefresh(msToNs(80));
-    for (Row row = 60; row < 66; ++row)
-        probe.readRow(0, row);
-
-    FaultInjector warm(chaos, 7);
-    sim.host().attachFaultInjector(&warm);
-    sim.execute(setup);
-    sim.host().attachFaultInjector(nullptr);
-    ASSERT_GT(warm.stats().tempSteps, 0u);
-
-    const DeviceSnapshot snap = sim.captureDevice();
-    const std::unique_ptr<SimBackend> child = sim.fork(snap);
-    for (int i = 0; i < 3; ++i)
-        sim.module().scaleAllRetention(0.5); // parent only
-
-    FaultInjector child_faults(chaos, 99);
-    child->host().attachFaultInjector(&child_faults);
-    const BackendResult a = child->execute(probe);
-    child->host().attachFaultInjector(nullptr);
-
-    sim.restoreDevice(snap);
-    FaultInjector parent_faults(chaos, 99); // identical fault stream
-    sim.host().attachFaultInjector(&parent_faults);
-    const BackendResult b = sim.execute(probe);
-    sim.host().attachFaultInjector(nullptr);
-
-    EXPECT_EQ(hashBackendReads(a), hashBackendReads(b));
-    EXPECT_EQ(a.endTime, b.endTime);
-    EXPECT_EQ(child->host().trace().contentHash(),
-              sim.host().trace().contentHash());
-    expectSameAccounting(child->accounting(), sim.accounting());
-    EXPECT_EQ(child_faults.stats().tempSteps,
-              parent_faults.stats().tempSteps);
-}
-
 // Fuzz round: for random programs cut at random instruction
-// boundaries, a snapshot/restore round trip at the cut point is
-// invisible — the continuation replays bit-identically and the split
-// execution matches the straight-through one.
+// boundaries, the state at the cut point is reproducible — a twin
+// device that re-runs the head continues bit-identically — and the
+// split execution matches the straight-through one.
 TEST(SnapshotProperty, SnapshotRestoreAtRandomPointsIsPathIndependent)
 {
     const ModuleSpec spec = *findModuleSpec("A0");
@@ -1871,28 +1696,29 @@ TEST(SnapshotProperty, SnapshotRestoreAtRandomPointsIsPathIndependent)
         SimBackend straight(spec, 2021);
         const BackendResult all = straight.execute(whole);
 
-        SimBackend snapped(spec, 2021);
-        const BackendResult head_result = snapped.execute(head);
-        const std::uint64_t token = snapped.snapshot();
-        const BackendResult tail_first = snapped.execute(tail);
-        snapped.restore(token);
-        const BackendResult tail_replay = snapped.execute(tail);
+        SimBackend split(spec, 2021);
+        const BackendResult head_result = split.execute(head);
+        const BackendResult tail_first = split.execute(tail);
 
-        // The round trip is invisible to the continuation...
+        SimBackend twin(spec, 2021);
+        twin.execute(head);
+        const BackendResult tail_replay = twin.execute(tail);
+
+        // The continuation from the cut point is reproducible...
         EXPECT_EQ(hashBackendReads(tail_first),
                   hashBackendReads(tail_replay));
         EXPECT_EQ(tail_first.endTime, tail_replay.endTime);
+        expectSameAccounting(twin.accounting(), split.accounting());
 
         // ...and the split run equals the straight-through run.
         BackendResult combined;
         combined.reads = head_result.reads;
         combined.reads.insert(combined.reads.end(),
-                              tail_replay.reads.begin(),
-                              tail_replay.reads.end());
+                              tail_first.reads.begin(),
+                              tail_first.reads.end());
         EXPECT_EQ(hashBackendReads(combined), hashBackendReads(all));
-        EXPECT_EQ(tail_replay.endTime, all.endTime);
-        expectSameAccounting(snapped.accounting(),
-                             straight.accounting());
+        EXPECT_EQ(tail_first.endTime, all.endTime);
+        expectSameAccounting(split.accounting(), straight.accounting());
     }
 }
 

@@ -302,7 +302,7 @@ TEST(RunnerWatchdog, NonWatchdogExceptionFailsWithoutRetry)
 }
 
 // ---------------------------------------------------------------------
-// Aggregation: merged metrics, traces and the report shape.
+// Aggregation: merged metrics, trace counts and the report shape.
 // ---------------------------------------------------------------------
 
 TEST(RunnerAggregation, MergesPerModuleMetricsAndTraces)
@@ -317,27 +317,13 @@ TEST(RunnerAggregation, MergesPerModuleMetricsAndTraces)
 
     // Per-module counters land under the "module.<name>." prefix.
     for (const ModuleResult &m : result.modules) {
-        EXPECT_FALSE(m.traceEvents.empty()) << m.module;
+        EXPECT_GT(m.traceRecorded, 0u) << m.module;
         const Counter *acts = result.merged.findCounter(
             "module." + m.module + ".dram.acts");
         ASSERT_NE(acts, nullptr) << m.module;
         EXPECT_GT(acts->value, 0u);
     }
     EXPECT_EQ(result.merged.findCounter("campaign.jobs")->value, 3u);
-
-    // Campaign-merged command trace via the join-time merge API.
-    CommandTrace merged(1024);
-    for (const ModuleResult &m : result.modules) {
-        CommandTrace per_job(256);
-        for (const TraceEvent &event : m.traceEvents)
-            per_job.record(event.kind, event.bank, event.row,
-                           event.start, event.duration);
-        merged.mergeFrom(per_job);
-    }
-    EXPECT_EQ(merged.size(),
-              result.modules[0].traceEvents.size() +
-                  result.modules[1].traceEvents.size() +
-                  result.modules[2].traceEvents.size());
 }
 
 TEST(RunnerAggregation, FillReportProducesPerModuleRoundsAndRollups)

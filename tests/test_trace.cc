@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "core/row_scout.hh"
 #include "core/trr_analyzer.hh"
@@ -117,30 +119,21 @@ TEST(CommandTrace, ClearKeepsCapacity)
     EXPECT_EQ(trace.events().front().row, 2);
 }
 
-TEST(CommandTrace, MergeFromCopiesEventsAndReInternsPhases)
+// Ring events point into their trace's name pool, so a copy would
+// dangle; a move keeps the pool and with it every label.
+static_assert(!std::is_copy_constructible_v<CommandTrace>);
+static_assert(!std::is_copy_assignable_v<CommandTrace>);
+
+TEST(CommandTrace, MoveKeepsPhaseLabels)
 {
     CommandTrace source(8);
     source.beginPhase("hammer", 0);
     source.record(TraceKind::kAct, 1, 7, 10, 35);
-    source.endPhase("hammer", 100);
-
-    CommandTrace sink(16);
-    sink.record(TraceKind::kRef, 0, kInvalidRow, 0, 350);
-    sink.mergeFrom(source);
-
-    const auto events = sink.events();
-    ASSERT_EQ(events.size(), 4u);
-    EXPECT_EQ(events[0].kind, TraceKind::kRef);
-    EXPECT_EQ(events[2].kind, TraceKind::kAct);
-    EXPECT_EQ(events[2].row, 7);
-    // Phase names survive the merge even after the source dies.
-    ASSERT_NE(events[1].phase, nullptr);
-    EXPECT_STREQ(events[1].phase, "hammer");
-
-    // Merging into a disabled trace stays a no-op.
-    CommandTrace disabled;
-    disabled.mergeFrom(source);
-    EXPECT_EQ(disabled.size(), 0u);
+    const CommandTrace moved(std::move(source));
+    const auto events = moved.events();
+    ASSERT_EQ(events.size(), 2u);
+    ASSERT_NE(events[0].phase, nullptr);
+    EXPECT_STREQ(events[0].phase, "hammer");
 }
 
 TEST(CommandTrace, TextListingMentionsEveryEvent)

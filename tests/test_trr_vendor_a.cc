@@ -189,12 +189,11 @@ TEST(VendorATrr, ResetClearsState)
 // included, against the per-ACT onActivate() sequence it stands for.
 // ---------------------------------------------------------------------
 
-/** A clone of @p trr on its own ground-truth store. */
+/** A copy of @p trr on its own ground-truth store. */
 std::unique_ptr<VendorATrr>
 cloneOnto(const VendorATrr &trr, GroundTruthStore &store)
 {
-    std::unique_ptr<VendorATrr> copy(
-        static_cast<VendorATrr *>(trr.clone().release()));
+    auto copy = std::make_unique<VendorATrr>(trr);
     copy->attachGroundTruth(&store);
     return copy;
 }

@@ -154,7 +154,7 @@ TEST(VendorBTrr, ResetClearsSampleAndPhase)
 // B_TRR3's trr.sampler_occupancy gauge counts the banks holding a
 // sample. It is kept as samples land, not by walking the banks, so it
 // must match that walk after seeded per-ACT, round-robin and REF ops,
-// across clones (which carry the count) and resets (which zero it).
+// and across resets (which zero it).
 TEST(VendorBTrr, PerBankOccupancyGaugeCountsSampledBanks)
 {
     constexpr int kBanks = 16;
@@ -174,7 +174,7 @@ TEST(VendorBTrr, PerBankOccupancyGaugeCountsSampledBanks)
     std::uint64_t samples_at_reset = 0;
     std::map<int, int> seen;
     for (int op = 0; op < 800; ++op) {
-        const auto kind = rng.uniformInt(0, 39);
+        const auto kind = rng.uniformInt(0, 38);
         if (kind <= 23) {
             trr->onActivate(static_cast<Bank>(rng.uniformInt(0, kBanks - 1)),
                             static_cast<Row>(rng.uniformInt(100, 119)));
@@ -191,8 +191,6 @@ TEST(VendorBTrr, PerBankOccupancyGaugeCountsSampledBanks)
                                       static_cast<int>(rng.uniformInt(1, 200)));
         } else if (kind <= 37) {
             trr->onRefresh();
-        } else if (kind == 38) {
-            trr = trr->clone(); // keeps the same ground-truth store
         } else {
             trr->reset();
             samples_at_reset =
@@ -217,12 +215,11 @@ TEST(VendorBTrr, PerBankOccupancyGaugeCountsSampledBanks)
 // included, against the per-ACT onActivate() sequence it stands for.
 // ---------------------------------------------------------------------
 
-/** A clone of @p trr on its own ground-truth store. */
+/** A copy of @p trr on its own ground-truth store. */
 std::unique_ptr<VendorBTrr>
 cloneOnto(const VendorBTrr &trr, GroundTruthStore &store)
 {
-    std::unique_ptr<VendorBTrr> copy(
-        static_cast<VendorBTrr *>(trr.clone().release()));
+    auto copy = std::make_unique<VendorBTrr>(trr);
     copy->attachGroundTruth(&store);
     return copy;
 }

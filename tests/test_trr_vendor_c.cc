@@ -177,12 +177,11 @@ TEST(VendorCTrr, ShortWindowVersion)
 // included, against the per-ACT onActivate() sequence it stands for.
 // ---------------------------------------------------------------------
 
-/** A clone of @p trr on its own ground-truth store. */
+/** A copy of @p trr on its own ground-truth store. */
 std::unique_ptr<VendorCTrr>
 cloneOnto(const VendorCTrr &trr, GroundTruthStore &store)
 {
-    std::unique_ptr<VendorCTrr> copy(
-        static_cast<VendorCTrr *>(trr.clone().release()));
+    auto copy = std::make_unique<VendorCTrr>(trr);
     copy->attachGroundTruth(&store);
     return copy;
 }
